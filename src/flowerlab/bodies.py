@@ -106,6 +106,20 @@ class ConvexBody:
         self.support = h
         self._radial: np.ndarray | None = None
 
+    @classmethod
+    def hull_backed(cls, grid: DirectionGrid, radial: np.ndarray, cloud: np.ndarray | None = None) -> ConvexBody:
+        """Certified conv({cloud_i theta_i} + {0}) carrying the hull radial `radial`.
+
+        The cloud defaults to `radial` itself.  The body keeps the exact radial
+        of the hull polygon (not the outer half-space radial), which keeps
+        chained operations on hull-built bodies exact on samples; `radial` is
+        frozen in place.
+        """
+        body = cls(grid, support_of_cloud(grid, radial if cloud is None else cloud), certified=True)
+        radial.flags.writeable = False
+        body._radial = radial
+        return body
+
     def radial(self) -> np.ndarray:
         """Radial samples of the half-space body A[h], cached."""
         if self._radial is None:
@@ -215,12 +229,9 @@ def convexify_support(s: StarBody) -> ConvexBody:
     outer half-space radial), which keeps chained operations on hull-built
     bodies exact on samples.
     """
-    body = ConvexBody(s.grid, support_of_cloud(s.grid, s.radial), certified=True)
     if s.grid.dim == 2:
-        r = hull_radial(s.grid, s.radial)
-        r.flags.writeable = False
-        body._radial = r
-    return body
+        return ConvexBody.hull_backed(s.grid, hull_radial(s.grid, s.radial), cloud=s.radial)
+    return ConvexBody(s.grid, support_of_cloud(s.grid, s.radial), certified=True)
 
 
 def radial_of_halfspace_body(g: np.ndarray, grid: DirectionGrid) -> StarBody:

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._sampleops import EPS_FLOOR, hull_radial, support_of_cloud
+from ._sampleops import EPS_FLOOR, hull_radial
 from .bodies import ConvexBody, Flower, StarBody, _check_same_grid, convexify_support, unit_ball, volume
 from .errors import CertificationRequiredError, ConvergenceError, DegenerateInputError, ParameterError
 from .spherecore import DirectionGrid
@@ -147,10 +147,7 @@ def power(k: ConvexBody, lam: float, tol: float = POWER_TOL, m_cap: int = POWER_
         cur = _power_radial_run(w0, lam ** (1.0 / m), m, grid)
         inc = float(np.abs(np.log(cur) - np.log(prev)).max())
         if inc < tol:
-            body = ConvexBody(grid, support_of_cloud(grid, cur), certified=True)
-            cur.flags.writeable = False
-            body._radial = cur  # exact hull radial of the converged iterate
-            return PowerResult(body, lam, m, inc)
+            return PowerResult(ConvexBody.hull_backed(grid, cur), lam, m, inc)
         if m >= m_cap:
             raise ConvergenceError(
                 f"power map did not converge by m={m} (increment {inc:.3e})", m, inc
@@ -179,10 +176,7 @@ def power_partition(k: ConvexBody, lam: float, partition: Partition) -> ConvexBo
     w = k.radial()
     for s in ratios:
         w = hull_radial(k.grid, w ** s)
-    body = ConvexBody(k.grid, support_of_cloud(k.grid, w), certified=True)
-    w.flags.writeable = False
-    body._radial = w
-    return body
+    return ConvexBody.hull_backed(k.grid, w)
 
 
 def compose(t: ConvexBody, k: ConvexBody) -> ConvexBody:

@@ -17,7 +17,7 @@ import sys
 from . import bodies, calculus, localtheory, mixedvol
 from .bodyfile import BodyDocument, document_for_convex, parse_body, serialize_body
 from .errors import FlowerlabError, ParameterError
-from .inversion import TruncatedOutCone, is_inversion_convex
+from .inversion import CONVEX_POSITION_TOL, TruncatedOutCone, is_inversion_convex
 from .localtheory import ExperimentReport
 from .spherecore import uniform_angle_grid
 from .svgplot import plot_svg
@@ -173,7 +173,8 @@ def cmd_invert(args):
     doc = parse_body(args.body)
     poly = doc.to_polytope()
     shape = TruncatedOutCone(poly, args.trunc_scale) if args.outcone else poly
-    verdict = is_inversion_convex(shape, samples=args.samples, seed=args.seed, tol=args.tol or 1e-7)
+    tol = CONVEX_POSITION_TOL if args.tol is None else args.tol
+    verdict = is_inversion_convex(shape, samples=args.samples, seed=args.seed, tol=tol)
     obj = {
         "convex": verdict.convex,
         "witness": None

@@ -1,9 +1,18 @@
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from flowerlab._sampleops import EPS_FLOOR, radial_of_halfspaces, support_of_cloud
+from flowerlab._sampleops import (
+    EPS_FLOOR,
+    _hull_radial_qhull,
+    hull_radial,
+    is_convex_position,
+    radial_of_halfspaces,
+    support_of_cloud,
+)
 from flowerlab.bodies import (
     ConvexBody,
     Flower,
@@ -453,3 +462,71 @@ class TestExplicitDirectionsGrid:
         a = StarBody(g, np.exp(0.3 * np.cos(th)))
         rot = rotate_star_2d(rotate_star_2d(a, 0.7), -0.7)
         assert np.abs(rot.radial - a.radial).max() < 5e-3
+
+
+@functools.cache
+def _uniform_grid(n):
+    from flowerlab.spherecore import uniform_angle_grid
+
+    return uniform_angle_grid(n)
+
+
+def _hull_test_cloud(kind, n, rs):
+    """One seeded radial cloud of the given kind on the uniform n-grid."""
+    rng = np.random.default_rng(rs)
+    g = _uniform_grid(n)
+    th = g.angles()
+    if kind == "lognormal":
+        w = np.exp(rng.normal(0.0, rng.uniform(0.05, 1.5), n))
+    elif kind == "body-power":
+        w = random_convex_body(g, rs, amp=0.3, kmax=5).radial() ** rng.uniform(1.5, 8.0)
+    elif kind == "polygon":
+        # exact regular k-gon radial: consecutive samples are collinear
+        k = int(rng.integers(3, 9))
+        step = 2 * np.pi / k
+        phase = 0.0 if rng.integers(2) else rng.uniform(0.0, step)
+        w = np.cos(np.pi / k) / np.cos((th - phase) % step - np.pi / k)
+    else:  # "floor": floored samples, a contiguous run of them spanning < pi
+        w = np.exp(rng.normal(0.0, 0.5, n))
+        start, run = int(rng.integers(n)), int(rng.integers(1, max(2, n // 3)))
+        w[(start + np.arange(run)) % n] = EPS_FLOOR
+        w[rng.integers(n, size=max(1, n // 50))] = EPS_FLOOR
+    return g, w
+
+
+class TestHullKernel:
+    """The 2D Graham kernel of hull_radial against the qhull oracle."""
+
+    @seed(20240817)
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(["lognormal", "body-power", "polygon", "floor"]),
+        n=st.sampled_from([8, 9, 720, 2048]),
+        rs=st.integers(0, 10 ** 6),
+    )
+    def test_matches_qhull(self, kind, n, rs):
+        g, w = _hull_test_cloud(kind, n, rs)
+        out = hull_radial(g, w)
+        pts = w[:, None] * g.directions
+        ref = np.maximum(_hull_radial_qhull(g.directions, pts), w)
+        assert np.all(out >= w)
+        assert np.abs(out / ref - 1.0).max() <= 1e-12
+        if is_convex_position(pts):
+            assert out is w
+
+    @pytest.mark.parametrize("n", [8, 9, 720, 2048])
+    def test_convex_position_passes_through(self, n):
+        g = _uniform_grid(n)
+        th = g.angles()
+        w = 1.0 / np.sqrt((np.cos(th) / 2.0) ** 2 + np.sin(th) ** 2)  # ellipse radial
+        assert is_convex_position(w[:, None] * g.directions)
+        assert hull_radial(g, w) is w
+
+    def test_flat_cloud_is_degenerate_input(self):
+        from flowerlab.spherecore import sampled_sphere_grid
+
+        dirs = sampled_sphere_grid(3, 64, seed=1).directions
+        pts = dirs.copy()
+        pts[:, 2] = 0.0
+        with pytest.raises(DegenerateInputError):
+            _hull_radial_qhull(dirs, pts)

@@ -194,6 +194,13 @@ class TestPower:
         with pytest.raises(ParameterError):
             power(unit_ball(grid720), -0.5)
 
+    def test_cube_power_doubling_depth_pinned(self):
+        # K^3 at N=2048 converges at m=256, i.e. after 2*256-2 = 510 hull calls
+        from flowerlab.spherecore import uniform_angle_grid
+
+        k = random_convex_body(uniform_angle_grid(2048), 20000, amp=0.3, kmax=5)
+        assert power(k, 3.0).m_final == 256
+
 
 class TestMonotoneCompositionInclusion:
     def test_inclusion_for_increasing_outer_map(self, grid720):

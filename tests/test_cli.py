@@ -186,6 +186,24 @@ class TestSubcommandsGolden:
         verdict2 = json.loads(capsys.readouterr().out)
         assert verdict2["convex"] is True
 
+    def test_invert_tol_reaches_verdict(self, tmp_path, capsys, monkeypatch):
+        import flowerlab.cli as cli
+        from flowerlab.inversion import CONVEX_POSITION_TOL, InversionVerdict
+
+        seen = []
+
+        def verdict(shape, samples, seed, tol):
+            seen.append(tol)
+            return InversionVerdict(True, None, 0.0, samples)
+
+        monkeypatch.setattr(cli, "is_inversion_convex", verdict)
+        obj = {"dim": 2, "representation": "polytope", "points": [[-1.0, 0.5], [1.0, 0.5], [0.0, 2.0]], "metadata": {}}
+        p = tmp_path / "tri.json"
+        p.write_text(json.dumps(obj))
+        assert run(["invert", p]) == 0
+        assert run(["invert", p, "--tol", "0"]) == 0
+        assert seen == [CONVEX_POSITION_TOL, 0.0]
+
     def test_stability_report(self, square_flower_file, capsys, grid720):
         from flowerlab.localtheory import stability_check
 
