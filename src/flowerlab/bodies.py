@@ -67,6 +67,19 @@ def _check_same_grid(a: DirectionGrid, b: DirectionGrid):
         raise GridMismatchError("bodies live on different grids")
 
 
+def _positive_samples(grid: DirectionGrid, values, what: str) -> np.ndarray:
+    """Read-only float copy of `values`: one finite positive sample per grid direction."""
+    v = np.array(values, dtype=float, copy=True)
+    if v.shape != (grid.size,):
+        raise GridMismatchError(f"expected {grid.size} {what} values, got {v.shape}")
+    if not np.isfinite(v).all():
+        raise DegenerateInputError(f"{what} values must be finite")
+    if (v <= 0).any():
+        raise DegenerateInputError(f"{what} values must be strictly positive")
+    v.flags.writeable = False
+    return v
+
+
 @dataclass(eq=False)
 class StarBody:
     """Compact star body with 0 in the interior, as radial samples."""
@@ -75,15 +88,7 @@ class StarBody:
     radial: np.ndarray
 
     def __post_init__(self):
-        r = np.array(self.radial, dtype=float, copy=True)
-        if r.shape != (self.grid.size,):
-            raise GridMismatchError(f"expected {self.grid.size} radial values, got {r.shape}")
-        if not np.isfinite(r).all():
-            raise DegenerateInputError("radial values must be finite")
-        if (r <= 0).any():
-            raise DegenerateInputError("radial values must be strictly positive")
-        r.flags.writeable = False
-        self.radial = r
+        self.radial = _positive_samples(self.grid, self.radial, "radial")
 
 
 @dataclass(eq=False)
@@ -95,15 +100,7 @@ class ConvexBody:
     certified: bool = False
 
     def __post_init__(self):
-        h = np.array(self.support, dtype=float, copy=True)
-        if h.shape != (self.grid.size,):
-            raise GridMismatchError(f"expected {self.grid.size} support values, got {h.shape}")
-        if not np.isfinite(h).all():
-            raise DegenerateInputError("support values must be finite")
-        if (h <= 0).any():
-            raise DegenerateInputError("support values must be strictly positive")
-        h.flags.writeable = False
-        self.support = h
+        self.support = _positive_samples(self.grid, self.support, "support")
         self._radial: np.ndarray | None = None
 
     @classmethod
@@ -170,8 +167,7 @@ def is_support_consistent(grid: DirectionGrid, support: np.ndarray, tol: float |
 
 def is_flower(s: StarBody | Flower, tol: float | None = None) -> CertificateReport:
     """A star body is a flower iff its radial vector is support-consistent."""
-    body = s.body if isinstance(s, Flower) else s
-    return is_support_consistent(body.grid, body.radial, tol)
+    return is_support_consistent(s.grid, s.radial, tol)
 
 
 def petal_radial(x: np.ndarray, theta: np.ndarray) -> float:
@@ -236,22 +232,12 @@ def convexify_support(s: StarBody) -> ConvexBody:
 
 def radial_of_halfspace_body(g: np.ndarray, grid: DirectionGrid) -> StarBody:
     """Radial samples of the intersection of half-spaces {<x,theta_i> <= g_i}."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != (grid.size,):
-        raise GridMismatchError("bound vector length does not match grid")
-    if (g <= 0).any():
-        raise DegenerateInputError("bounds must be strictly positive")
-    return StarBody(grid, radial_of_halfspaces(grid, g))
+    return StarBody(grid, radial_of_halfspaces(grid, _positive_samples(grid, g, "bound")))
 
 
 def alexandrov(g: np.ndarray, grid: DirectionGrid) -> ConvexBody:
     """A[g]: the largest convex body with support below g (h_{A[g]} <= g pointwise)."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != (grid.size,):
-        raise GridMismatchError("bound vector length does not match grid")
-    if (g <= 0).any():
-        raise DegenerateInputError("bounds must be strictly positive")
-    return ConvexBody(grid, closure(grid, g), certified=True)
+    return ConvexBody(grid, closure(grid, _positive_samples(grid, g, "bound")), certified=True)
 
 
 def polar(k: ConvexBody, tol: float | None = None) -> ConvexBody:
@@ -265,17 +251,16 @@ def polar(k: ConvexBody, tol: float | None = None) -> ConvexBody:
     return ConvexBody(k.grid, h, certified=True)
 
 
+def _ball_mean(grid: DirectionGrid, values: np.ndarray) -> float:
+    """kappa_n (the volume of the unit ball) times the spherical average of values."""
+    n = grid.dim
+    return math.pi ** (n / 2) / math.gamma(n / 2 + 1) * quadrature_mean(grid, values)
+
+
 def volume(a: StarBody | Flower | ConvexBody) -> float:
     """kappa_n times the spherical average of r^n (polar-coordinates formula)."""
-    if isinstance(a, ConvexBody):
-        grid, r = a.grid, a.radial()
-    elif isinstance(a, Flower):
-        grid, r = a.grid, a.radial
-    else:
-        grid, r = a.grid, a.radial
-    n = grid.dim
-    kappa = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
-    return kappa * quadrature_mean(grid, r ** n)
+    r = a.radial() if isinstance(a, ConvexBody) else a.radial
+    return _ball_mean(a.grid, r ** a.grid.dim)
 
 
 def radial_sum(f1: Flower, f2: Flower) -> Flower:
@@ -318,8 +303,7 @@ def sup_log_distance(r1: np.ndarray, r2: np.ndarray) -> float:
 
 def convex_hull_radial(s: StarBody | Flower) -> StarBody:
     """Radial samples of the convex hull conv(S) along the grid rays."""
-    body = s.body if isinstance(s, Flower) else s
-    return StarBody(body.grid, hull_radial(body.grid, body.radial))
+    return StarBody(s.grid, hull_radial(s.grid, s.radial))
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,15 @@ class BodyDocument:
             return Flower(StarBody(self.grid, self.values))
         raise BodyFileError(f"cannot view a '{self.representation}' body as a flower")
 
+    def to_body(self) -> StarBody | Flower | ConvexBody:
+        """The body the samples stand for: support samples as they are (unchecked),
+        petals as their flower, radial samples as a star body."""
+        if self.representation == "support":
+            return self.to_convex(check=False)
+        if self.representation == "petals":
+            return self.to_flower()
+        return self.to_star()
+
     def to_polytope(self) -> OffOriginPolytope:
         if self.representation != "polytope":
             raise BodyFileError(f"expected a polytope body, got '{self.representation}'")
@@ -176,7 +185,7 @@ def serialize_body(doc: BodyDocument, path=None) -> str:
     return text
 
 
-def document_for_star(s: StarBody, representation: str = "radial", metadata: dict | None = None) -> BodyDocument:
+def document_for_star(s: StarBody | Flower, representation: str = "radial", metadata: dict | None = None) -> BodyDocument:
     return BodyDocument(s.grid.dim, representation, s.grid, values=s.radial.copy(), metadata=metadata or {})
 
 

@@ -62,9 +62,6 @@ class RadialMap:
 
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-    def __post_init__(self):
-        pass
-
     def check_zero_fixed(self, grid: DirectionGrid):
         out = np.asarray(self.evaluator(grid.directions, np.zeros(grid.size)), dtype=float)
         if out.shape != (grid.size,) or np.abs(out).max() > 1e-12:
@@ -113,9 +110,9 @@ class PowerResult:
         return self.body.radial()
 
 
-def _power_radial_run(w0: np.ndarray, s: float, m: int, grid: DirectionGrid) -> np.ndarray:
-    w = w0
-    for _ in range(m):
+def _power_run(grid: DirectionGrid, w: np.ndarray, exponents) -> np.ndarray:
+    """Composed naive powers on radial samples: w <- hull(w ** s) for each s in turn."""
+    for s in exponents:
         w = hull_radial(grid, w ** s)
     return w
 
@@ -141,10 +138,10 @@ def power(k: ConvexBody, lam: float, tol: float = POWER_TOL, m_cap: int = POWER_
         return PowerResult(unit_ball(grid), lam, 0, 0.0)
     w0 = k.radial()
     m = 2
-    prev = _power_radial_run(w0, lam ** (1.0 / m), m, grid)
+    prev = _power_run(grid, w0, [lam ** (1.0 / m)] * m)
     while True:
         m *= 2
-        cur = _power_radial_run(w0, lam ** (1.0 / m), m, grid)
+        cur = _power_run(grid, w0, [lam ** (1.0 / m)] * m)
         inc = float(np.abs(np.log(cur) - np.log(prev)).max())
         if inc < tol:
             return PowerResult(ConvexBody.hull_backed(grid, cur), lam, m, inc)
@@ -173,10 +170,7 @@ def power_partition(k: ConvexBody, lam: float, partition: Partition) -> ConvexBo
         ratios = t[1:] / t[:-1]  # apply s_1 first
     else:
         return ConvexBody(k.grid, k.support.copy(), certified=k.certified)
-    w = k.radial()
-    for s in ratios:
-        w = hull_radial(k.grid, w ** s)
-    return ConvexBody.hull_backed(k.grid, w)
+    return ConvexBody.hull_backed(k.grid, _power_run(k.grid, k.radial(), ratios))
 
 
 def compose(t: ConvexBody, k: ConvexBody) -> ConvexBody:

@@ -10,16 +10,17 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 
 from . import bodies, calculus, localtheory, mixedvol
-from .bodyfile import BodyDocument, document_for_convex, parse_body, serialize_body
+from .bodyfile import BodyDocument, document_for_convex, document_for_star, parse_body, serialize_body
 from .errors import FlowerlabError, ParameterError
 from .inversion import CONVEX_POSITION_TOL, TruncatedOutCone, is_inversion_convex
 from .localtheory import ExperimentReport
-from .spherecore import uniform_angle_grid
+from .spherecore import child_seed
 from .svgplot import plot_svg
 
 DEFAULT_GRID_N = 720
@@ -30,8 +31,7 @@ def _default_seed() -> int:
     return int(env) if env else 0
 
 
-def _emit(doc: BodyDocument, args):
-    text = serialize_body(doc)
+def _write(text: str, args):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -39,17 +39,13 @@ def _emit(doc: BodyDocument, args):
         sys.stdout.write(text)
 
 
-def _print(line: str, args):
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(line + "\n")
-    else:
-        print(line)
+def _emit(doc: BodyDocument, args):
+    _write(serialize_body(doc), args)
 
 
-def _load_convex(path, tol=None) -> bodies.ConvexBody:
-    doc = parse_body(path)
-    k = doc.to_convex(check=True, tol=tol)
+def _load_convex(path, doc: BodyDocument | None = None) -> bodies.ConvexBody:
+    """The certified convex body of a support file; pass `doc` when it is already parsed."""
+    k = (parse_body(path) if doc is None else doc).to_convex(check=True)
     if not k.certified:
         raise ParameterError(f"{path}: support samples failed certification")
     return k
@@ -65,31 +61,27 @@ def cmd_flower(args):
         f = bodies.flower_of(doc.to_convex(check=True, tol=args.tol))
     else:
         f = doc.to_flower()
-    _emit(BodyDocument(doc.dim, "radial", f.grid, values=f.radial.copy(), metadata=doc.metadata), args)
+    _emit(document_for_star(f, metadata=doc.metadata), args)
 
 
 def cmd_core(args):
     doc = parse_body(args.body)
-    k = bodies.core_of(doc.to_flower(), tol=args.tol)
-    _emit(BodyDocument(doc.dim, "support", k.grid, values=k.support.copy(), metadata=doc.metadata), args)
+    _emit(document_for_convex(bodies.core_of(doc.to_flower(), tol=args.tol), metadata=doc.metadata), args)
 
 
 def cmd_cof(args):
     doc = parse_body(args.body)
-    a = bodies.cof(doc.to_star())
-    _emit(BodyDocument(doc.dim, doc.representation, a.grid, values=a.radial.copy(), metadata=doc.metadata), args)
+    _emit(document_for_star(bodies.cof(doc.to_star()), doc.representation, metadata=doc.metadata), args)
 
 
 def cmd_polar(args):
     doc = parse_body(args.body)
-    k = bodies.polar(doc.to_convex(check=True, tol=args.tol))
-    _emit(BodyDocument(doc.dim, "support", k.grid, values=k.support.copy(), metadata=doc.metadata), args)
+    _emit(document_for_convex(bodies.polar(doc.to_convex(check=True, tol=args.tol)), metadata=doc.metadata), args)
 
 
 def cmd_alexandrov(args):
     doc = parse_body(args.body)
-    k = bodies.alexandrov(doc.values, doc.grid)
-    _emit(BodyDocument(doc.dim, "support", k.grid, values=k.support.copy(), metadata=doc.metadata), args)
+    _emit(document_for_convex(bodies.alexandrov(doc.values, doc.grid), metadata=doc.metadata), args)
 
 
 def cmd_power(args):
@@ -120,17 +112,11 @@ def cmd_fmap(args):
 
 
 def cmd_compose(args):
-    t = _load_convex(args.t)
-    k = _load_convex(args.k)
-    out = calculus.compose(t, k)
-    _emit(document_for_convex(out, metadata=parse_body(args.t).metadata), args)
-
-
-def cmd_rcompose(args):
-    t = _load_convex(args.t)
-    k = _load_convex(args.k)
-    out = calculus.radial_compose(t, k)
-    _emit(document_for_convex(out, metadata=parse_body(args.t).metadata), args)
+    """compose and rcompose: the output carries T's metadata."""
+    op = calculus.compose if args.command == "compose" else calculus.radial_compose
+    doc = parse_body(args.t)
+    out = op(_load_convex(args.t, doc), _load_convex(args.k))
+    _emit(document_for_convex(out, metadata=doc.metadata), args)
 
 
 def cmd_logmean(args):
@@ -143,30 +129,16 @@ def cmd_logmean(args):
 
 def cmd_mixedvol(args):
     ks = [_load_convex(p) for p in args.bodies]
-    n = ks[0].grid.dim
-    if len(ks) == n:
-        value = mixedvol.flower_mixed_volume(*ks)
-        _print(f"{value!r}", args)
-    else:
-        raise ParameterError(f"mixedvol needs exactly {n} bodies in dimension {n}; got {len(ks)}")
+    _write(f"{mixedvol.flower_mixed_volume(*ks)!r}\n", args)
     if args.report:
         report = ExperimentReport(("indices", "value"))
-        import itertools
-
-        for idx in itertools.combinations_with_replacement(range(len(ks)), n):
+        for idx in itertools.combinations_with_replacement(range(len(ks)), len(ks)):
             report.add("-".join(map(str, idx)), repr(mixedvol.flower_mixed_volume(*(ks[i] for i in idx))))
         report.write_csv(args.report)
 
 
 def cmd_volume(args):
-    doc = parse_body(args.body)
-    if doc.representation == "support":
-        v = bodies.volume(doc.to_convex(check=False))
-    elif doc.representation == "petals":
-        v = bodies.volume(doc.to_flower())
-    else:
-        v = bodies.volume(doc.to_star())
-    _print(f"{v!r}", args)
+    _write(f"{bodies.volume(parse_body(args.body).to_body())!r}\n", args)
 
 
 def cmd_invert(args):
@@ -183,7 +155,7 @@ def cmd_invert(args):
         "direct_depth": verdict.direct_depth,
         "samples": verdict.samples,
     }
-    _print(json.dumps(obj, indent=2), args)
+    _write(json.dumps(obj, indent=2) + "\n", args)
 
 
 def cmd_stability(args):
@@ -196,30 +168,23 @@ def cmd_stability(args):
         "bound_applies": rep.bound_applies,
         "bound_holds": rep.bound_holds,
     }
-    _print(json.dumps(obj, indent=2), args)
+    _write(json.dumps(obj, indent=2) + "\n", args)
 
 
 def cmd_dvoretzky(args):
     f = _load_flower(args.body)
     subgrid = None
     if args.k >= 2:
-        from .spherecore import child_seed
-
         subgrid = localtheory.default_subgrid(args.k, size=args.grid, seed=child_seed(args.seed, 2 ** 20))
     res = localtheory.dvoretzky_search(f, args.k, args.trials, args.seed, subgrid=subgrid, include_sections=args.sections)
     qs = res.quantiles()
-    _print(
-        json.dumps(
-            {
-                "k": res.k,
-                "trials": res.trials,
-                "best_distance": res.best_distance,
-                "quantiles": {str(k): v for k, v in qs.items()},
-            },
-            indent=2,
-        ),
-        args,
-    )
+    obj = {
+        "k": res.k,
+        "trials": res.trials,
+        "best_distance": res.best_distance,
+        "quantiles": {str(k): v for k, v in qs.items()},
+    }
+    _write(json.dumps(obj, indent=2) + "\n", args)
     if args.report:
         header = ("trial", "seed", "k", "distance") + (("section_distance",) if args.sections else ())
         report = ExperimentReport(header)
@@ -234,19 +199,13 @@ def cmd_dvoretzky(args):
 def cmd_global_avg(args):
     f = _load_flower(args.body)
     ratio = localtheory.global_average(f, args.n_rot, args.seed)
-    _print(f"{ratio!r}", args)
+    _write(f"{ratio!r}\n", args)
 
 
 def cmd_kashin(args):
-    from .spherecore import child_seed, sampled_sphere_grid, uniform_angle_grid
-
-    if args.dim == 2:
-        grid = uniform_angle_grid(args.grid)
-    else:
-        n = max(64, args.grid)
-        grid = sampled_sphere_grid(args.dim, n + (n % 2), child_seed(args.seed, 2 ** 20), symmetric=True)
+    grid = localtheory.default_subgrid(args.dim, size=args.grid, seed=child_seed(args.seed, 2 ** 20))
     ratio = localtheory.kashin_petals(args.dim, args.seed, num_petals=args.petals, grid=grid)
-    _print(f"{ratio!r}", args)
+    _write(f"{ratio!r}\n", args)
 
 
 def cmd_bm_probe(args):
@@ -254,7 +213,7 @@ def cmd_bm_probe(args):
     k1 = _load_convex(args.k1)
     k2 = _load_convex(args.k2)
     rep = calculus.check_composition_bm(t, k1, k2, mode=args.mode)
-    _print(f"{rep.margin!r}", args)
+    _write(f"{rep.margin!r}\n", args)
     if args.report:
         report = ExperimentReport(("t", "k1", "k2", "mode", "margin"))
         report.add(os.path.basename(args.t), os.path.basename(args.k1), os.path.basename(args.k2), args.mode, repr(rep.margin))
@@ -266,19 +225,9 @@ def cmd_plot(args):
     labels = []
     for path in args.bodies:
         doc = parse_body(path)
-        if doc.representation == "support":
-            objs.append(doc.to_convex(check=False))
-        elif doc.representation == "petals":
-            objs.append(doc.to_flower())
-        else:
-            objs.append(doc.to_star())
+        objs.append(doc.to_body())
         labels.append(doc.metadata.get("name", os.path.splitext(os.path.basename(path))[0]))
-    text = plot_svg(objs, labels=labels)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(plot_svg(objs, labels=labels), args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("compose", cmd_compose, help="composition T o K")
     sp.add_argument("t")
     sp.add_argument("k")
-    sp = add("rcompose", cmd_rcompose, help="radial composition")
+    sp = add("rcompose", cmd_compose, help="radial composition")
     sp.add_argument("t")
     sp.add_argument("k")
 

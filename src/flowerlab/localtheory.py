@@ -60,15 +60,9 @@ class ExperimentReport:
             w.writerows(self.rows)
 
 
-def _radial_of(a: StarBody | Flower) -> tuple[DirectionGrid, np.ndarray]:
-    if isinstance(a, Flower):
-        return a.grid, a.radial
-    return a.grid, a.radial
-
-
 def distance_to_ball(a: StarBody | Flower, symmetry_tol: float = 1e-6) -> DistanceReport:
     """d(A, B) for origin-symmetric A: max radial over min radial."""
-    grid, r = _radial_of(a)
+    grid, r = a.grid, a.radial
     anti = grid.antipode_index()
     rel_asym = np.abs(r - r[anti]) / np.maximum(r, r[anti])
     if rel_asym.max() > symmetry_tol:
@@ -282,7 +276,7 @@ def kashin_petals(n: int, seed: int, num_petals: int | None = None, grid: Direct
     if m < 1:
         raise ParameterError("need at least one petal")
     if grid is None:
-        grid = uniform_angle_grid(720) if n == 2 else sampled_sphere_grid(n, 2048, child_seed(seed, 2 ** 20), symmetric=True)
+        grid = default_subgrid(n, size=720 if n == 2 else 2048, seed=child_seed(seed, 2 ** 20))
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(m, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

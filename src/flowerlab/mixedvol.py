@@ -7,9 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import ConvexBody, Flower, StarBody, _check_same_grid, volume
+from .bodies import ConvexBody, Flower, StarBody, _ball_mean, _check_same_grid, volume
 from .errors import DegenerateInputError, ParameterError
-from .spherecore import quadrature_mean
 
 
 @dataclass(eq=False)
@@ -60,8 +59,7 @@ def flower_mixed_volume(*bodies: ConvexBody) -> float:
     prod = np.ones(grid.size)
     for b in bodies:
         prod = prod * b.support
-    kappa = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
-    return kappa * quadrature_mean(grid, prod)
+    return _ball_mean(grid, prod)
 
 
 @dataclass(eq=False)

@@ -27,13 +27,7 @@ def plot_svg(bodies, path=None, labels=None, size: float = _VIEW) -> str:
         grid = b.grid
         if grid.dim != 2:
             raise UnsupportedDimensionError("plot_svg renders 2D bodies only")
-        if hasattr(b, "support"):
-            r = b.radial()
-        elif hasattr(b, "body"):
-            r = b.radial
-        else:
-            r = b.radial
-        snaps.append((grid.angles(), r))
+        snaps.append((grid.angles(), b.radial() if hasattr(b, "support") else b.radial))
     if labels is None:
         labels = [f"body {i + 1}" for i in range(len(snaps))]
 
