@@ -63,7 +63,12 @@ def grid_tol(grid: DirectionGrid) -> float:
 def _check_same_grid(a: DirectionGrid, b: DirectionGrid):
     if a is b:
         return
-    if a.dim != b.dim or a.size != b.size or not np.array_equal(a.directions, b.directions):
+    if (
+        a.dim != b.dim
+        or a.size != b.size
+        or not np.array_equal(a.directions, b.directions)
+        or not np.array_equal(a.weights, b.weights)
+    ):
         raise GridMismatchError("bodies live on different grids")
 
 

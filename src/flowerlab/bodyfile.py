@@ -17,6 +17,7 @@ repr), so parse -> serialize round-trips canonical files byte-identically.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,11 @@ from .inversion import OffOriginPolytope
 from .spherecore import DirectionGrid, uniform_angle_grid
 
 REPRESENTATIONS = ("radial", "support", "petals", "polytope")
+
+# Largest grid a body file may declare.  The support operator C works on the
+# dense clipped Gram matrix of the grid, N^2 8-byte floats (512 MiB at the cap),
+# so a larger declared size is refused before anything is allocated.
+MAX_GRID_SIZE = 8192
 
 
 @dataclass(eq=False)
@@ -74,21 +80,53 @@ class BodyDocument:
         return OffOriginPolytope(self.points)
 
 
-def _grid_from_spec(spec, dim: int) -> DirectionGrid:
+def _finite_number(v) -> bool:
+    """A JSON number within the float range; booleans are not numbers."""
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:  # an integer literal beyond the float range
+        return False
+
+
+def _grid_from_spec(spec, dim: int, size: int | None = None) -> DirectionGrid:
+    """The grid of a body file that carries `size` samples on it (None: no samples).
+
+    The declared grid size is checked against the cap and against `size`
+    before the grid is allocated.
+    """
     if not isinstance(spec, dict) or "type" not in spec:
         raise BodyFileError("grid: expected an object with a 'type' field")
     if spec["type"] == "uniform-angle":
         if dim != 2:
             raise BodyFileError("grid: uniform-angle grids are 2D")
-        if "n" not in spec or not isinstance(spec["n"], int):
+        if "n" not in spec or type(spec["n"]) is not int:
             raise BodyFileError("grid: uniform-angle needs an integer 'n'")
-        return uniform_angle_grid(spec["n"])
-    if spec["type"] == "directions":
+        n = spec["n"]
+    elif spec["type"] == "directions":
         for key in ("vectors", "weights"):
             if key not in spec:
                 raise BodyFileError(f"grid: directions grid needs '{key}'")
-        return DirectionGrid(dim, np.asarray(spec["vectors"], dtype=float), np.asarray(spec["weights"], dtype=float))
-    raise BodyFileError(f"grid: unknown type '{spec['type']}'")
+        if not isinstance(spec["vectors"], list):
+            raise BodyFileError("grid: 'vectors' must be a list")
+        n = len(spec["vectors"])
+    else:
+        raise BodyFileError(f"grid: unknown type '{spec['type']}'")
+    if n > MAX_GRID_SIZE:
+        raise BodyFileError(
+            f"grid: {n} directions exceed the cap of {MAX_GRID_SIZE}; the dense Gram matrix "
+            f"would need N^2 * 8 = {n * n * 8:,} bytes"
+        )
+    if size is not None and size != n:
+        raise BodyFileError(f"values: expected {n} entries, got {size}")
+    if spec["type"] == "uniform-angle":
+        return uniform_angle_grid(n)
+    for i, v in enumerate(spec["vectors"]):
+        if not isinstance(v, list) or len(v) != dim or not all(map(_finite_number, v)):
+            raise BodyFileError(f"grid: vectors[{i}]: expected {dim} finite numbers")
+    weights = spec["weights"]
+    if not isinstance(weights, list) or not all(map(_finite_number, weights)):
+        raise BodyFileError("grid: 'weights' must be a list of finite numbers")
+    return DirectionGrid(dim, np.asarray(spec["vectors"], dtype=float), np.asarray(weights, dtype=float))
 
 
 def _grid_to_spec(grid: DirectionGrid) -> dict:
@@ -109,7 +147,7 @@ def parse_body_obj(obj) -> BodyDocument:
             raise BodyFileError(f"missing required field '{key}'")
     dim = obj["dim"]
     rep = obj["representation"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise BodyFileError("dim: must be a positive integer")
     if rep not in REPRESENTATIONS:
         raise BodyFileError(f"representation: must be one of {REPRESENTATIONS}, got '{rep}'")
@@ -123,14 +161,12 @@ def parse_body_obj(obj) -> BodyDocument:
     if rep in ("radial", "support"):
         if "grid" not in obj:
             raise BodyFileError(f"'{rep}' bodies need a grid")
-        grid = _grid_from_spec(obj["grid"], dim)
-        if "values" not in obj or not isinstance(obj["values"], list):
+        raw = obj.get("values")
+        grid = _grid_from_spec(obj["grid"], dim, len(raw) if isinstance(raw, list) else None)
+        if not isinstance(raw, list):
             raise BodyFileError(f"'{rep}' bodies need a 'values' list")
-        raw = obj["values"]
-        if len(raw) != grid.size:
-            raise BodyFileError(f"values: expected {grid.size} entries, got {len(raw)}")
         for i, v in enumerate(raw):
-            if not isinstance(v, (int, float)) or not np.isfinite(v) or v <= 0:
+            if not _finite_number(v) or v <= 0:
                 raise BodyFileError(f"values[{i}]: must be a positive finite number, got {v!r}")
         values = np.asarray(raw, dtype=float)
     else:
@@ -140,7 +176,7 @@ def parse_body_obj(obj) -> BodyDocument:
             if not isinstance(p, list) or len(p) != dim:
                 raise BodyFileError(f"points[{i}]: expected a vector of length {dim}")
             for j, v in enumerate(p):
-                if not isinstance(v, (int, float)) or not np.isfinite(v):
+                if not _finite_number(v):
                     raise BodyFileError(f"points[{i}][{j}]: must be a finite number")
         points = np.asarray(obj["points"], dtype=float)
         if rep == "petals":

@@ -81,7 +81,7 @@ def cmd_polar(args):
 
 def cmd_alexandrov(args):
     doc = parse_body(args.body)
-    _emit(document_for_convex(bodies.alexandrov(doc.values, doc.grid), metadata=doc.metadata), args)
+    _emit(document_for_convex(bodies.alexandrov(doc.to_star().radial, doc.grid), metadata=doc.metadata), args)
 
 
 def cmd_power(args):

@@ -93,6 +93,8 @@ class OffOriginPolytope:
 
     def __post_init__(self):
         v = np.array(np.atleast_2d(self.vertices), dtype=float, copy=True)
+        if v.shape[1] < 2:
+            raise DegenerateInputError("polytopes need dimension >= 2")
         if len(v) < v.shape[1] + 1:
             raise DegenerateInputError("need at least dim+1 vertices (thicken flat inputs)")
         try:
@@ -268,7 +270,10 @@ def _direct_image_cloud(shape: Shape, rng: np.random.Generator, nsamp: int) -> n
 
 def _convex_position_depth(cloud: np.ndarray) -> float:
     """Max over points of the distance to the nearest hull facet (inside depth)."""
-    hull = ConvexHull(cloud)
+    try:
+        hull = ConvexHull(cloud)
+    except QhullError as e:
+        raise DegenerateInputError(f"degenerate image cloud: {e}") from e
     a, b = hull.equations[:, :-1], hull.equations[:, -1]
     depth = -(cloud @ a.T + b)
     return float(depth.min(axis=1).max())

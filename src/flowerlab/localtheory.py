@@ -165,7 +165,7 @@ def stability_check(f: Flower, symmetry_tol: float = 1e-6) -> StabilityReport:
     d_flower = distance_to_ball(f.body, symmetry_tol).value
     eps = d_hull - 1.0
     applies = eps < 0.1
-    holds = (d_flower <= 1.0 + 3.0 * np.sqrt(max(eps, 0.0))) if applies else None
+    holds = bool(d_flower <= 1.0 + 3.0 * np.sqrt(max(eps, 0.0))) if applies else None
     return StabilityReport(eps, d_hull, d_flower, applies, holds)
 
 

@@ -44,10 +44,11 @@ from flowerlab.bodies import (
 from flowerlab.errors import (
     CertificationRequiredError,
     DegenerateInputError,
+    GridMismatchError,
     NotAFlowerError,
     ParameterError,
 )
-from flowerlab.spherecore import uniform_angle_grid
+from flowerlab.spherecore import DirectionGrid, uniform_angle_grid
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -246,6 +247,16 @@ class TestAlexandrov:
         assert np.all(a.support <= oracle + 1e-12)
         assert np.abs(a.support - oracle).max() < 5e-3
 
+    @pytest.mark.parametrize("make", [alexandrov, radial_of_halfspace_body])
+    @pytest.mark.parametrize(
+        "bad, error",
+        [(np.ones(719), GridMismatchError), (np.zeros(720), DegenerateInputError),
+         (np.full(720, np.inf), DegenerateInputError), (np.full(720, np.nan), DegenerateInputError)],
+    )
+    def test_bounds_validated(self, grid720, make, bad, error):
+        with pytest.raises(error):
+            make(bad, grid720)
+
 
 class TestIsFlower:
     def test_ball(self, grid720):
@@ -318,6 +329,13 @@ class TestSums:
         order = np.argsort(ang)
         oracle = np.interp(grid720.angles(), ang[order], rad[order], period=2 * np.pi)
         assert np.abs(s.radial - oracle).max() < 1e-6
+
+    def test_grids_differing_only_in_weights_mismatch(self):
+        g = uniform_angle_grid(8)
+        w = np.arange(1.0, 9.0)
+        reweighted = DirectionGrid(2, g.directions, w / w.sum())
+        with pytest.raises(GridMismatchError):
+            radial_sum(Flower(StarBody(g, np.ones(8))), Flower(StarBody(reweighted, np.ones(8))))
 
     def test_sum_preserves_certificate_at_grid_tol(self, grid720):
         f1 = flower_of(random_convex_body(grid720, 11))

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import flowerlab.bodyfile as bodyfile
 from flowerlab.bodies import (
+    flower_from_petals,
     flower_of,
     polar,
     random_convex_body,
@@ -12,14 +18,17 @@ from flowerlab.bodies import (
     volume,
 )
 from flowerlab.bodyfile import (
+    MAX_GRID_SIZE,
+    REPRESENTATIONS,
     document_for_convex,
     document_for_star,
     parse_body,
+    parse_body_obj,
     serialize_body,
 )
 from flowerlab.calculus import power
 from flowerlab.cli import main
-from flowerlab.errors import BodyFileError
+from flowerlab.errors import BodyFileError, FlowerlabError
 from flowerlab.mixedvol import flower_mixed_volume
 from flowerlab.spherecore import uniform_angle_grid
 
@@ -94,6 +103,133 @@ class TestBodyFile:
             parse_body(p)
 
 
+class TestBodyFileHardening:
+    @staticmethod
+    def radial_obj(n=8, values=None, **overrides):
+        obj = {"dim": 2, "representation": "radial", "grid": {"type": "uniform-angle", "n": n},
+               "values": [1.0] * n if values is None else values, "metadata": {}}
+        obj.update(overrides)
+        return obj
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"dim": True}, "dim"),
+            ({"grid": {"type": "uniform-angle", "n": True}}, "integer 'n'"),
+            ({"values": [True] * 8}, r"values\[0\]"),
+            ({"representation": "petals", "points": [[1.0, True]]}, r"points\[0\]\[1\]"),
+        ],
+    )
+    def test_booleans_rejected(self, overrides, match):
+        with pytest.raises(BodyFileError, match=match):
+            parse_body_obj(self.radial_obj(**overrides))
+
+    def test_all_true_radial_file_exits_1(self, tmp_path, capsys):
+        p = tmp_path / "true.json"
+        p.write_text(json.dumps(self.radial_obj(values=[True] * 8)))
+        assert run(["volume", p]) == 1
+        assert "values[0]" in capsys.readouterr().err
+
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(BodyFileError, match=r"values\[2\]"):
+            parse_body_obj(self.radial_obj(values=[1.0, 1.0, 10 ** 400] + [1.0] * 5))
+
+    def test_sizes_checked_before_the_grid_is_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid allocated")
+
+        monkeypatch.setattr(bodyfile, "uniform_angle_grid", refuse)
+        monkeypatch.setattr(bodyfile, "DirectionGrid", refuse)
+        huge = 10 ** 9
+        with pytest.raises(BodyFileError, match=f"{huge * huge * 8:,} bytes"):
+            parse_body_obj(self.radial_obj(n=huge, values=[1.0] * 3))
+        with pytest.raises(BodyFileError, match="cap"):
+            parse_body_obj(self.radial_obj(representation="petals", points=[[1.0, 0.0]],
+                                           grid={"type": "uniform-angle", "n": MAX_GRID_SIZE + 1}))
+        with pytest.raises(BodyFileError, match=r"values: expected 64 entries, got 3"):
+            parse_body_obj(self.radial_obj(n=64, values=[1.0] * 3))
+        vectors = [[1.0, 0.0, 0.0]] * (MAX_GRID_SIZE + 1)
+        with pytest.raises(BodyFileError, match="cap"):
+            parse_body_obj(self.radial_obj(dim=3, grid={"type": "directions", "vectors": vectors, "weights": []}))
+
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=2), st.integers(-3, 3), st.floats())
+_NUMBER = st.one_of(st.floats(-4.0, 4.0), st.integers(-2, 4), st.booleans(),
+                    st.sampled_from([10 ** 400, float("nan"), float("inf")]))
+_AXES3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]]
+_MISSING = object()
+_BROKEN = {
+    "dim": st.one_of(st.integers(-1, 4), _JUNK),
+    "representation": _JUNK,
+    "grid": st.one_of(
+        st.builds(lambda n: {"type": "uniform-angle", "n": n}, st.one_of(st.integers(-1, 9), _JUNK)),
+        st.builds(lambda v, w: {"type": "directions", "vectors": v, "weights": w},
+                  st.lists(st.lists(_NUMBER, max_size=4), max_size=6), st.lists(_NUMBER, max_size=6)),
+        st.fixed_dictionaries({"type": _JUNK}),
+        _JUNK,
+    ),
+    "values": st.one_of(st.lists(_NUMBER, max_size=65), _JUNK),
+    "points": st.one_of(st.lists(st.lists(_NUMBER, max_size=4), max_size=4), _JUNK),
+    "metadata": st.one_of(st.fixed_dictionaries({"name": _JUNK}), _JUNK),
+}
+
+
+@st.composite
+def _body_objs(draw):
+    """A well-formed body object on at most 64 directions with up to two fields broken or dropped."""
+    dim = draw(st.sampled_from([2, 3, 1]))
+    n = draw(st.integers(8, 64))
+    grid = draw(st.sampled_from([{"type": "uniform-angle", "n": n}, {"type": "directions", "vectors": _AXES3,
+                                                                     "weights": [1 / 6] * 6}]))
+    size = n if grid["type"] == "uniform-angle" else len(_AXES3)
+    obj = {
+        "dim": dim,
+        "representation": draw(st.sampled_from(REPRESENTATIONS)),
+        "grid": grid,
+        "values": draw(st.lists(st.floats(0.5, 2.0), min_size=size, max_size=size)),
+        "points": draw(st.lists(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim), min_size=1, max_size=6)),
+        "metadata": {"name": "fuzz"},
+    }
+    for key in draw(st.sets(st.sampled_from(sorted(obj)), max_size=2)):
+        obj[key] = draw(st.one_of(st.just(_MISSING), _BROKEN[key]))
+    return {k: v for k, v in obj.items() if v is not _MISSING}
+
+
+_COMMANDS = [
+    ["volume"], ["flower"], ["core"], ["cof"], ["polar"], ["alexandrov"], ["stability"], ["plot"],
+    ["power", "--lambda", "0.5"], ["fmap", "--fn", "scale", "--factor", "2"], ["global-avg", "--n-rot", "2"],
+    ["dvoretzky", "--k", "2", "--trials", "2", "--grid", "16"], ["invert", "--samples", "100"], ["mixedvol"],
+]
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(obj=_body_objs())
+    def test_parse_body_obj_raises_only_domain_errors(self, obj):
+        try:
+            parse_body_obj(obj)
+        except FlowerlabError:
+            pass
+
+    @settings(max_examples=60, deadline=None)
+    @given(obj=_body_objs())
+    def test_main_exits_0_1_or_2_without_traceback(self, tmp_path_factory, obj):
+        path = tmp_path_factory.mktemp("fuzz") / "body.json"
+        path.write_text(json.dumps(obj))
+        for command in _COMMANDS:
+            argv = [command[0], str(path), *command[1:]]
+            if command[0] == "mixedvol":
+                argv.append(str(path))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as e:
+                    code = e.code
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in err.getvalue()
+
+
 class TestSubcommandsGolden:
     def test_flower_matches_module(self, square_file, tmp_path, grid720):
         out = tmp_path / "f.json"
@@ -137,6 +273,17 @@ class TestSubcommandsGolden:
         assert run(["volume", square_file]) == 0
         got = float(capsys.readouterr().out.strip())
         assert got == volume(square_body(grid720))
+
+    def test_volume_on_radial_and_petals_files(self, square_flower_file, tmp_path, capsys, grid720):
+        assert run(["volume", square_flower_file]) == 0
+        assert float(capsys.readouterr().out) == volume(flower_of(square_body(grid720)))
+        grid = uniform_angle_grid(64)
+        pts = [[1.0, 0.0], [-0.5, 0.8], [0.0, -1.2]]
+        p = tmp_path / "petals.json"
+        p.write_text(json.dumps({"dim": 2, "representation": "petals", "grid": {"type": "uniform-angle", "n": 64},
+                                 "points": pts, "metadata": {}}))
+        assert run(["volume", p]) == 0
+        assert float(capsys.readouterr().out) == volume(flower_from_petals(pts, grid))
 
     def test_mixedvol_matches_module(self, tmp_path, capsys, grid720):
         k1 = random_convex_body(grid720, 1)
@@ -212,6 +359,13 @@ class TestSubcommandsGolden:
         ref = stability_check(flower_of(square_body(grid720)))
         assert rep["eps"] == ref.eps
         assert rep["flower_distance"] == ref.flower_distance
+
+    def test_stability_report_in_bound_regime(self, tmp_path, capsys, grid720):
+        p = tmp_path / "ball_flower.json"
+        serialize_body(document_for_star(flower_of(unit_ball(grid720))), p)
+        assert run(["stability", p]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["bound_applies"] is True and rep["bound_holds"] is True
 
     def test_dvoretzky_with_report(self, tmp_path, capsys):
         obj = {
@@ -290,6 +444,19 @@ class TestExitCodes:
         p = tmp_path / "bad.json"
         p.write_text("{}")
         assert main(["volume", str(p)]) == 1
+
+    @pytest.mark.parametrize(
+        "command, obj",
+        [
+            ("alexandrov", {"dim": 2, "representation": "polytope", "points": [[2.0, 0.0], [3.0, 0.0], [2.0, 1.0]],
+                            "metadata": {}}),
+            ("invert", {"dim": 1, "representation": "polytope", "points": [[1.0], [2.0]], "metadata": {}}),
+        ],
+    )
+    def test_unusable_body_is_1(self, tmp_path, command, obj):
+        p = tmp_path / "body.json"
+        p.write_text(json.dumps(obj))
+        assert run([command, p]) == 1
 
     def test_ok_is_0(self, square_file):
         assert run(["volume", square_file]) == 0

@@ -223,6 +223,13 @@ class TestIsInversionConvex:
             hits += 1
         assert hits >= 3
 
+    def test_degenerate_direct_cloud_is_domain_error(self):
+        # two direct samples cannot span a hull; qhull's error surfaces as a domain error
+        t = 0.01
+        slab = OffOriginPolytope([[-1, 1 - t], [1, 1 - t], [1, 1 + t], [-1, 1 + t]])
+        with pytest.raises(DegenerateInputError):
+            is_inversion_convex(slab, direct_samples=2)
+
     def test_sample_floor(self):
         with pytest.raises(ParameterError):
             is_inversion_convex(OffOriginBall([3.0, 0.0], 1.0), samples=10, seed=0)
