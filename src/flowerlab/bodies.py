@@ -245,12 +245,12 @@ def alexandrov(g: np.ndarray, grid: DirectionGrid) -> ConvexBody:
     return ConvexBody(grid, closure(grid, _positive_samples(grid, g, "bound")), certified=True)
 
 
-def polar(k: ConvexBody, tol: float | None = None) -> ConvexBody:
+def polar(k: ConvexBody) -> ConvexBody:
     """Polar dual: support of the convex hull of the star body with radial 1/h."""
     if not k.certified:
         raise CertificationRequiredError("polar needs a certified convex body")
     h = support_of_cloud(k.grid, 1.0 / k.support)
-    rep = is_support_consistent(k.grid, h, tol)
+    rep = is_support_consistent(k.grid, h)
     if not rep.ok:
         raise NotAFlowerError(f"polar output failed certification: {rep.violation:.3e}", rep.violation)
     return ConvexBody(k.grid, h, certified=True)

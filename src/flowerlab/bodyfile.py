@@ -49,14 +49,11 @@ class BodyDocument:
             raise BodyFileError(f"cannot view a '{self.representation}' body as a star body")
         return StarBody(self.grid, self.values)
 
-    def to_convex(self, check: bool = True, tol: float | None = None) -> ConvexBody:
+    def to_convex(self, tol: float | None = None) -> ConvexBody:
+        """The support samples as a convex body, certified iff they pass the certificate within tol."""
         if self.representation != "support":
             raise BodyFileError(f"expected a support body, got '{self.representation}'")
-        certified = True
-        if check:
-            rep = is_support_consistent(self.grid, self.values, tol)
-            certified = rep.ok
-        return ConvexBody(self.grid, self.values, certified=certified)
+        return ConvexBody(self.grid, self.values, certified=is_support_consistent(self.grid, self.values, tol).ok)
 
     def to_flower(self) -> Flower:
         if self.representation == "petals":
@@ -66,10 +63,10 @@ class BodyDocument:
         raise BodyFileError(f"cannot view a '{self.representation}' body as a flower")
 
     def to_body(self) -> StarBody | Flower | ConvexBody:
-        """The body the samples stand for: support samples as they are (unchecked),
-        petals as their flower, radial samples as a star body."""
+        """The body the samples stand for: support samples as an uncertified convex
+        body, petals as their flower, radial samples as a star body."""
         if self.representation == "support":
-            return self.to_convex(check=False)
+            return ConvexBody(self.grid, self.values)
         if self.representation == "petals":
             return self.to_flower()
         return self.to_star()

@@ -235,8 +235,8 @@ def check_composition_bm(t: ConvexBody, k1: ConvexBody, k2: ConvexBody, mode: st
     return BmProbeReport(mode, lhs, (r1, r2), lhs - r1 - r2)
 
 
-def power_flower(f: Flower, lam: float, tol: float = POWER_TOL) -> Flower:
+def power_flower(f: Flower, lam: float) -> Flower:
     """F^lambda, computed on the core and transported back through flower_of."""
     from .bodies import core_of, flower_of
 
-    return flower_of(power(core_of(f), lam, tol).body)
+    return flower_of(power(core_of(f), lam).body)

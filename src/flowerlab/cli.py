@@ -45,7 +45,7 @@ def _emit(doc: BodyDocument, args):
 
 def _load_convex(path, doc: BodyDocument | None = None) -> bodies.ConvexBody:
     """The certified convex body of a support file; pass `doc` when it is already parsed."""
-    k = (parse_body(path) if doc is None else doc).to_convex(check=True)
+    k = (parse_body(path) if doc is None else doc).to_convex()
     if not k.certified:
         raise ParameterError(f"{path}: support samples failed certification")
     return k
@@ -58,7 +58,7 @@ def _load_flower(path) -> bodies.Flower:
 def cmd_flower(args):
     doc = parse_body(args.body)
     if doc.representation == "support":
-        f = bodies.flower_of(doc.to_convex(check=True, tol=args.tol))
+        f = bodies.flower_of(doc.to_convex(args.tol))
     else:
         f = doc.to_flower()
     _emit(document_for_star(f, metadata=doc.metadata), args)
@@ -76,7 +76,7 @@ def cmd_cof(args):
 
 def cmd_polar(args):
     doc = parse_body(args.body)
-    _emit(document_for_convex(bodies.polar(doc.to_convex(check=True, tol=args.tol)), metadata=doc.metadata), args)
+    _emit(document_for_convex(bodies.polar(doc.to_convex(args.tol)), metadata=doc.metadata), args)
 
 
 def cmd_alexandrov(args):
@@ -86,10 +86,9 @@ def cmd_alexandrov(args):
 
 def cmd_power(args):
     doc = parse_body(args.body)
-    tol = args.tol if args.tol is not None else calculus.POWER_TOL
-    res = calculus.power(doc.to_convex(check=True), args.lam, tol=tol)
+    res = calculus.power(doc.to_convex(), args.lam, tol=args.tol)
     meta = dict(doc.metadata)
-    meta["power"] = {"lambda": args.lam, "tol": tol, "m_final": res.m_final, "increment": res.increment}
+    meta["power"] = {"lambda": args.lam, "tol": args.tol, "m_final": res.m_final, "increment": res.increment}
     _emit(document_for_convex(res.body, metadata=meta), args)
 
 
@@ -105,7 +104,7 @@ def cmd_fmap(args):
             raise ParameterError("fmap --fn scale needs --factor")
         f = calculus.RadialMap.scale(args.factor)
         detail = {"fn": "scale", "factor": args.factor}
-    k = calculus.apply_radial_map(doc.to_convex(check=True), f)
+    k = calculus.apply_radial_map(doc.to_convex(), f)
     meta = dict(doc.metadata)
     meta["fmap"] = detail
     _emit(document_for_convex(k, metadata=meta), args)
@@ -145,8 +144,7 @@ def cmd_invert(args):
     doc = parse_body(args.body)
     poly = doc.to_polytope()
     shape = TruncatedOutCone(poly, args.trunc_scale) if args.outcone else poly
-    tol = CONVEX_POSITION_TOL if args.tol is None else args.tol
-    verdict = is_inversion_convex(shape, samples=args.samples, seed=args.seed, tol=tol)
+    verdict = is_inversion_convex(shape, samples=args.samples, seed=args.seed, tol=args.tol)
     obj = {
         "convex": verdict.convex,
         "witness": None
@@ -231,28 +229,36 @@ def cmd_plot(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--grid", type=int, default=DEFAULT_GRID_N, help="grid size for generated grids")
-    common.add_argument("--seed", type=int, default=_default_seed(), help="random seed (env FLOWERLAB_SEED)")
-    common.add_argument("--tol", type=float, default=None, help="tolerance override")
-    common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--report", default=None, help="CSV report path")
+    """One subparser per subcommand, each carrying only the flags its handler reads."""
+
+    def flag(*names, **spec):
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **spec)
+        return parent
+
+    out = flag("--out", default=None, help="output path (default stdout)")
+    report = flag("--report", default=None, help="CSV report path")
+    seed = flag("--seed", type=int, default=_default_seed(), help="random seed (env FLOWERLAB_SEED)")
+    grid = flag("--grid", type=int, default=DEFAULT_GRID_N, help="size of the working grid")
+    cert_tol = flag("--tol", type=float, default=None, help="input certificate tolerance (default 1e-9 in 2D, else 1e-6)")
+    power_tol = flag("--tol", type=float, default=calculus.POWER_TOL, help="power-map tolerance (default %(default)s)")
+    invert_tol = flag("--tol", type=float, default=CONVEX_POSITION_TOL, help="convex-position tolerance (default %(default)s)")
 
     p = argparse.ArgumentParser(prog="flowerlab", description="flower calculus for convex bodies")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        sp = sub.add_parser(name, parents=[common], **kwargs)
+    def add(name, fn, *flags, **kwargs):
+        sp = sub.add_parser(name, parents=[out, *flags], **kwargs)
         sp.set_defaults(handler=fn)
         return sp
 
-    add("flower", cmd_flower, help="flower of a convex body").add_argument("body")
-    add("core", cmd_core, help="core of a flower").add_argument("body")
+    add("flower", cmd_flower, cert_tol, help="flower of a convex body").add_argument("body")
+    add("core", cmd_core, cert_tol, help="core of a flower").add_argument("body")
     add("cof", cmd_cof, help="spherical-inversion co-image (reciprocal radial)").add_argument("body")
-    add("polar", cmd_polar, help="polar dual").add_argument("body")
+    add("polar", cmd_polar, cert_tol, help="polar dual").add_argument("body")
     add("alexandrov", cmd_alexandrov, help="Alexandrov body of the bounds").add_argument("body")
 
-    sp = add("power", cmd_power, help="proper power K^lambda")
+    sp = add("power", cmd_power, power_tol, help="proper power K^lambda")
     sp.add_argument("body")
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
 
@@ -274,12 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("t")
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
 
-    sp = add("mixedvol", cmd_mixedvol, help="flower mixed volume")
+    sp = add("mixedvol", cmd_mixedvol, report, help="flower mixed volume")
     sp.add_argument("bodies", nargs="+")
 
     add("volume", cmd_volume, help="volume of a body").add_argument("body")
 
-    sp = add("invert", cmd_invert, help="inversion-convexity verdict for a polytope")
+    sp = add("invert", cmd_invert, invert_tol, seed, help="inversion-convexity verdict for a polytope")
     sp.add_argument("body")
     sp.add_argument("--samples", type=int, default=400)
     sp.add_argument("--outcone", action="store_true", help="treat the polytope as the base of an out-cone")
@@ -287,21 +293,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("stability", cmd_stability, help="flower stability report").add_argument("body")
 
-    sp = add("dvoretzky", cmd_dvoretzky, help="random-projection roundness search")
+    sp = add("dvoretzky", cmd_dvoretzky, seed, grid, report, help="random-projection roundness search")
     sp.add_argument("body")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--sections", action="store_true", help="also record section distances")
 
-    sp = add("global-avg", cmd_global_avg, help="oscillation ratio of rotation averages")
+    sp = add("global-avg", cmd_global_avg, seed, help="oscillation ratio of rotation averages")
     sp.add_argument("body")
     sp.add_argument("--n-rot", dest="n_rot", type=int, required=True)
 
-    sp = add("kashin", cmd_kashin, help="averaged rotated petals experiment")
+    sp = add("kashin", cmd_kashin, seed, grid, help="averaged rotated petals experiment")
     sp.add_argument("--dim", type=int, required=True)
     sp.add_argument("--petals", type=int, default=None)
 
-    sp = add("bm-probe", cmd_bm_probe, help="Brunn-Minkowski composition probe")
+    sp = add("bm-probe", cmd_bm_probe, report, help="Brunn-Minkowski composition probe")
     sp.add_argument("t")
     sp.add_argument("k1")
     sp.add_argument("k2")
@@ -314,8 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.handler(args)
     except FlowerlabError as e:

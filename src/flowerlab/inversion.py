@@ -27,6 +27,7 @@ from .errors import (
 )
 
 CONVEX_POSITION_TOL = 1e-7
+ARC_POINTS_PER_PAIR = 9  # interior arc points tested per sampled pair
 
 
 def invert_point(x: np.ndarray) -> np.ndarray:
@@ -284,7 +285,6 @@ def is_inversion_convex(
     samples: int = 400,
     seed: int = 0,
     tol: float = CONVEX_POSITION_TOL,
-    arc_points_per_pair: int = 9,
     direct_samples: int = 4000,
 ) -> InversionVerdict:
     """Convexity test for phi(shape) by the arc criterion, cross-checked directly.
@@ -298,7 +298,7 @@ def is_inversion_convex(
     if samples < 100:
         raise ParameterError("need at least 100 sample pairs")
     rng = np.random.default_rng(seed)
-    ts = np.linspace(0.0, 1.0, arc_points_per_pair + 2)[1:-1]
+    ts = np.linspace(0.0, 1.0, ARC_POINTS_PER_PAIR + 2)[1:-1]
     witness = None
     for _ in range(samples):
         x, y = _sample_in_cone_pair(shape, rng)

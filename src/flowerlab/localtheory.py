@@ -31,6 +31,8 @@ from .spherecore import (
     uniform_angle_grid,
 )
 
+SYMMETRY_TOL = 1e-6  # largest relative gap |r(u) - r(-u)| / max(r(u), r(-u)) of an origin-symmetric body
+
 
 @dataclass(eq=False)
 class DistanceReport:
@@ -60,12 +62,12 @@ class ExperimentReport:
             w.writerows(self.rows)
 
 
-def distance_to_ball(a: StarBody | Flower, symmetry_tol: float = 1e-6) -> DistanceReport:
+def distance_to_ball(a: StarBody | Flower) -> DistanceReport:
     """d(A, B) for origin-symmetric A: max radial over min radial."""
     grid, r = a.grid, a.radial
     anti = grid.antipode_index()
     rel_asym = np.abs(r - r[anti]) / np.maximum(r, r[anti])
-    if rel_asym.max() > symmetry_tol:
+    if rel_asym.max() > SYMMETRY_TOL:
         raise SymmetryError(f"body is not origin-symmetric (relative gap {rel_asym.max():.2e})")
     if r.min() <= EPS_FLOOR:
         raise UnboundedBodyError("degenerate body: distance to the ball is unbounded")
@@ -153,7 +155,7 @@ class StabilityReport:
     bound_holds: bool | None
 
 
-def stability_check(f: Flower, symmetry_tol: float = 1e-6) -> StabilityReport:
+def stability_check(f: Flower) -> StabilityReport:
     """Check d(F, B) <= 1 + 3 sqrt(eps) where 1 + eps = d(conv F, B).
 
     The bound is asserted only in its regime eps < 1/10; both distances are
@@ -161,8 +163,8 @@ def stability_check(f: Flower, symmetry_tol: float = 1e-6) -> StabilityReport:
     max/min radial ratios.
     """
     hull = convex_hull_radial(f)
-    d_hull = distance_to_ball(hull, symmetry_tol).value
-    d_flower = distance_to_ball(f.body, symmetry_tol).value
+    d_hull = distance_to_ball(hull).value
+    d_flower = distance_to_ball(f.body).value
     eps = d_hull - 1.0
     applies = eps < 0.1
     holds = bool(d_flower <= 1.0 + 3.0 * np.sqrt(max(eps, 0.0))) if applies else None
@@ -193,8 +195,8 @@ class DvoretzkyResult:
     distances: np.ndarray
     section_distances: np.ndarray | None
 
-    def quantiles(self, qs=(0.1, 0.5, 0.9)) -> dict[float, float]:
-        return {q: float(np.quantile(self.distances, q)) for q in qs}
+    def quantiles(self) -> dict[float, float]:
+        return {q: float(np.quantile(self.distances, q)) for q in (0.1, 0.5, 0.9)}
 
 
 def dvoretzky_search(

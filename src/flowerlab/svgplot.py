@@ -14,13 +14,12 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def plot_svg(bodies, path=None, labels=None, size: float = _VIEW) -> str:
+def plot_svg(bodies, labels=None) -> str:
     """Render the radial boundaries of 2D bodies with a unit-circle reference.
 
     bodies: iterable of objects with .grid (2D) and radial samples (StarBody,
     Flower, or ConvexBody -- the latter plotted by its radial).  Viewport is
-    auto-scaled with a 10% margin.  Returns the SVG text; writes it to path
-    when given.
+    auto-scaled with a 10% margin.  Returns the SVG text.
     """
     snaps = []
     for b in bodies:
@@ -33,15 +32,15 @@ def plot_svg(bodies, path=None, labels=None, size: float = _VIEW) -> str:
 
     rmax = max((float(r.max()) for _, r in snaps), default=1.0)
     half = 1.1 * max(rmax, 1.0)  # include the unit circle, 10% margin
-    scale = size / (2 * half)
+    scale = _VIEW / (2 * half)
 
     def to_px(x, y):
         return (x + half) * scale, (half - y) * scale
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(size)}" height="{_fmt(size)}" '
-        f'viewBox="0 0 {_fmt(size)} {_fmt(size)}">',
-        f'<rect width="{_fmt(size)}" height="{_fmt(size)}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(_VIEW)}" height="{_fmt(_VIEW)}" '
+        f'viewBox="0 0 {_fmt(_VIEW)} {_fmt(_VIEW)}">',
+        f'<rect width="{_fmt(_VIEW)}" height="{_fmt(_VIEW)}" fill="white"/>',
     ]
     cx, cy = to_px(0.0, 0.0)
     lines.append(
@@ -62,8 +61,4 @@ def plot_svg(bodies, path=None, labels=None, size: float = _VIEW) -> str:
         lines.append(f'<rect x="12" y="{_fmt(y - 9)}" width="14" height="4" fill="{color}"/>')
         lines.append(f'<text x="32" y="{_fmt(y)}" font-family="sans-serif" font-size="13">{label}</text>')
     lines.append("</svg>")
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(lines) + "\n"

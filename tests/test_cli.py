@@ -27,7 +27,7 @@ from flowerlab.bodyfile import (
     serialize_body,
 )
 from flowerlab.calculus import power
-from flowerlab.cli import main
+from flowerlab.cli import build_parser, main
 from flowerlab.errors import BodyFileError, FlowerlabError
 from flowerlab.mixedvol import flower_mixed_volume
 from flowerlab.spherecore import uniform_angle_grid
@@ -460,6 +460,66 @@ class TestExitCodes:
 
     def test_ok_is_0(self, square_file):
         assert run(["volume", square_file]) == 0
+
+
+# The long options of every subcommand apart from --help: the common flags
+# --out, --tol, --seed, --grid and --report only where the handler reads them.
+_OPTIONS = {
+    "flower": {"--out", "--tol"},
+    "core": {"--out", "--tol"},
+    "cof": {"--out"},
+    "polar": {"--out", "--tol"},
+    "alexandrov": {"--out"},
+    "power": {"--out", "--tol", "--lambda"},
+    "fmap": {"--out", "--fn", "--lambda", "--factor"},
+    "compose": {"--out"},
+    "rcompose": {"--out"},
+    "logmean": {"--out", "--lambda"},
+    "mixedvol": {"--out", "--report"},
+    "volume": {"--out"},
+    "invert": {"--out", "--tol", "--seed", "--samples", "--outcone", "--trunc-scale"},
+    "stability": {"--out"},
+    "dvoretzky": {"--out", "--seed", "--grid", "--report", "--k", "--trials", "--sections"},
+    "global-avg": {"--out", "--seed", "--n-rot"},
+    "kashin": {"--out", "--seed", "--grid", "--dim", "--petals"},
+    "bm-probe": {"--out", "--report", "--mode"},
+    "plot": {"--out"},
+}
+_COMMON = {"--out", "--tol", "--seed", "--grid", "--report"}
+
+
+class TestOptionScope:
+    def test_each_subcommand_has_exactly_the_flags_it_reads(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if a.choices and isinstance(a.choices, dict)]
+        got = {
+            name: {s for a in sp._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
+            for name, sp in sub.choices.items()
+        }
+        assert got == _OPTIONS
+        assert sum(len(flags & _COMMON) for flags in got.values()) == 33
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["volume", "{body}", "--seed", "1"],
+            ["alexandrov", "{body}", "--tol", "1e-3"],
+            ["power", "{body}", "--lambda", "0.5", "--report", "x.csv"],
+            ["flower", "{body}", "--grid", "64"],
+        ],
+    )
+    def test_flag_of_another_subcommand_is_a_usage_error(self, square_file, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            run([a.format(body=square_file) for a in argv])
+        assert e.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestSupportBody:
+    def test_support_body_is_uncertified(self, square_file, grid720):
+        k = parse_body(square_file).to_body()
+        assert not k.certified
+        assert volume(k) == volume(square_body(grid720))
 
 
 class TestDeterminism:
