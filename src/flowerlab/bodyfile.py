@@ -31,7 +31,10 @@ REPRESENTATIONS = ("radial", "support", "petals", "polytope")
 
 # Largest grid a body file may declare.  The support operator C works on the
 # dense clipped Gram matrix of the grid, N^2 8-byte floats (512 MiB at the cap),
-# so a larger declared size is refused before anything is allocated.
+# so a larger declared size is refused before anything is allocated.  The same
+# cap bounds the point count M of petals and polytope files (a flower's radial
+# is built from the dense M x N matrix of petal-direction products) and the
+# CLI's --grid.
 MAX_GRID_SIZE = 8192
 
 
@@ -169,6 +172,12 @@ def parse_body_obj(obj) -> BodyDocument:
     else:
         if "points" not in obj or not isinstance(obj["points"], list) or not obj["points"]:
             raise BodyFileError(f"'{rep}' bodies need a nonempty 'points' list")
+        m = len(obj["points"])
+        if m > MAX_GRID_SIZE:
+            raise BodyFileError(
+                f"points: {m} points exceed the cap of {MAX_GRID_SIZE}; their M x N petal matrix on a grid at "
+                f"the cap would need M * N * 8 = {m * MAX_GRID_SIZE * 8:,} bytes"
+            )
         for i, p in enumerate(obj["points"]):
             if not isinstance(p, list) or len(p) != dim:
                 raise BodyFileError(f"points[{i}]: expected a vector of length {dim}")

@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 
 from . import bodies, calculus, localtheory, mixedvol
-from .bodyfile import BodyDocument, document_for_convex, document_for_star, parse_body, serialize_body
+from .bodyfile import MAX_GRID_SIZE, BodyDocument, document_for_convex, document_for_star, parse_body, serialize_body
 from .errors import FlowerlabError, ParameterError
 from .inversion import CONVEX_POSITION_TOL, TruncatedOutCone, is_inversion_convex
 from .localtheory import ExperimentReport
@@ -26,9 +27,18 @@ from .svgplot import plot_svg
 DEFAULT_GRID_N = 720
 
 
-def _default_seed() -> int:
-    env = os.environ.get("FLOWERLAB_SEED")
-    return int(env) if env else 0
+def _int_arg(lo: float, hi: float, expected: str):
+    """argparse type: an integer in [lo, hi]; anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            if lo <= (value := int(text)) <= hi:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
 
 
 def _write(text: str, args):
@@ -238,8 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     out = flag("--out", default=None, help="output path (default stdout)")
     report = flag("--report", default=None, help="CSV report path")
-    seed = flag("--seed", type=int, default=_default_seed(), help="random seed (env FLOWERLAB_SEED)")
-    grid = flag("--grid", type=int, default=DEFAULT_GRID_N, help="size of the working grid")
+    seed = flag("--seed", type=_int_arg(0, math.inf, "a non-negative integer"),
+                default=os.environ.get("FLOWERLAB_SEED") or "0", help="random seed (env FLOWERLAB_SEED)")
+    grid = flag("--grid", type=_int_arg(-math.inf, MAX_GRID_SIZE, f"an integer of at most {MAX_GRID_SIZE}"),
+                default=DEFAULT_GRID_N, help="size of the working grid")
     cert_tol = flag("--tol", type=float, default=None, help="input certificate tolerance (default 1e-9 in 2D, else 1e-6)")
     power_tol = flag("--tol", type=float, default=calculus.POWER_TOL, help="power-map tolerance (default %(default)s)")
     invert_tol = flag("--tol", type=float, default=CONVEX_POSITION_TOL, help="convex-position tolerance (default %(default)s)")
@@ -322,7 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.handler(args)
+        try:
+            args.handler(args)
+        except OSError as e:  # body files fail inside parse_body, so this is an --out or --report path
+            raise FlowerlabError(f"cannot write output: {e}") from e
     except FlowerlabError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

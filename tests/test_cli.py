@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowerlab.bodyfile as bodyfile
+import flowerlab.localtheory as localtheory
 from flowerlab.bodies import (
     flower_from_petals,
     flower_of,
@@ -461,6 +462,14 @@ class TestExitCodes:
     def test_ok_is_0(self, square_file):
         assert run(["volume", square_file]) == 0
 
+    def test_out_into_missing_directory_is_1(self, square_file, tmp_path, capsys):
+        assert run(["volume", square_file, "--out", tmp_path / "missing" / "v.txt"]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write output:")
+
+    def test_report_into_missing_directory_is_1(self, square_file, tmp_path, capsys):
+        assert run(["mixedvol", square_file, square_file, "--report", tmp_path / "missing" / "r.csv"]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write output:")
+
 
 # The long options of every subcommand apart from --help: the common flags
 # --out, --tol, --seed, --grid and --report only where the handler reads them.
@@ -513,6 +522,45 @@ class TestOptionScope:
             run([a.format(body=square_file) for a in argv])
         assert e.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestSeedAndSizeArguments:
+    def test_negative_seed_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as e:
+            run(["kashin", "--dim", "3", "--seed", "-1"])
+        assert e.value.code == 2
+
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_bad_env_seed_is_a_usage_error(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("FLOWERLAB_SEED", value)
+        with pytest.raises(SystemExit) as e:
+            run(["kashin", "--dim", "3"])
+        assert e.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_env_seed_unread_without_seed_flag(self, square_file, monkeypatch):
+        monkeypatch.setenv("FLOWERLAB_SEED", "abc")
+        assert run(["volume", square_file]) == 0
+
+    def test_grid_beyond_cap_is_a_usage_error(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid allocated")
+
+        monkeypatch.setattr(localtheory, "default_subgrid", refuse)
+        with pytest.raises(SystemExit) as e:
+            run(["kashin", "--dim", "2", "--grid", str(MAX_GRID_SIZE + 1)])
+        assert e.value.code == 2
+
+    @pytest.mark.parametrize("command, extra", [
+        ("volume", {"representation": "petals", "grid": {"type": "uniform-angle", "n": 8}}),
+        ("invert", {"representation": "polytope"}),
+    ])
+    def test_point_count_beyond_cap_is_1(self, tmp_path, capsys, command, extra):
+        m = MAX_GRID_SIZE + 1
+        p = tmp_path / "many.json"
+        p.write_text(json.dumps({"dim": 2, "points": [[1.0, 0.0]] * m, "metadata": {}, **extra}))
+        assert run([command, p]) == 1
+        assert f"{m * MAX_GRID_SIZE * 8:,} bytes" in capsys.readouterr().err
 
 
 class TestSupportBody:
