@@ -39,7 +39,7 @@ from .errors import (
     ParameterError,
     UnsupportedDimensionError,
 )
-from .spherecore import DirectionGrid, Rotation, quadrature_mean
+from .spherecore import DirectionGrid, Rotation, _read_only, quadrature_mean
 
 CERT_TOL_2D = 1e-9
 CERT_TOL_ND = 1e-6
@@ -74,14 +74,13 @@ def _check_same_grid(a: DirectionGrid, b: DirectionGrid):
 
 def _positive_samples(grid: DirectionGrid, values, what: str) -> np.ndarray:
     """Read-only float copy of `values`: one finite positive sample per grid direction."""
-    v = np.array(values, dtype=float, copy=True)
+    v = _read_only(values)
     if v.shape != (grid.size,):
         raise GridMismatchError(f"expected {grid.size} {what} values, got {v.shape}")
     if not np.isfinite(v).all():
         raise DegenerateInputError(f"{what} values must be finite")
     if (v <= 0).any():
         raise DegenerateInputError(f"{what} values must be strictly positive")
-    v.flags.writeable = False
     return v
 
 
@@ -143,11 +142,9 @@ class Flower:
 
     def __post_init__(self):
         if self.petals is not None:
-            p = np.array(np.atleast_2d(self.petals), dtype=float, copy=True)
-            if p.shape[1] != self.grid.dim:
+            self.petals = _read_only(np.atleast_2d(self.petals))
+            if self.petals.shape[1] != self.grid.dim:
                 raise ParameterError("petal points have wrong dimension")
-            p.flags.writeable = False
-            self.petals = p
 
     @property
     def grid(self) -> DirectionGrid:
@@ -191,7 +188,7 @@ def flower_from_petals(points: np.ndarray, grid: DirectionGrid) -> Flower:
     off-ray petal union carries slack proportional to the petals' angular
     offset from the rays and is not asserted here (core_of enforces it).
     """
-    pts = np.array(np.atleast_2d(points), dtype=float, copy=True)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != grid.dim:
         raise ParameterError("petal points have wrong dimension")
     norms = np.linalg.norm(pts, axis=1)
@@ -207,7 +204,7 @@ def flower_of(k: ConvexBody) -> Flower:
     """The flower with radial samples equal to the support samples of K."""
     if not k.certified:
         raise CertificationRequiredError("flower_of needs a certified convex body")
-    return Flower(StarBody(k.grid, k.support.copy()))
+    return Flower(StarBody(k.grid, k.support))
 
 
 def core_of(f: Flower, tol: float | None = None) -> ConvexBody:
@@ -215,7 +212,7 @@ def core_of(f: Flower, tol: float | None = None) -> ConvexBody:
     rep = is_flower(f, tol)
     if not rep.ok:
         raise NotAFlowerError(f"not a flower: certificate violation {rep.violation:.3e}", rep.violation)
-    return ConvexBody(f.grid, f.radial.copy(), certified=True)
+    return ConvexBody(f.grid, f.radial, certified=True)
 
 
 def cof(a: StarBody) -> StarBody:
@@ -327,7 +324,7 @@ def polytope_body(grid: DirectionGrid, vertices: np.ndarray) -> ConvexBody:
     Support values that vanish (0 on the boundary, e.g. segments) are floored
     at EPS_FLOOR per the package convention.
     """
-    v = np.array(np.atleast_2d(vertices), dtype=float, copy=True)
+    v = np.atleast_2d(np.asarray(vertices, dtype=float))
     if v.shape[1] != grid.dim:
         raise ParameterError("vertices have wrong dimension")
     h = np.maximum((v @ grid.directions.T).max(axis=0), EPS_FLOOR)

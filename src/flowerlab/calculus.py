@@ -17,7 +17,7 @@ import numpy as np
 from ._sampleops import EPS_FLOOR, hull_radial
 from .bodies import ConvexBody, Flower, StarBody, _check_same_grid, convexify_support, unit_ball, volume
 from .errors import CertificationRequiredError, ConvergenceError, DegenerateInputError, ParameterError
-from .spherecore import DirectionGrid
+from .spherecore import DirectionGrid, _read_only
 
 POWER_TOL = 1e-6
 POWER_M_CAP = 2 ** 14
@@ -30,13 +30,11 @@ class Partition:
     endpoints: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.endpoints, dtype=float, copy=True)
+        self.endpoints = t = _read_only(self.endpoints)
         if t.ndim != 1 or len(t) < 2:
             raise ParameterError("a partition needs at least two endpoints")
         if (t <= 0).any() or (np.diff(t) <= 0).any():
             raise ParameterError("endpoints must be positive and strictly increasing")
-        t.flags.writeable = False
-        self.endpoints = t
 
     @property
     def mesh(self) -> float:
@@ -133,7 +131,7 @@ def power(k: ConvexBody, lam: float, tol: float = POWER_TOL, m_cap: int = POWER_
         raise CertificationRequiredError("power needs a certified convex body")
     grid = k.grid
     if lam == 1.0:
-        return PowerResult(ConvexBody(grid, k.support.copy(), certified=k.certified), lam, 0, 0.0)
+        return PowerResult(ConvexBody(grid, k.support, certified=k.certified), lam, 0, 0.0)
     if lam == 0.0:
         return PowerResult(unit_ball(grid), lam, 0, 0.0)
     w0 = k.radial()
@@ -169,7 +167,7 @@ def power_partition(k: ConvexBody, lam: float, partition: Partition) -> ConvexBo
             raise ParameterError("partition must span [1, lambda]")
         ratios = t[1:] / t[:-1]  # apply s_1 first
     else:
-        return ConvexBody(k.grid, k.support.copy(), certified=k.certified)
+        return ConvexBody(k.grid, k.support, certified=k.certified)
     return ConvexBody.hull_backed(k.grid, _power_run(k.grid, k.radial(), ratios))
 
 

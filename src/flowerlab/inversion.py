@@ -25,6 +25,7 @@ from .errors import (
     ParameterError,
     SingularPointError,
 )
+from .spherecore import _read_only
 
 CONVEX_POSITION_TOL = 1e-7
 ARC_POINTS_PER_PAIR = 9  # interior arc points tested per sampled pair
@@ -93,7 +94,7 @@ class OffOriginPolytope:
     vertices: np.ndarray
 
     def __post_init__(self):
-        v = np.array(np.atleast_2d(self.vertices), dtype=float, copy=True)
+        self.vertices = v = _read_only(np.atleast_2d(self.vertices))
         if v.shape[1] < 2:
             raise DegenerateInputError("polytopes need dimension >= 2")
         if len(v) < v.shape[1] + 1:
@@ -106,8 +107,6 @@ class OffOriginPolytope:
         j = int(np.argmax(offsets))
         if offsets[j] <= 1e-12:
             raise DegenerateInputError("origin is not strictly outside the polytope")
-        v.flags.writeable = False
-        self.vertices = v
         self._hull = hull
         self.separating_direction = -hull.equations[j, :-1]
         self.separation = float(offsets[j])
@@ -154,13 +153,11 @@ class OffOriginBall:
     radius: float
 
     def __post_init__(self):
-        c = np.array(np.atleast_1d(self.center), dtype=float, copy=True)
+        self.center = c = _read_only(np.atleast_1d(self.center))
         if self.radius <= 0:
             raise ParameterError("radius must be positive")
         if np.linalg.norm(c) <= self.radius:
             raise DegenerateInputError("origin is not strictly outside the ball")
-        c.flags.writeable = False
-        self.center = c
 
     @property
     def dim(self) -> int:

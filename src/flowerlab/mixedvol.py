@@ -9,6 +9,7 @@ import numpy as np
 
 from .bodies import ConvexBody, Flower, StarBody, _ball_mean, _check_same_grid, volume
 from .errors import DegenerateInputError, ParameterError
+from .spherecore import _read_only
 
 
 @dataclass(eq=False)
@@ -19,7 +20,7 @@ class FlowerCombination:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.coefficients, dtype=float, copy=True)
+        self.coefficients = c = _read_only(self.coefficients)
         if len(self.bodies) == 0:
             raise ParameterError("combination needs at least one body")
         if c.shape != (len(self.bodies),):
@@ -28,8 +29,6 @@ class FlowerCombination:
             raise ParameterError("coefficients must be nonnegative")
         for b in self.bodies[1:]:
             _check_same_grid(self.bodies[0].grid, b.grid)
-        c.flags.writeable = False
-        self.coefficients = c
 
     @property
     def grid(self):

@@ -23,6 +23,7 @@ ORTHO_TOL = 1e-10
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
+    """Read-only float copy of caller data; arrays the package builds itself are frozen in place instead."""
     a = np.array(a, dtype=float, order="C", copy=True)
     a.flags.writeable = False
     return a
@@ -62,7 +63,9 @@ class DirectionGrid:
         """Clipped Gram matrix max(<theta_i, theta_j>, 0), cached."""
         if self._gram_plus is None:
             g = self.directions @ self.directions.T
-            self._gram_plus = _read_only(np.maximum(g, 0.0))
+            np.maximum(g, 0.0, out=g)
+            g.flags.writeable = False
+            self._gram_plus = g
         return self._gram_plus
 
     def angles(self) -> np.ndarray:
@@ -71,7 +74,9 @@ class DirectionGrid:
             raise InvalidGridError("angles only defined for 2D grids")
         if self._angles is None:
             a = np.arctan2(self.directions[:, 1], self.directions[:, 0])
-            self._angles = _read_only(np.mod(a, 2 * np.pi))
+            np.mod(a, 2 * np.pi, out=a)
+            a.flags.writeable = False
+            self._angles = a
         return self._angles
 
     def antipode_index(self) -> np.ndarray:

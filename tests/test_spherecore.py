@@ -1,11 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowerlab.bodies import StarBody, rotate_star_2d
+from flowerlab.bodies import ConvexBody, Flower, StarBody, rotate_star_2d, unit_ball
+from flowerlab.calculus import Partition
 from flowerlab.errors import GridMismatchError, InvalidGridError, ParameterError
+from flowerlab.inversion import OffOriginBall, OffOriginPolytope
+from flowerlab.mixedvol import FlowerCombination
 from flowerlab.spherecore import (
+    DirectionGrid,
     child_seed,
     quadrature_mean,
     random_rotation,
@@ -146,3 +152,59 @@ def test_child_seeds_distinct():
     seeds = {child_seed(42, i) for i in range(200)}
     assert len(seeds) == 200
     assert child_seed(42, 3) == child_seed(42, 3)
+
+
+_GRID16 = uniform_angle_grid(16)
+
+
+class TestArrayOwnership:
+    """Constructors copy caller arrays once; arrays the package builds are frozen in place."""
+
+    @pytest.mark.parametrize(
+        "build, attr, source",
+        [
+            (lambda a: DirectionGrid(2, a, np.full(16, 1 / 16)), "directions", np.array(_GRID16.directions)),
+            (lambda a: DirectionGrid(2, _GRID16.directions, a), "weights", np.full(16, 1 / 16)),
+            (lambda a: StarBody(_GRID16, a), "radial", np.ones(16)),
+            (lambda a: ConvexBody(_GRID16, a), "support", np.ones(16)),
+            (lambda a: Flower(StarBody(_GRID16, np.ones(16)), petals=a), "petals", np.array([[1.0, 0.0], [0.0, 1.0]])),
+            (Partition, "endpoints", np.array([0.5, 0.75, 1.0])),
+            (OffOriginPolytope, "vertices", np.array([[2.0, 0.0], [3.0, 0.0], [2.0, 1.0]])),
+            (lambda a: OffOriginBall(a, 0.5), "center", np.array([2.0, 0.0])),
+            (lambda a: FlowerCombination([unit_ball(_GRID16)], a), "coefficients", np.array([2.0])),
+        ],
+        ids=["grid-directions", "grid-weights", "star", "convex", "petals", "partition", "polytope", "ball",
+             "combination"],
+    )
+    def test_constructor_keeps_a_read_only_copy(self, build, attr, source):
+        kept = getattr(build(source), attr)
+        expected = source.copy()
+        assert not kept.flags.writeable
+        source[...] = 7.0
+        assert np.array_equal(kept, expected)
+
+    @pytest.mark.parametrize(
+        "make", [lambda: uniform_angle_grid(2048), lambda: sampled_sphere_grid(3, 2048, 11)], ids=["2d", "3d"]
+    )
+    def test_gram_is_built_once_in_place(self, make):
+        grid = make()
+        tracemalloc.start()
+        try:
+            gram = grid.gram_plus()
+            first_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert grid.gram_plus() is gram
+            second = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert first_peak <= 1.1 * grid.size ** 2 * 8
+        assert second < 1024  # interpreter bookkeeping, no array
+        assert not gram.flags.writeable
+        assert np.array_equal(gram, np.maximum(grid.directions @ grid.directions.T, 0.0))
+
+    def test_angles_frozen_in_place(self, grid720):
+        a = grid720.angles()
+        assert grid720.angles() is a
+        assert not a.flags.writeable
+        assert np.array_equal(a, np.mod(np.arctan2(grid720.directions[:, 1], grid720.directions[:, 0]), 2 * np.pi))
