@@ -37,10 +37,6 @@ class Partition:
             raise ParameterError("endpoints must be positive and strictly increasing")
 
     @property
-    def mesh(self) -> float:
-        return float(np.diff(self.endpoints).max())
-
-    @property
     def steps(self) -> int:
         return len(self.endpoints) - 1
 
@@ -78,12 +74,11 @@ class RadialMap:
         return cls(lambda dirs, r: factor * r)
 
 
-def apply_radial_map(k: ConvexBody, f: RadialMap, check_zero: bool = True) -> ConvexBody:
+def apply_radial_map(k: ConvexBody, f: RadialMap) -> ConvexBody:
     """f(K) = conv of the star body with radial f(theta, r_K(theta))."""
     if not k.certified:
         raise CertificationRequiredError("radial maps need a certified convex body")
-    if check_zero:
-        f.check_zero_fixed(k.grid)
+    f.check_zero_fixed(k.grid)
     s = np.asarray(f.evaluator(k.grid.directions, k.radial()), dtype=float)
     if (s <= 0).all():
         raise DegenerateInputError("radial map produced no positive values")
@@ -92,9 +87,7 @@ def apply_radial_map(k: ConvexBody, f: RadialMap, check_zero: bool = True) -> Co
 
 def power_naive(k: ConvexBody, lam: float) -> ConvexBody:
     """The naive power P_lambda(K): single application of r -> r^lambda."""
-    if lam <= 0:
-        raise ParameterError("power exponent must be positive")
-    return apply_radial_map(k, RadialMap.power(lam), check_zero=False)
+    return apply_radial_map(k, RadialMap.power(lam))
 
 
 @dataclass(eq=False)
@@ -208,10 +201,6 @@ class BmProbeReport:
     lhs_root: float
     rhs_roots: tuple[float, float]
     margin: float
-
-    @property
-    def holds(self) -> bool:
-        return self.margin >= 0.0
 
 
 def check_composition_bm(t: ConvexBody, k1: ConvexBody, k2: ConvexBody, mode: str = "compose") -> BmProbeReport:

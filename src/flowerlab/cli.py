@@ -41,6 +41,16 @@ def _int_arg(lo: float, hi: float, expected: str):
     return parse
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a finite float; nan and inf are usage errors."""
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
 def _write(text: str, args):
     if args.out:
         with open(args.out, "w") as fh:
@@ -250,11 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
     report = flag("--report", default=None, help="CSV report path")
     seed = flag("--seed", type=_int_arg(0, math.inf, "a non-negative integer"),
                 default=os.environ.get("FLOWERLAB_SEED") or "0", help="random seed (env FLOWERLAB_SEED)")
-    grid = flag("--grid", type=_int_arg(-math.inf, MAX_GRID_SIZE, f"an integer of at most {MAX_GRID_SIZE}"),
-                default=DEFAULT_GRID_N, help="size of the working grid")
-    cert_tol = flag("--tol", type=float, default=None, help="input certificate tolerance (default 1e-9 in 2D, else 1e-6)")
-    power_tol = flag("--tol", type=float, default=calculus.POWER_TOL, help="power-map tolerance (default %(default)s)")
-    invert_tol = flag("--tol", type=float, default=CONVEX_POSITION_TOL, help="convex-position tolerance (default %(default)s)")
+    count = _int_arg(-math.inf, MAX_GRID_SIZE, f"an integer of at most {MAX_GRID_SIZE}")
+    grid = flag("--grid", type=count, default=DEFAULT_GRID_N, help="size of the working grid")
+    cert_tol = flag("--tol", type=_finite_float, default=None, help="input certificate tolerance (default 1e-9 in 2D, else 1e-6)")
+    power_tol = flag("--tol", type=_finite_float, default=calculus.POWER_TOL, help="power-map tolerance (default %(default)s)")
+    invert_tol = flag("--tol", type=_finite_float, default=CONVEX_POSITION_TOL, help="convex-position tolerance (default %(default)s)")
 
     p = argparse.ArgumentParser(prog="flowerlab", description="flower calculus for convex bodies")
     sub = p.add_subparsers(dest="command", required=True)
@@ -272,13 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("power", cmd_power, power_tol, help="proper power K^lambda")
     sp.add_argument("body")
-    sp.add_argument("--lambda", dest="lam", type=float, required=True)
+    sp.add_argument("--lambda", dest="lam", type=_finite_float, required=True)
 
     sp = add("fmap", cmd_fmap, help="apply a named radial map")
     sp.add_argument("body")
     sp.add_argument("--fn", choices=("power", "scale"), required=True)
-    sp.add_argument("--lambda", dest="lam", type=float, default=None)
-    sp.add_argument("--factor", type=float, default=None)
+    sp.add_argument("--lambda", dest="lam", type=_finite_float, default=None)
+    sp.add_argument("--factor", type=_finite_float, default=None)
 
     sp = add("compose", cmd_compose, help="composition T o K")
     sp.add_argument("t")
@@ -290,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("logmean", cmd_logmean, help="logarithmic 0-mean of K and T")
     sp.add_argument("k")
     sp.add_argument("t")
-    sp.add_argument("--lambda", dest="lam", type=float, required=True)
+    sp.add_argument("--lambda", dest="lam", type=_finite_float, required=True)
 
     sp = add("mixedvol", cmd_mixedvol, report, help="flower mixed volume")
     sp.add_argument("bodies", nargs="+")
@@ -299,25 +309,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("invert", cmd_invert, invert_tol, seed, help="inversion-convexity verdict for a polytope")
     sp.add_argument("body")
-    sp.add_argument("--samples", type=int, default=400)
+    sp.add_argument("--samples", type=count, default=400)
     sp.add_argument("--outcone", action="store_true", help="treat the polytope as the base of an out-cone")
-    sp.add_argument("--trunc-scale", type=float, default=8.0)
+    sp.add_argument("--trunc-scale", type=_finite_float, default=8.0)
 
     add("stability", cmd_stability, help="flower stability report").add_argument("body")
 
     sp = add("dvoretzky", cmd_dvoretzky, seed, grid, report, help="random-projection roundness search")
     sp.add_argument("body")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--trials", type=int, required=True)
+    sp.add_argument("--k", type=count, required=True)
+    sp.add_argument("--trials", type=count, required=True)
     sp.add_argument("--sections", action="store_true", help="also record section distances")
 
     sp = add("global-avg", cmd_global_avg, seed, help="oscillation ratio of rotation averages")
     sp.add_argument("body")
-    sp.add_argument("--n-rot", dest="n_rot", type=int, required=True)
+    sp.add_argument("--n-rot", dest="n_rot", type=count, required=True)
 
     sp = add("kashin", cmd_kashin, seed, grid, help="averaged rotated petals experiment")
-    sp.add_argument("--dim", type=int, required=True)
-    sp.add_argument("--petals", type=int, default=None)
+    sp.add_argument("--dim", type=_int_arg(2, MAX_GRID_SIZE, f"an integer from 2 to {MAX_GRID_SIZE}"), required=True)
+    sp.add_argument("--petals", type=count, default=None)
 
     sp = add("bm-probe", cmd_bm_probe, report, help="Brunn-Minkowski composition probe")
     sp.add_argument("t")

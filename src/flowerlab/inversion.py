@@ -115,9 +115,6 @@ class OffOriginPolytope:
     def dim(self) -> int:
         return self.vertices.shape[1]
 
-    def hull(self) -> ConvexHull:
-        return self._hull
-
     def ray_interval(self, theta: np.ndarray) -> tuple[float, float] | None:
         """{t > 0 : t theta in K} as [t_min, t_max], or None if the ray misses."""
         eq = self._hull.equations
@@ -191,6 +188,8 @@ class TruncatedOutCone:
     scale: float = 8.0
 
     def __post_init__(self):
+        if not np.isfinite(self.scale):
+            raise ParameterError("truncation scale must be finite")
         if self.scale <= 1:
             raise ParameterError("truncation scale must exceed 1")
 

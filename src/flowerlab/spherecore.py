@@ -111,9 +111,6 @@ class Rotation:
     def inverse(self) -> "Rotation":
         return Rotation(self.matrix.T)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) @ self.matrix.T
-
 
 @dataclass(eq=False)
 class SubspaceBasis:
@@ -136,10 +133,6 @@ class SubspaceBasis:
     def projector(self) -> np.ndarray:
         """Orthogonal projector onto the subspace, as an ambient matrix."""
         return self.frame.T @ self.frame
-
-    def to_subspace(self, x: np.ndarray) -> np.ndarray:
-        """Coordinates of the projection of x in the frame basis."""
-        return np.asarray(x, dtype=float) @ self.frame.T
 
 
 def uniform_angle_grid(n: int) -> DirectionGrid:

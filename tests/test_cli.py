@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowerlab.bodyfile as bodyfile
+import flowerlab.cli as cli
 import flowerlab.localtheory as localtheory
 from flowerlab.bodies import (
     flower_from_petals,
@@ -561,6 +562,62 @@ class TestSeedAndSizeArguments:
         p.write_text(json.dumps({"dim": 2, "points": [[1.0, 0.0]] * m, "metadata": {}, **extra}))
         assert run([command, p]) == 1
         assert f"{m * MAX_GRID_SIZE * 8:,} bytes" in capsys.readouterr().err
+
+
+class TestCountAndFloatArguments:
+    @pytest.mark.parametrize(
+        "argv, flag, module, entry",
+        [
+            (["kashin", "--dim", "3"], "--petals", localtheory, "kashin_petals"),
+            (["kashin"], "--dim", localtheory, "default_subgrid"),
+            (["dvoretzky", "{body}", "--k", "2"], "--trials", localtheory, "dvoretzky_search"),
+            (["dvoretzky", "{body}", "--trials", "1"], "--k", localtheory, "default_subgrid"),
+            (["global-avg", "{body}"], "--n-rot", localtheory, "global_average"),
+            (["invert", "{body}"], "--samples", cli, "is_inversion_convex"),
+        ],
+    )
+    def test_count_beyond_cap_is_a_usage_error(self, square_flower_file, monkeypatch, capsys, argv, flag, module, entry):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{entry} reached")
+
+        monkeypatch.setattr(module, entry, refuse)
+        with pytest.raises(SystemExit) as e:
+            run([a.format(body=square_flower_file) for a in argv] + [flag, MAX_GRID_SIZE + 1])
+        assert e.value.code == 2
+        assert f"{flag}: expected an integer" in capsys.readouterr().err
+
+    def test_kashin_dim_below_2_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            run(["kashin", "--dim", "1"])
+        assert e.value.code == 2
+        assert "--dim: expected an integer from 2 to" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flower", "{body}", "--tol", "{v}"],
+            ["power", "{body}", "--lambda", "0.5", "--tol", "{v}"],
+            ["invert", "{poly}", "--tol", "{v}"],
+            ["power", "{body}", "--lambda", "{v}"],
+            ["fmap", "{body}", "--fn", "power", "--lambda", "{v}"],
+            ["fmap", "{body}", "--fn", "scale", "--factor", "{v}"],
+            ["logmean", "{body}", "{body}", "--lambda", "{v}"],
+            ["invert", "{poly}", "--outcone", "--trunc-scale", "{v}"],
+        ],
+        ids=["flower-tol", "power-tol", "invert-tol", "power-lambda", "fmap-lambda", "fmap-factor", "logmean-lambda",
+             "trunc-scale"],
+    )
+    def test_non_finite_float_is_a_usage_error(self, square_file, tmp_path, capsys, argv, value):
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps({"dim": 2, "representation": "polytope", "metadata": {},
+                                    "points": [[2.0, -1.0], [3.0, 0.0], [2.0, 1.0]]}))
+        with pytest.raises(SystemExit) as e:
+            run([a.format(body=square_file, poly=poly, v=value) for a in argv])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert f"expected a finite number, got '{value}'" in err
+        assert "Traceback" not in err
 
 
 class TestSupportBody:

@@ -148,6 +148,12 @@ class TestOffOriginShapes:
         assert lo == pytest.approx(2.0) and hi == pytest.approx(4.0)
         assert b.ray_interval(np.array([0.0, 1.0])) is None
 
+    @pytest.mark.parametrize("scale", [float("inf"), float("nan")])
+    def test_non_finite_truncation_scale_rejected(self, scale):
+        p = OffOriginPolytope([[2.0, -1.0], [3.0, 0.0], [2.0, 1.0]])
+        with pytest.raises(ParameterError, match="finite"):
+            TruncatedOutCone(p, scale)
+
 
 class TestConeMembership:
     def setup_method(self):
