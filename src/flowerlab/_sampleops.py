@@ -20,6 +20,17 @@ power-map iteration.  On uniform 2D grids it runs a linear Graham scan over the
 angular order of the cloud; other grids use qhull.  Sample points of an
 already-convex cloud pass through unchanged, which keeps fixed-point families
 (regime polygons) exact.
+
+On uniform 2D grids C never reads the Gram matrix.  The same Graham scan
+(_graham_vertices) gives the hull vertices of the cloud, and each ray's
+support is the max over the few points near the vertex that attains it, found
+by searchsorted over the edges' outward-normal angles (the rotating-calipers
+lookup): O(N log N) time and O(N) memory instead of O(N^2) for both.  The
+candidates absorb float ties (NORMAL_ANGLE_TOL, NEAR_HULL_TOL) and the dot
+products round like the Gram's entries, so C equals the dense max bit for bit
+wherever the BLAS rounds every Gram entry the same way (with FMA, as the
+batched products do).  Sampled grids and 2D directions grids keep the dense
+max over grid.gram_plus().
 """
 from __future__ import annotations
 
@@ -37,11 +48,21 @@ _HAVE_NUMBA = False
 # reciprocals finite while staying far below every certificate tolerance
 EPS_FLOOR = 1e-9
 
+# slack of the hull-indexed C on uniform 2D grids, absorbing float ties: a
+# ray takes every vertex whose normal cone it meets within NORMAL_ANGLE_TOL
+# radians (long flat sides have many), and a point within relative
+# NEAR_HULL_TOL of the hull radial at its own ray stays a candidate although
+# the scan dropped it
+NORMAL_ANGLE_TOL = 1e-9
+NEAR_HULL_TOL = 1e-12
+
 
 def support_of_cloud(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:
     """C(w): support samples of conv({w_i theta_i} + {0})."""
-    gp = grid.gram_plus()
-    return (np.asarray(w, dtype=float)[:, None] * gp).max(axis=0)
+    w = np.asarray(w, dtype=float)
+    if grid.dim == 2 and grid.uniform_n is not None:
+        return _support_by_vertices(grid, w)
+    return (w[:, None] * grid.gram_plus()).max(axis=0)
 
 
 def radial_of_halfspaces(grid: DirectionGrid, g: np.ndarray) -> np.ndarray:
@@ -83,16 +104,16 @@ def _hull_radial_qhull(dirs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return tt.min(axis=0)
 
 
-def _hull_radial_graham(grid: DirectionGrid, pts: np.ndarray) -> np.ndarray:
-    """Graham scan for an angularly sorted 2D cloud around the interior origin.
+def _graham_vertices(pts: np.ndarray) -> np.ndarray:
+    """Indices, in angular (CCW) order, of the hull vertices of an angularly sorted 2D cloud.
 
-    A point lying strictly inside conv{0, p_{i-s}, p_{i+s}} is never a hull
-    vertex (the test is valid whenever the bracketing pair spans less than pi,
-    which cross(a, b) > 0 certifies); one vectorized pass with s in {1, 2}
-    drops most interior points before the scan.  The scan starts from the
-    farthest point, which is always a vertex, and pops only on a strict right
-    turn, so collinear boundary points stay.  Each grid ray is then
-    intersected with the bracketing hull edge.
+    The origin must be interior.  A point lying strictly inside
+    conv{0, p_{i-s}, p_{i+s}} is never a hull vertex (the test is valid
+    whenever the bracketing pair spans less than pi, which cross(a, b) > 0
+    certifies); one vectorized pass with s in {1, 2} drops most interior
+    points before the scan.  The scan starts from the farthest point, which is
+    always a vertex, and pops only on a strict right turn, so collinear
+    boundary points stay.
     """
     n = len(pts)
     idx = np.arange(n)
@@ -120,10 +141,14 @@ def _hull_radial_graham(grid: DirectionGrid, pts: np.ndarray) -> np.ndarray:
             else:
                 break
         stack.append(i)
-    keep = cand[np.sort(stack[:-1])]
+    return cand[np.sort(stack[:-1])]
+
+
+def _edge_radial(grid: DirectionGrid, pts: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Each grid ray intersected with the hull edge keep[k] -> keep[k+1] that brackets it."""
     p = pts[keep]
     m = len(keep)
-    edge = (np.searchsorted(keep, idx, side="right") - 1) % m
+    edge = (np.searchsorted(keep, np.arange(len(pts)), side="right") - 1) % m
     pa = p[edge]
     pb = p[(edge + 1) % m]
     d = grid.directions
@@ -132,6 +157,50 @@ def _hull_radial_graham(grid: DirectionGrid, pts: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(np.abs(denom) > 1e-300, num / denom, np.hypot(pa[:, 0], pa[:, 1]))
     return r
+
+
+def _support_by_vertices(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:
+    """C(w) on a uniform 2D grid from the hull vertices, equal bit for bit to the dense max.
+
+    Each ray's supporting vertex is found by searchsorted over the edges'
+    outward-normal angles.  The max of w_i <theta_i, theta_j>_+ then runs over
+    the near-hull points between the vertex before and the vertex after every
+    vertex whose normal cone holds the ray within NORMAL_ANGLE_TOL.  The dot
+    products are batched 1x2 @ 2x1 matmuls, which round like the Gram's.
+    """
+    if not (np.isfinite(w).all() and (w > 0).all()):
+        raise DegenerateInputError("cloud values must be finite and positive")
+    n = len(w)
+    d = grid.directions
+    pts = w[:, None] * d
+    if is_convex_position(pts):
+        keep = near = np.arange(n)
+    else:
+        keep = _graham_vertices(pts)
+        is_near = w >= _edge_radial(grid, pts, keep) * (1.0 - NEAR_HULL_TOL)
+        is_near[keep] = True
+        near = np.flatnonzero(is_near)
+    m, nn = len(keep), len(near)
+    e = np.roll(pts[keep], -1, axis=0) - pts[keep]
+    nu = np.arctan2(-e[:, 0], e[:, 1])  # outward normal of edge k, from vertex k to k+1
+    turn = np.maximum((np.diff(nu) + np.pi) % (2 * np.pi) - np.pi, 0.0)
+    nu = nu[0] + np.concatenate(([0.0], np.cumsum(turn)))
+    nu3 = np.concatenate((nu - 2 * np.pi, nu, nu + 2 * np.pi))
+    phi = nu[0] + (grid.angles() - nu[0]) % (2 * np.pi)
+    # vertex k's normal cone is [nu_{k-1}, nu_k]; lo..hi are the vertices whose
+    # cone holds the ray within the tolerance, widened by one on each side
+    lo = np.searchsorted(nu3, phi - NORMAL_ANGLE_TOL, side="left") - 1
+    hi = np.searchsorted(nu3, phi + NORMAL_ANGLE_TOL, side="right") + 1
+    first = np.searchsorted(near, keep[lo % m])
+    count = (np.searchsorted(near, keep[hi % m]) - first) % nn + 1
+    whole = hi - lo + 1 >= m
+    first[whole] = 0
+    count[whole] = nn
+    ray = np.repeat(np.arange(n), count)
+    starts = np.concatenate(([0], np.cumsum(count)[:-1]))
+    cand = near[(np.arange(len(ray)) - np.repeat(starts - first, count)) % nn]
+    dots = (d[cand][:, None, :] @ d[ray][:, :, None])[:, 0, 0]
+    return np.maximum.reduceat(w[cand] * np.maximum(dots, 0.0), starts)
 
 
 def hull_radial(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:
@@ -145,7 +214,7 @@ def hull_radial(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:
     if grid.dim == 2 and grid.uniform_n is not None:
         if is_convex_position(pts):
             return w
-        r = _hull_radial_graham(grid, pts)
+        r = _edge_radial(grid, pts, _graham_vertices(pts))
     else:
         r = _hull_radial_qhull(grid.directions, pts)
     return np.maximum(r, w)

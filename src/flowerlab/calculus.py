@@ -102,9 +102,19 @@ class PowerResult:
 
 
 def _power_run(grid: DirectionGrid, w: np.ndarray, exponents) -> np.ndarray:
-    """Composed naive powers on radial samples: w <- hull(w ** s) for each s in turn."""
+    """Composed naive powers on radial samples: w <- hull(w ** s) for each s in turn.
+
+    A pass whose samples leave the positive floats (w ** s overflows to inf or
+    underflows to 0) is refused before it reaches the hull.
+    """
     for s in exponents:
-        w = hull_radial(grid, w ** s)
+        with np.errstate(over="ignore", under="ignore"):
+            v = w ** s
+        if not 0.0 < v.min() <= v.max() < np.inf:
+            raise DegenerateInputError(
+                f"power map left the float range: radial samples ** {s:.6g} are not finite and positive"
+            )
+        w = hull_radial(grid, v)
     return w
 
 

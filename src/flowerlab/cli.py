@@ -25,6 +25,9 @@ from .spherecore import child_seed
 from .svgplot import plot_svg
 
 DEFAULT_GRID_N = 720
+# kashin's dense arrays, the m x dim petal matrix and the --grid x m product,
+# may each hold at most as many floats as a Gram matrix at the grid cap
+MAX_KASHIN_ENTRIES = MAX_GRID_SIZE ** 2
 
 
 def _int_arg(lo: float, hi: float, expected: str):
@@ -221,6 +224,11 @@ def cmd_global_avg(args):
 
 
 def cmd_kashin(args):
+    m = 2 * args.dim if args.petals is None else args.petals
+    for what, rows, cols in (("petal matrix", m, args.dim), ("grid product", args.grid, m)):
+        if rows * cols > MAX_KASHIN_ENTRIES:
+            args.usage_error(f"the {rows} x {cols} {what} would need {rows * cols * 8:,} bytes; "
+                             f"the cap is {MAX_KASHIN_ENTRIES:,} entries ({MAX_KASHIN_ENTRIES * 8:,} bytes)")
     grid = localtheory.default_subgrid(args.dim, size=args.grid, seed=child_seed(args.seed, 2 ** 20))
     ratio = localtheory.kashin_petals(args.dim, args.seed, num_petals=args.petals, grid=grid)
     _write(f"{ratio!r}\n", args)
@@ -328,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("kashin", cmd_kashin, seed, grid, help="averaged rotated petals experiment")
     sp.add_argument("--dim", type=_int_arg(2, MAX_GRID_SIZE, f"an integer from 2 to {MAX_GRID_SIZE}"), required=True)
     sp.add_argument("--petals", type=count, default=None)
+    sp.set_defaults(usage_error=sp.error)
 
     sp = add("bm-probe", cmd_bm_probe, report, help="Brunn-Minkowski composition probe")
     sp.add_argument("t")

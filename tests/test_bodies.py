@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from flowerlab._sampleops import (
     EPS_FLOOR,
     _hull_radial_qhull,
+    certificate_violation,
+    closure,
     hull_radial,
     is_convex_position,
     radial_of_halfspaces,
@@ -548,3 +551,77 @@ class TestHullKernel:
         pts[:, 2] = 0.0
         with pytest.raises(DegenerateInputError):
             _hull_radial_qhull(dirs, pts)
+
+
+def _dense_c(g, w):
+    return (np.asarray(w, dtype=float)[:, None] * g.gram_plus()).max(axis=0)
+
+
+def _support_test_cloud(kind, n, rs):
+    """One seeded cloud for C on the uniform n-grid: bodies, polygons, the square and floored runs."""
+    rng = np.random.default_rng(rs)
+    g = _uniform_grid(n)
+    if kind in ("lognormal", "body-power", "polygon", "floor"):
+        return g, _hull_test_cloud(kind, n, rs)[1]
+    if kind == "floor-run":
+        # a co-circular run of floored samples over most of the circle
+        w = np.full(n, EPS_FLOOR)
+        start, run = int(rng.integers(n)), int(rng.integers(1, max(2, n // 4)))
+        w[(start + np.arange(run)) % n] = np.exp(rng.normal(0.0, 0.5, run))
+        return g, w
+    shape, _, sample = kind.partition("/")
+    if shape == "body":
+        k = random_convex_body(g, rs, amp=rng.uniform(0.05, 0.6))
+    elif shape == "kgon":
+        k = polytope_body(g, regular_polygon_vertices(int(rng.integers(3, 9)), rng.uniform(0.5, 2.0),
+                                                      rng.uniform(0.0, 2 * np.pi)))
+    else:
+        k = square_body(g, rng.uniform(0.5, 2.0))
+    w = {"h": k.support, "r": k.radial()}[sample.lstrip("1/")]
+    return g, 1.0 / w if sample.startswith("1/") else w
+
+
+class TestHullIndexedSupport:
+    """C on uniform 2D grids indexes the hull; the dense Gram max is its oracle."""
+
+    @seed(20261018)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["lognormal", "body-power", "polygon", "floor", "floor-run",
+                              "body/h", "body/1/h", "body/r", "body/1/r", "kgon/h", "kgon/1/h", "kgon/r",
+                              "kgon/1/r", "square/h", "square/1/h", "square/r", "square/1/r"]),
+        n=st.sampled_from([8, 9, 720, 2048]),
+        rs=st.integers(0, 10 ** 6),
+    )
+    def test_equals_dense_oracle(self, kind, n, rs):
+        g, w = _support_test_cloud(kind, n, rs)
+        c = _dense_c(g, w)
+        assert np.array_equal(support_of_cloud(g, w), c)
+        d = 1.0 / _dense_c(g, 1.0 / c)
+        assert np.array_equal(radial_of_halfspaces(g, c), d)
+        assert np.array_equal(closure(g, c), _dense_c(g, d))
+        assert np.array_equal(closure(g, w), _dense_c(g, 1.0 / _dense_c(g, 1.0 / w)))
+
+    def test_large_grid_builds_no_gram(self):
+        # the dense path holds an N x N Gram matrix: 512 MiB at N = 8192
+        g = uniform_angle_grid(8192)
+        k = random_convex_body(g, 3)
+        tracemalloc.start()
+        try:
+            h = support_of_cloud(g, 1.0 / k.support)
+            radial_of_halfspaces(g, k.support)
+            assert certificate_violation(g, k.support) < 1e-12
+            polar(k)
+            alexandrov(np.minimum(k.support, h), g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g._gram_plus is None
+        assert peak < 64 * 2 ** 20
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_cloud_outside_the_positive_floats_is_refused(self, bad):
+        w = np.ones(64)
+        w[5] = bad
+        with pytest.raises(DegenerateInputError):
+            support_of_cloud(_uniform_grid(64), w)

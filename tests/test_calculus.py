@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,7 @@ from flowerlab.calculus import (
     radial_compose,
     radial_product,
 )
-from flowerlab.errors import ConvergenceError, ParameterError
+from flowerlab.errors import ConvergenceError, DegenerateInputError, ParameterError
 
 
 class TestPartition:
@@ -193,6 +195,16 @@ class TestPower:
     def test_negative_lambda_rejected(self, grid720):
         with pytest.raises(ParameterError):
             power(unit_ball(grid720), -0.5)
+
+    @pytest.mark.parametrize("scale", [0.1, 10.0])
+    def test_pass_leaving_the_floats_is_refused(self, grid720, scale):
+        # radii all below 1 underflow to 0, radii all above 1 overflow to inf
+        k = random_convex_body(grid720, 4)
+        k = ConvexBody(grid720, scale * k.support, certified=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError, match="left the float range"):
+                power(k, 1e300)
 
     def test_cube_power_doubling_depth_pinned(self):
         # K^3 at N=2048 converges at m=256, i.e. after 2*256-2 = 510 hull calls

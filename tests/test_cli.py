@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -143,15 +144,17 @@ class TestBodyFileHardening:
         monkeypatch.setattr(bodyfile, "uniform_angle_grid", refuse)
         monkeypatch.setattr(bodyfile, "DirectionGrid", refuse)
         huge = 10 ** 9
-        with pytest.raises(BodyFileError, match=f"{huge * huge * 8:,} bytes"):
+        # a uniform-angle grid builds no Gram matrix, so its message cites none
+        with pytest.raises(BodyFileError, match=f"grid: {huge} directions exceed the cap of {MAX_GRID_SIZE}$"):
             parse_body_obj(self.radial_obj(n=huge, values=[1.0] * 3))
         with pytest.raises(BodyFileError, match="cap"):
             parse_body_obj(self.radial_obj(representation="petals", points=[[1.0, 0.0]],
                                            grid={"type": "uniform-angle", "n": MAX_GRID_SIZE + 1}))
         with pytest.raises(BodyFileError, match=r"values: expected 64 entries, got 3"):
             parse_body_obj(self.radial_obj(n=64, values=[1.0] * 3))
-        vectors = [[1.0, 0.0, 0.0]] * (MAX_GRID_SIZE + 1)
-        with pytest.raises(BodyFileError, match="cap"):
+        n = MAX_GRID_SIZE + 1
+        vectors = [[1.0, 0.0, 0.0]] * n
+        with pytest.raises(BodyFileError, match=f"cap of {MAX_GRID_SIZE}; the dense Gram .* {n * n * 8:,} bytes"):
             parse_body_obj(self.radial_obj(dim=3, grid={"type": "directions", "vectors": vectors, "weights": []}))
 
 
@@ -586,6 +589,29 @@ class TestCountAndFloatArguments:
         assert e.value.code == 2
         assert f"{flag}: expected an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, shape", [
+        (["--dim", "8192"], "16384 x 8192 petal matrix"),
+        (["--dim", "4097", "--grid", "8192"], "8192 x 8194 grid product"),
+        (["--dim", "8192", "--petals", "8192", "--grid", "8192"], None),
+    ])
+    def test_kashin_matrix_beyond_cap_is_a_usage_error(self, monkeypatch, capsys, argv, shape):
+        def refuse(*args, **kwargs):
+            raise AssertionError("kashin arrays allocated")
+
+        monkeypatch.setattr(localtheory, "default_subgrid", refuse)
+        monkeypatch.setattr(localtheory, "kashin_petals", refuse)
+        if shape is None:  # 8192 x 8192 sits at the cap and reaches the library
+            with pytest.raises(AssertionError, match="allocated"):
+                run(["kashin", *argv])
+            return
+        rows, _, cols = shape.split()[:3]
+        with pytest.raises(SystemExit) as e:
+            run(["kashin", *argv])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert f"the {shape} would need {int(rows) * int(cols) * 8:,} bytes" in err
+        assert "Traceback" not in err
+
     def test_kashin_dim_below_2_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as e:
             run(["kashin", "--dim", "1"])
@@ -618,6 +644,15 @@ class TestCountAndFloatArguments:
         err = capsys.readouterr().err
         assert f"expected a finite number, got '{value}'" in err
         assert "Traceback" not in err
+
+
+class TestPowerRange:
+    def test_overflowing_lambda_is_a_domain_error(self, square_file, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["power", square_file, "--lambda", "1e300"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: power map left the float range: radial samples ** 1e+150 are not finite and positive\n"
 
 
 class TestSupportBody:
