@@ -160,13 +160,14 @@ def _edge_radial(grid: DirectionGrid, pts: np.ndarray, keep: np.ndarray) -> np.n
 
 
 def _support_by_vertices(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:
-    """C(w) on a uniform 2D grid from the hull vertices, equal bit for bit to the dense max.
+    """C(w) on a uniform 2D grid from the hull vertices: the dense max, bit for bit, over an FMA-rounded Gram.
 
     Each ray's supporting vertex is found by searchsorted over the edges'
     outward-normal angles.  The max of w_i <theta_i, theta_j>_+ then runs over
     the near-hull points between the vertex before and the vertex after every
     vertex whose normal cone holds the ray within NORMAL_ANGLE_TOL.  The dot
-    products are batched 1x2 @ 2x1 matmuls, which round like the Gram's.
+    products are batched 1x2 @ 2x1 matmuls, which round with FMA like the
+    BLAS Gram entries; elementwise products would not.
     """
     if not (np.isfinite(w).all() and (w > 0).all()):
         raise DegenerateInputError("cloud values must be finite and positive")
@@ -189,6 +190,7 @@ def _support_by_vertices(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:
     phi = nu[0] + (grid.angles() - nu[0]) % (2 * np.pi)
     # vertex k's normal cone is [nu_{k-1}, nu_k]; lo..hi are the vertices whose
     # cone holds the ray within the tolerance, widened by one on each side
+    # because the summed turns may pass nu_0 + 2 pi by a few ulps
     lo = np.searchsorted(nu3, phi - NORMAL_ANGLE_TOL, side="left") - 1
     hi = np.searchsorted(nu3, phi + NORMAL_ANGLE_TOL, side="right") + 1
     first = np.searchsorted(near, keep[lo % m])

@@ -60,7 +60,11 @@ class DirectionGrid:
         return len(self.weights)
 
     def gram_plus(self) -> np.ndarray:
-        """Clipped Gram matrix max(<theta_i, theta_j>, 0), cached."""
+        """Clipped Gram matrix max(<theta_i, theta_j>, 0), cached.
+
+        The support operator C reads it on sampled and directions grids; on
+        uniform 2D grids C indexes the hull instead and never builds it.
+        """
         if self._gram_plus is None:
             g = self.directions @ self.directions.T
             np.maximum(g, 0.0, out=g)
