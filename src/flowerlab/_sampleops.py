@@ -189,8 +189,10 @@ def _support_by_vertices(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:
     nu3 = np.concatenate((nu - 2 * np.pi, nu, nu + 2 * np.pi))
     phi = nu[0] + (grid.angles() - nu[0]) % (2 * np.pi)
     # vertex k's normal cone is [nu_{k-1}, nu_k]; lo..hi are the vertices whose
-    # cone holds the ray within the tolerance, widened by one on each side
-    # because the summed turns may pass nu_0 + 2 pi by a few ulps
+    # cone holds the ray within the tolerance, widened by one on each side:
+    # support values fall monotonically away from that window, so only the
+    # nearest vertex outside it can still tie the max within float error (on
+    # very elongated clouds, whose supporting vertex lies far off the ray)
     lo = np.searchsorted(nu3, phi - NORMAL_ANGLE_TOL, side="left") - 1
     hi = np.searchsorted(nu3, phi + NORMAL_ANGLE_TOL, side="right") + 1
     first = np.searchsorted(near, keep[lo % m])

@@ -577,7 +577,7 @@ def _support_test_cloud(kind, n, rs):
                                                       rng.uniform(0.0, 2 * np.pi)))
     else:
         k = square_body(g, rng.uniform(0.5, 2.0))
-    w = {"h": k.support, "r": k.radial()}[sample.lstrip("1/")]
+    w = k.support if sample.endswith("h") else k.radial()
     return g, 1.0 / w if sample.startswith("1/") else w
 
 
