@@ -31,6 +31,13 @@ products round like the Gram's entries, so C equals the dense max bit for bit
 wherever the BLAS rounds every Gram entry the same way (with FMA, as the
 batched products do).  Sampled grids and 2D directions grids keep the dense
 max over grid.gram_plus().
+
+Both 2D kernels run on the cloud rescaled by a power of two, so their cross
+products stay in the normal floats at any scale; the rescaling is exact, and
+results are bit for bit those of the unscaled cloud wherever its own products
+stayed normal.  A cloud spanning more than 2**MAX_SPAN_EXP cannot be
+rescaled that way: C takes the dense max for it, a block of rays at a time,
+and hull_radial refuses it.
 """
 from __future__ import annotations
 
@@ -55,6 +62,11 @@ EPS_FLOOR = 1e-9
 # the scan dropped it
 NORMAL_ANGLE_TOL = 1e-9
 NEAR_HULL_TOL = 1e-12
+
+# widest span max(w) / min(w), as a power of two, that the 2D hull kernel
+# takes: rescaled to about 2**-400 .. 2**400, its products of two coordinates
+# (down to 2**-54 of a sample) stay in the normal floats
+MAX_SPAN_EXP = 800
 
 
 def support_of_cloud(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:
@@ -102,6 +114,13 @@ def _hull_radial_qhull(dirs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         tt = np.where(ad > 1e-15, -b[:, None] / ad, np.inf)
     return tt.min(axis=0)
+
+
+def _unit_exponent(w: np.ndarray) -> int | None:
+    """k such that w * 2**-k spans about 2**-400 to 2**400; None if w spans more than 2**MAX_SPAN_EXP."""
+    hi = int(np.frexp(w.max())[1])
+    lo = int(np.frexp(w.min())[1])
+    return None if hi - lo > MAX_SPAN_EXP else (hi + lo) // 2
 
 
 def _graham_vertices(pts: np.ndarray) -> np.ndarray:
@@ -164,21 +183,25 @@ def _support_by_vertices(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:
 
     Each ray's supporting vertex is found by searchsorted over the edges'
     outward-normal angles.  The max of w_i <theta_i, theta_j>_+ then runs over
-    the near-hull points between the vertex before and the vertex after every
-    vertex whose normal cone holds the ray within NORMAL_ANGLE_TOL.  The dot
-    products are batched 1x2 @ 2x1 matmuls, which round with FMA like the
-    BLAS Gram entries; elementwise products would not.
+    the near-hull points between the first and the last vertex whose normal
+    cone holds the ray within NORMAL_ANGLE_TOL.  The dot products are batched
+    1x2 @ 2x1 matmuls, which round with FMA like the BLAS Gram entries;
+    elementwise products would not.
     """
     if not (np.isfinite(w).all() and (w > 0).all()):
         raise DegenerateInputError("cloud values must be finite and positive")
-    n = len(w)
     d = grid.directions
-    pts = w[:, None] * d
+    k = _unit_exponent(w)
+    if k is None:
+        return _support_dense(d, w)
+    n = len(w)
+    ws = np.ldexp(w, -k)
+    pts = ws[:, None] * d
     if is_convex_position(pts):
         keep = near = np.arange(n)
     else:
         keep = _graham_vertices(pts)
-        is_near = w >= _edge_radial(grid, pts, keep) * (1.0 - NEAR_HULL_TOL)
+        is_near = ws >= _edge_radial(grid, pts, keep) * (1.0 - NEAR_HULL_TOL)
         is_near[keep] = True
         near = np.flatnonzero(is_near)
     m, nn = len(keep), len(near)
@@ -189,12 +212,13 @@ def _support_by_vertices(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:
     nu3 = np.concatenate((nu - 2 * np.pi, nu, nu + 2 * np.pi))
     phi = nu[0] + (grid.angles() - nu[0]) % (2 * np.pi)
     # vertex k's normal cone is [nu_{k-1}, nu_k]; lo..hi are the vertices whose
-    # cone holds the ray within the tolerance, widened by one on each side:
-    # support values fall monotonically away from that window, so only the
-    # nearest vertex outside it can still tie the max within float error (on
-    # very elongated clouds, whose supporting vertex lies far off the ray)
-    lo = np.searchsorted(nu3, phi - NORMAL_ANGLE_TOL, side="left") - 1
-    hi = np.searchsorted(nu3, phi + NORMAL_ANGLE_TOL, side="right") + 1
+    # cone holds the ray within the tolerance.  Any other candidate lies at
+    # least |v| sin(2 pi / N) from the supporting vertex v, along an edge
+    # turned more than the tolerance off the ray's normal, so its value falls
+    # short by about 1e-12 |v| at N = 8192: far beyond the float error of
+    # w_i <theta_i, theta_j>, which is a few ulp of |v| at any aspect ratio
+    lo = np.searchsorted(nu3, phi - NORMAL_ANGLE_TOL, side="left")
+    hi = np.searchsorted(nu3, phi + NORMAL_ANGLE_TOL, side="right")
     first = np.searchsorted(near, keep[lo % m])
     count = (np.searchsorted(near, keep[hi % m]) - first) % nn + 1
     whole = hi - lo + 1 >= m
@@ -207,6 +231,16 @@ def _support_by_vertices(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:
     return np.maximum.reduceat(w[cand] * np.maximum(dots, 0.0), starts)
 
 
+def _support_dense(d: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The dense max with the same batched products, 2**20 pairs at a time, for clouds too wide for the hull kernel."""
+    out = np.empty(len(w))
+    step = max(1, 2 ** 20 // len(w))
+    for j in range(0, len(w), step):
+        dots = (d[None, :, None, :] @ d[j:j + step, None, :, None])[:, :, 0, 0]
+        out[j:j + step] = (w * np.maximum(dots, 0.0)).max(axis=1)
+    return out
+
+
 def hull_radial(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:
     """Radial samples of conv({w_i theta_i}) along the grid rays.
 
@@ -214,11 +248,16 @@ def hull_radial(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:
     cloud point, so the result never dips below w.
     """
     w = np.asarray(w, dtype=float)
-    pts = w[:, None] * grid.directions
     if grid.dim == 2 and grid.uniform_n is not None:
+        k = _unit_exponent(w)
+        if k is None:
+            raise DegenerateInputError(
+                f"cloud values span more than 2**{MAX_SPAN_EXP}; the hull kernel would leave the floats"
+            )
+        pts = np.ldexp(w, -k)[:, None] * grid.directions
         if is_convex_position(pts):
             return w
-        r = _edge_radial(grid, pts, _graham_vertices(pts))
+        r = np.ldexp(_edge_radial(grid, pts, _graham_vertices(pts)), k)
     else:
-        r = _hull_radial_qhull(grid.directions, pts)
+        r = _hull_radial_qhull(grid.directions, w[:, None] * grid.directions)
     return np.maximum(r, w)

@@ -224,11 +224,6 @@ def cmd_global_avg(args):
 
 
 def cmd_kashin(args):
-    m = 2 * args.dim if args.petals is None else args.petals
-    for what, rows, cols in (("petal matrix", m, args.dim), ("grid product", args.grid, m)):
-        if rows * cols > MAX_KASHIN_ENTRIES:
-            args.usage_error(f"the {rows} x {cols} {what} would need {rows * cols * 8:,} bytes; "
-                             f"the cap is {MAX_KASHIN_ENTRIES:,} entries ({MAX_KASHIN_ENTRIES * 8:,} bytes)")
     grid = localtheory.default_subgrid(args.dim, size=args.grid, seed=child_seed(args.seed, 2 ** 20))
     ratio = localtheory.kashin_petals(args.dim, args.seed, num_petals=args.petals, grid=grid)
     _write(f"{ratio!r}\n", args)
@@ -336,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("kashin", cmd_kashin, seed, grid, help="averaged rotated petals experiment")
     sp.add_argument("--dim", type=_int_arg(2, MAX_GRID_SIZE, f"an integer from 2 to {MAX_GRID_SIZE}"), required=True)
     sp.add_argument("--petals", type=count, default=None)
-    sp.set_defaults(usage_error=sp.error)
 
     sp = add("bm-probe", cmd_bm_probe, report, help="Brunn-Minkowski composition probe")
     sp.add_argument("t")
@@ -350,8 +344,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _kashin_size_error(args) -> str | None:
+    """Why the kashin run's dense arrays are too big for the cap, or None."""
+    m = 2 * args.dim if args.petals is None else args.petals
+    for what, rows, cols in (("petal matrix", m, args.dim), ("grid product", args.grid, m)):
+        if rows * cols > MAX_KASHIN_ENTRIES:
+            return (f"the {rows} x {cols} {what} would need {rows * cols * 8:,} bytes; "
+                    f"the cap is {MAX_KASHIN_ENTRIES:,} entries ({MAX_KASHIN_ENTRIES * 8:,} bytes)")
+    return None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "kashin" and (problem := _kashin_size_error(args)):
+        parser.error(problem)
     try:
         try:
             args.handler(args)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from flowerlab._sampleops import (
     EPS_FLOOR,
+    MAX_SPAN_EXP,
     _hull_radial_qhull,
     certificate_violation,
     closure,
@@ -553,8 +554,29 @@ class TestHullKernel:
             _hull_radial_qhull(dirs, pts)
 
 
+@functools.lru_cache(maxsize=None)
+def _fma_gram_plus(n):
+    """The clipped Gram of the uniform n-grid from batched 1x2 @ 2x1 products, which round like C's."""
+    d = _uniform_grid(n).directions
+    i, j = np.divmod(np.arange(n * n), n)
+    return np.maximum((d[i][:, None, :] @ d[j][:, :, None])[:, 0, 0].reshape(n, n), 0.0)
+
+
 def _dense_c(g, w):
-    return (np.asarray(w, dtype=float)[:, None] * g.gram_plus()).max(axis=0)
+    """The dense max over the Gram: C's oracle.
+
+    C rounds every <theta_i, theta_j> like a BLAS dot with FMA.  gram_plus()
+    serves as the oracle where the BLAS rounds all its entries that way, which
+    OpenBLAS does for N mod 8 in {0, 1, 2, 3} (so bit equality there depends
+    on the BLAS); for N mod 8 in {4, ..., 7} it rounds some entries without
+    FMA, and the oracle is the Gram of batched products instead.
+    """
+    gram = g.gram_plus() if g.size % 8 < 4 else _fma_gram_plus(g.size)
+    return (np.asarray(w, dtype=float)[:, None] * gram).max(axis=0)
+
+
+def _rotation(a):
+    return np.array([[np.cos(a), np.sin(a)], [-np.sin(a), np.cos(a)]])
 
 
 def _support_test_cloud(kind, n, rs):
@@ -563,6 +585,11 @@ def _support_test_cloud(kind, n, rs):
     g = _uniform_grid(n)
     if kind in ("lognormal", "body-power", "polygon", "floor"):
         return g, _hull_test_cloud(kind, n, rs)[1]
+    if kind.startswith("needle/"):
+        # a random polygon stretched to an aspect ratio of 1e3 to 1e4
+        pts = rng.normal(size=(int(rng.integers(3, 30)), 2)) * [10 ** rng.uniform(3, 4), 1.0]
+        k = polytope_body(g, pts @ _rotation(rng.uniform(0.0, 2 * np.pi)))
+        return g, k.support if kind == "needle/h" else 1.0 / k.support
     if kind == "floor-run":
         # a co-circular run of floored samples over most of the circle
         w = np.full(n, EPS_FLOOR)
@@ -589,8 +616,9 @@ class TestHullIndexedSupport:
     @given(
         kind=st.sampled_from(["lognormal", "body-power", "polygon", "floor", "floor-run",
                               "body/h", "body/1/h", "body/r", "body/1/r", "kgon/h", "kgon/1/h", "kgon/r",
-                              "kgon/1/r", "square/h", "square/1/h", "square/r", "square/1/r"]),
-        n=st.sampled_from([8, 9, 720, 2048]),
+                              "kgon/1/r", "square/h", "square/1/h", "square/r", "square/1/r",
+                              "needle/h", "needle/1/h"]),
+        n=st.sampled_from([8, 9, 12, 100, 720, 2048]),
         rs=st.integers(0, 10 ** 6),
     )
     def test_equals_dense_oracle(self, kind, n, rs):
@@ -601,6 +629,31 @@ class TestHullIndexedSupport:
         assert np.array_equal(radial_of_halfspaces(g, c), d)
         assert np.array_equal(closure(g, c), _dense_c(g, d))
         assert np.array_equal(closure(g, w), _dense_c(g, 1.0 / _dense_c(g, 1.0 / w)))
+
+    @pytest.mark.parametrize("kind", ["body/h", "body/1/r", "floor", "needle/1/h", "square/r"])
+    @pytest.mark.parametrize("scale", [-560, 560])
+    def test_scaled_cloud_equals_dense_oracle(self, kind, scale):
+        # at 2**+-560 the kernel's cross products would overflow or vanish
+        # without its power-of-two rescaling
+        g, w = _support_test_cloud(kind, 720, 7)
+        w = np.ldexp(w, scale)
+        with np.errstate(all="raise"):
+            c = support_of_cloud(g, w)
+            r = hull_radial(g, w)
+        assert np.array_equal(c, _dense_c(g, w))
+        assert np.array_equal(r, np.ldexp(hull_radial(g, np.ldexp(w, -scale)), scale))
+
+    @pytest.mark.parametrize("span", [700, 900])
+    def test_wide_cloud_equals_dense_oracle(self, span):
+        # half the samples 2**-span below the rest: 700 runs the hull kernel
+        # on the rescaled cloud, 900 is past MAX_SPAN_EXP and takes the dense max
+        g, w = _support_test_cloud("body/1/r", 100, 11)
+        w[np.random.default_rng(11).random(100) < 0.5] *= 2.0 ** -span
+        with np.errstate(all="raise"):
+            assert np.array_equal(support_of_cloud(g, w), _dense_c(g, w))
+        if span > MAX_SPAN_EXP:
+            with pytest.raises(DegenerateInputError, match="span"):
+                hull_radial(g, w)
 
     def test_large_grid_builds_no_gram(self):
         # the dense path holds an N x N Gram matrix: 512 MiB at N = 8192
