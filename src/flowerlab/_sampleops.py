@@ -16,35 +16,23 @@ C(w) <= g holds iff w <= D(g), hence C(D(C(w))) == C(w) exactly: outputs of C
 pass the support-consistency certificate at float precision.
 
 hull_radial is the inner companion: radial samples of conv(cloud), used by the
-power-map iteration.  On uniform 2D grids it runs a linear Graham scan over the
-angular order of the cloud; other grids use qhull.  Sample points of an
-already-convex cloud pass through unchanged, which keeps fixed-point families
-(regime polygons) exact.
+power-map iteration.  Points of an already-convex cloud pass through
+unchanged, which keeps fixed-point families (regime polygons) exact.  On
+uniform 2D grids it reads one hull pass (_hull_pass: power-of-two rescale,
+convex-position test, Graham scan, edge radial); other grids use qhull.
 
-On uniform 2D grids C never reads the Gram matrix.  The same Graham scan
-(_graham_vertices) gives the hull vertices of the cloud, and each ray's
-support is the max over the few points near the vertex that attains it, found
-by searchsorted over the edges' outward-normal angles (the rotating-calipers
-lookup): O(N log N) time and O(N) memory instead of O(N^2) for both.  The
-candidates absorb float ties (NORMAL_ANGLE_TOL, NEAR_HULL_TOL) and the dot
-products round like the Gram's entries, so C equals the dense max bit for bit
-wherever the BLAS rounds every Gram entry the same way (with FMA, as the
-batched products do).  Sampled grids and 2D directions grids keep the dense
-max over grid.gram_plus().
-
-Both 2D kernels run on the cloud rescaled by a power of two, so their cross
-products stay in the normal floats at any scale; the rescaling is exact, and
-results are bit for bit those of the unscaled cloud wherever its own products
-stayed normal.  A cloud spanning more than 2**MAX_SPAN_EXP cannot be
-rescaled that way: C takes the dense max for it, a block of rays at a time,
-and hull_radial refuses it.
+C has two kernels, both in O(N) memory.  On uniform 2D grids it indexes the
+hull of that same pass (_support_by_vertices).  Everywhere else, including
+2D clouds too wide for the pass, it is the dense max over the clipped Gram,
+DENSE_BLOCK entries at a time (_support_blocked).  hull_radial_and_support
+takes the hull radial and C from one pass.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .errors import DegenerateInputError, UnboundedBodyError
+from .errors import DegenerateInputError
 from .spherecore import DirectionGrid
 
 # the Graham kernel below is plain numpy/Python; the flag stays because the
@@ -63,27 +51,37 @@ EPS_FLOOR = 1e-9
 NORMAL_ANGLE_TOL = 1e-9
 NEAR_HULL_TOL = 1e-12
 
-# widest span max(w) / min(w), as a power of two, that the 2D hull kernel
+# widest span max(w) / min(w), as a power of two, that the 2D hull pass
 # takes: rescaled to about 2**-400 .. 2**400, its products of two coordinates
 # (down to 2**-54 of a sample) stay in the normal floats
 MAX_SPAN_EXP = 800
+
+# entries of the clipped Gram that the dense C holds at once (2 MiB): a block
+# of rays against the whole grid, so C needs O(N) memory at any grid size
+DENSE_BLOCK = 2 ** 18
 
 
 def support_of_cloud(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:
     """C(w): support samples of conv({w_i theta_i} + {0})."""
     w = np.asarray(w, dtype=float)
-    if grid.dim == 2 and grid.uniform_n is not None:
-        return _support_by_vertices(grid, w)
-    return (w[:, None] * grid.gram_plus()).max(axis=0)
+    if not (np.isfinite(w).all() and (w > 0).all()):
+        raise DegenerateInputError("cloud values must be finite and positive")
+    hull = _hull_pass(grid, w)
+    return _support_blocked(grid.directions, w) if hull is None else _support_by_vertices(grid, w, *hull[1:])
+
+
+def hull_radial_and_support(grid: DirectionGrid, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hull_radial(grid, w) and support_of_cloud(grid, w) of a star body's radial w; one pass on uniform 2D grids."""
+    w = np.asarray(w, dtype=float)
+    hull = _hull_pass(grid, w)
+    if hull is None:
+        return hull_radial(grid, w), support_of_cloud(grid, w)
+    return hull[0], _support_by_vertices(grid, w, *hull[1:])
 
 
 def radial_of_halfspaces(grid: DirectionGrid, g: np.ndarray) -> np.ndarray:
     """D(g): radial samples of the half-space intersection of the bounds g."""
-    g = np.asarray(g, dtype=float)
-    c = support_of_cloud(grid, 1.0 / g)
-    if (c <= 0).any():
-        raise UnboundedBodyError("some direction sees no constraint")
-    return 1.0 / c
+    return 1.0 / support_of_cloud(grid, 1.0 / np.asarray(g, dtype=float))
 
 
 def closure(grid: DirectionGrid, g: np.ndarray) -> np.ndarray:
@@ -116,11 +114,28 @@ def _hull_radial_qhull(dirs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return tt.min(axis=0)
 
 
-def _unit_exponent(w: np.ndarray) -> int | None:
-    """k such that w * 2**-k spans about 2**-400 to 2**400; None if w spans more than 2**MAX_SPAN_EXP."""
-    hi = int(np.frexp(w.max())[1])
-    lo = int(np.frexp(w.min())[1])
-    return None if hi - lo > MAX_SPAN_EXP else (hi + lo) // 2
+def _hull_pass(grid: DirectionGrid, w: np.ndarray) -> tuple | None:
+    """(radial, ws, pts, keep, edge): the hull of the cloud on a uniform 2D grid, scanned on ws = w * 2**-k.
+
+    radial is the hull radial (w itself in convex position), pts the points
+    ws_i theta_i, keep the hull vertices and edge the rescaled edge radial
+    along every ray (both None in convex position).  k centres the cloud on 1
+    to keep its cross products in the normal floats.  None on other grids or
+    if w spans more than 2**MAX_SPAN_EXP.
+    """
+    if grid.dim != 2 or grid.uniform_n is None:
+        return None
+    hi, lo = int(np.frexp(w.max())[1]), int(np.frexp(w.min())[1])
+    if hi - lo > MAX_SPAN_EXP:
+        return None
+    k = (hi + lo) // 2
+    ws = np.ldexp(w, -k)
+    pts = ws[:, None] * grid.directions
+    if is_convex_position(pts):
+        return w, ws, pts, None, None
+    keep = _graham_vertices(pts)
+    edge = _edge_radial(grid, pts, keep)
+    return np.maximum(np.ldexp(edge, k), w), ws, pts, keep, edge
 
 
 def _graham_vertices(pts: np.ndarray) -> np.ndarray:
@@ -178,8 +193,9 @@ def _edge_radial(grid: DirectionGrid, pts: np.ndarray, keep: np.ndarray) -> np.n
     return r
 
 
-def _support_by_vertices(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:
-    """C(w) on a uniform 2D grid from the hull vertices: the dense max, bit for bit, over an FMA-rounded Gram.
+def _support_by_vertices(grid: DirectionGrid, w: np.ndarray, ws: np.ndarray, pts: np.ndarray,
+                         keep: np.ndarray | None, edge: np.ndarray | None) -> np.ndarray:
+    """C(w) on a uniform 2D grid from the hull pass: the dense max, bit for bit, over an FMA-rounded Gram.
 
     Each ray's supporting vertex is found by searchsorted over the edges'
     outward-normal angles.  The max of w_i <theta_i, theta_j>_+ then runs over
@@ -188,20 +204,12 @@ def _support_by_vertices(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:
     1x2 @ 2x1 matmuls, which round with FMA like the BLAS Gram entries;
     elementwise products would not.
     """
-    if not (np.isfinite(w).all() and (w > 0).all()):
-        raise DegenerateInputError("cloud values must be finite and positive")
     d = grid.directions
-    k = _unit_exponent(w)
-    if k is None:
-        return _support_dense(d, w)
     n = len(w)
-    ws = np.ldexp(w, -k)
-    pts = ws[:, None] * d
-    if is_convex_position(pts):
+    if keep is None:
         keep = near = np.arange(n)
     else:
-        keep = _graham_vertices(pts)
-        is_near = ws >= _edge_radial(grid, pts, keep) * (1.0 - NEAR_HULL_TOL)
+        is_near = ws >= edge * (1.0 - NEAR_HULL_TOL)
         is_near[keep] = True
         near = np.flatnonzero(is_near)
     m, nn = len(keep), len(near)
@@ -231,13 +239,14 @@ def _support_by_vertices(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:
     return np.maximum.reduceat(w[cand] * np.maximum(dots, 0.0), starts)
 
 
-def _support_dense(d: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The dense max with the same batched products, 2**20 pairs at a time, for clouds too wide for the hull kernel."""
+def _support_blocked(d: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """C(w) as the dense max over the clipped Gram, built DENSE_BLOCK entries at a time."""
     out = np.empty(len(w))
-    step = max(1, 2 ** 20 // len(w))
+    step = max(1, DENSE_BLOCK // len(w))
     for j in range(0, len(w), step):
-        dots = (d[None, :, None, :] @ d[j:j + step, None, :, None])[:, :, 0, 0]
-        out[j:j + step] = (w * np.maximum(dots, 0.0)).max(axis=1)
+        block = np.maximum(d @ d[j:j + step].T, 0.0)
+        block *= w[:, None]
+        out[j:j + step] = block.max(axis=0)
     return out
 
 
@@ -248,16 +257,9 @@ def hull_radial(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:
     cloud point, so the result never dips below w.
     """
     w = np.asarray(w, dtype=float)
-    if grid.dim == 2 and grid.uniform_n is not None:
-        k = _unit_exponent(w)
-        if k is None:
-            raise DegenerateInputError(
-                f"cloud values span more than 2**{MAX_SPAN_EXP}; the hull kernel would leave the floats"
-            )
-        pts = np.ldexp(w, -k)[:, None] * grid.directions
-        if is_convex_position(pts):
-            return w
-        r = np.ldexp(_edge_radial(grid, pts, _graham_vertices(pts)), k)
-    else:
-        r = _hull_radial_qhull(grid.directions, w[:, None] * grid.directions)
-    return np.maximum(r, w)
+    if grid.dim != 2 or grid.uniform_n is None:
+        return np.maximum(_hull_radial_qhull(grid.directions, w[:, None] * grid.directions), w)
+    hull = _hull_pass(grid, w)
+    if hull is None:
+        raise DegenerateInputError(f"cloud values span more than 2**{MAX_SPAN_EXP}; the hull kernel would leave the floats")
+    return hull[0]

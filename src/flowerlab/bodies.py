@@ -28,6 +28,7 @@ from ._sampleops import (
     certificate_violation,
     closure,
     hull_radial,
+    hull_radial_and_support,
     radial_of_halfspaces,
     support_of_cloud,
 )
@@ -108,15 +109,14 @@ class ConvexBody:
         self._radial: np.ndarray | None = None
 
     @classmethod
-    def hull_backed(cls, grid: DirectionGrid, radial: np.ndarray, cloud: np.ndarray | None = None) -> ConvexBody:
-        """Certified conv({cloud_i theta_i} + {0}) carrying the hull radial `radial`.
+    def hull_backed(cls, grid: DirectionGrid, radial: np.ndarray, support: np.ndarray | None = None) -> ConvexBody:
+        """Certified conv({radial_i theta_i} + {0}) with support `support` (default C(radial)).
 
-        The cloud defaults to `radial` itself.  The body keeps the exact radial
-        of the hull polygon (not the outer half-space radial), which keeps
-        chained operations on hull-built bodies exact on samples; `radial` is
-        frozen in place.
+        The body keeps the exact radial of the hull polygon (not the outer
+        half-space radial), which keeps chained operations on hull-built
+        bodies exact on samples; `radial` is frozen in place.
         """
-        body = cls(grid, support_of_cloud(grid, radial if cloud is None else cloud), certified=True)
+        body = cls(grid, support_of_cloud(grid, radial) if support is None else support, certified=True)
         radial.flags.writeable = False
         body._radial = radial
         return body
@@ -228,7 +228,7 @@ def convexify_support(s: StarBody) -> ConvexBody:
     bodies exact on samples.
     """
     if s.grid.dim == 2:
-        return ConvexBody.hull_backed(s.grid, hull_radial(s.grid, s.radial), cloud=s.radial)
+        return ConvexBody.hull_backed(s.grid, *hull_radial_and_support(s.grid, s.radial))
     return ConvexBody(s.grid, support_of_cloud(s.grid, s.radial), certified=True)
 
 

@@ -30,12 +30,11 @@ from .spherecore import DirectionGrid, uniform_angle_grid
 REPRESENTATIONS = ("radial", "support", "petals", "polytope")
 
 # Largest grid a body file may declare; a larger declared size is refused
-# before anything is allocated.  On a directions grid the support operator C
-# works on the dense clipped Gram matrix, N^2 8-byte floats (512 MiB at the
-# cap); on a uniform-angle grid C indexes the hull and needs O(N) memory, but
-# the cap is the same.  It also bounds the point count M of petals and polytope
-# files (a flower's radial is built from the dense M x N matrix of
-# petal-direction products) and the CLI's --grid.
+# before anything is allocated.  The support operator C needs O(N) memory on
+# every grid, but N^2 products per call on a directions grid.  The cap also
+# bounds the point count M of petals and polytope files (a flower's radial is
+# built from the dense M x N matrix of petal-direction products) and the
+# CLI's --grid.
 MAX_GRID_SIZE = 8192
 
 
@@ -113,9 +112,7 @@ def _grid_from_spec(spec, dim: int, size: int | None = None) -> DirectionGrid:
     else:
         raise BodyFileError(f"grid: unknown type '{spec['type']}'")
     if n > MAX_GRID_SIZE:
-        why = "" if spec["type"] == "uniform-angle" else (
-            f"; the dense Gram matrix of a directions grid would need N^2 * 8 = {n * n * 8:,} bytes")
-        raise BodyFileError(f"grid: {n} directions exceed the cap of {MAX_GRID_SIZE}{why}")
+        raise BodyFileError(f"grid: {n} directions exceed the cap of {MAX_GRID_SIZE}")
     if size is not None and size != n:
         raise BodyFileError(f"values: expected {n} entries, got {size}")
     if spec["type"] == "uniform-angle":

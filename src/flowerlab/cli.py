@@ -26,7 +26,7 @@ from .svgplot import plot_svg
 
 DEFAULT_GRID_N = 720
 # kashin's dense arrays, the m x dim petal matrix and the --grid x m product,
-# may each hold at most as many floats as a Gram matrix at the grid cap
+# may each hold at most as many floats as an N x N matrix at the grid cap
 MAX_KASHIN_ENTRIES = MAX_GRID_SIZE ** 2
 
 

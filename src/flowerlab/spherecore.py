@@ -62,8 +62,8 @@ class DirectionGrid:
     def gram_plus(self) -> np.ndarray:
         """Clipped Gram matrix max(<theta_i, theta_j>, 0), cached.
 
-        The support operator C reads it on sampled and directions grids; on
-        uniform 2D grids C indexes the hull instead and never builds it.
+        No library path reads it: C builds the same entries a block at a time.
+        It stays as the dense reference that C is tested against.
         """
         if self._gram_plus is None:
             g = self.directions @ self.directions.T

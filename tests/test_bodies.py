@@ -52,7 +52,7 @@ from flowerlab.errors import (
     NotAFlowerError,
     ParameterError,
 )
-from flowerlab.spherecore import DirectionGrid, uniform_angle_grid
+from flowerlab.spherecore import DirectionGrid, sampled_sphere_grid, uniform_angle_grid
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -545,8 +545,6 @@ class TestHullKernel:
         assert hull_radial(g, w) is w
 
     def test_flat_cloud_is_degenerate_input(self):
-        from flowerlab.spherecore import sampled_sphere_grid
-
         dirs = sampled_sphere_grid(3, 64, seed=1).directions
         pts = dirs.copy()
         pts[:, 2] = 0.0
@@ -656,7 +654,7 @@ class TestHullIndexedSupport:
                 hull_radial(g, w)
 
     def test_large_grid_builds_no_gram(self):
-        # the dense path holds an N x N Gram matrix: 512 MiB at N = 8192
+        # a cached dense Gram would take N^2 * 8 bytes: 512 MiB at N = 8192
         g = uniform_angle_grid(8192)
         k = random_convex_body(g, 3)
         tracemalloc.start()
@@ -676,5 +674,62 @@ class TestHullIndexedSupport:
     def test_cloud_outside_the_positive_floats_is_refused(self, bad):
         w = np.ones(64)
         w[5] = bad
-        with pytest.raises(DegenerateInputError):
-            support_of_cloud(_uniform_grid(64), w)
+        for g in (_uniform_grid(64), sampled_sphere_grid(3, 64, seed=1)):
+            with pytest.raises(DegenerateInputError):
+                support_of_cloud(g, w)
+
+    def test_convexify_scans_once(self, monkeypatch):
+        import flowerlab._sampleops as sampleops
+
+        g, w = _support_test_cloud("lognormal", 2048, 5)
+        assert not is_convex_position(w[:, None] * g.directions)
+        scans = []
+        scan = sampleops._graham_vertices
+        monkeypatch.setattr(sampleops, "_graham_vertices", lambda pts: scans.append(1) or scan(pts))
+        k = convexify_support(StarBody(g, w))
+        assert len(scans) == 1
+        assert np.array_equal(k.support, support_of_cloud(g, w))
+        assert np.array_equal(k.radial(), hull_radial(g, w))
+
+
+def _ulps(a, b):
+    """Largest distance between two positive float arrays in units in the last place."""
+    return int(np.abs(a.view(np.int64) - b.view(np.int64)).max())
+
+
+class TestBlockedSupport:
+    """C on every grid but the uniform 2D one is the dense max, a block of rays at a time."""
+
+    @pytest.mark.parametrize("n, dim, ulps", [(2048, 3, 0), (2048, 8, 0), (4096, 3, 0), (100, 3, 4), (2052, 4, 4)])
+    def test_equals_gram_max(self, n, dim, ulps):
+        """C and D against the dense max over gram_plus().
+
+        The blocks and the cached Gram are BLAS products of the same rows, but
+        the BLAS may order or fuse their sums differently for each shape.  So
+        bit equality, which OpenBLAS gives at N = 2048 and 4096, depends on
+        the BLAS; at other sizes a few entries may move by a few ulp.
+        """
+        g = sampled_sphere_grid(dim, n, seed=n + dim)
+        gram = g.gram_plus()
+        for w in np.exp(np.random.default_rng(n).normal(0.0, 0.5, (3, n))):
+            c = support_of_cloud(g, w)
+            assert _ulps(c, (w[:, None] * gram).max(axis=0)) <= ulps
+            assert _ulps(radial_of_halfspaces(g, c), 1.0 / (1.0 / c[:, None] * gram).max(axis=0)) <= ulps
+
+    def test_sampled_grid_builds_no_gram(self):
+        # the dense max over a cached Gram held N^2 * 8 bytes and a product of
+        # the same size: 256 MiB at N = 4096
+        g = sampled_sphere_grid(3, 4096, seed=2)
+        w = np.exp(np.random.default_rng(2).normal(0.0, 0.3, 4096))
+        tracemalloc.start()
+        try:
+            k = ConvexBody(g, support_of_cloud(g, w), certified=True)
+            radial_of_halfspaces(g, k.support)
+            assert certificate_violation(g, k.support) < 1e-12
+            polar(k)
+            alexandrov(k.support * 1.01, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g._gram_plus is None
+        assert peak < 16 * 2 ** 20
