@@ -10,6 +10,9 @@ Three input shapes are supported: bounded vertex polytopes, balls, and convex
 out-cones.  Out-cones are unbounded; they are represented by a base polytope
 plus a truncation scale used only for sampling, while membership tests use the
 ideal cone semantics (the in-cone of out(P) is the full cone over P).
+
+Membership is array-valued: each shape's ray_intervals takes rows of unit
+directions, and cone_membership tests all arc points of a sampled pair at once.
 """
 from __future__ import annotations
 
@@ -95,8 +98,8 @@ class OffOriginPolytope:
 
     def __post_init__(self):
         self.vertices = v = _read_only(np.atleast_2d(self.vertices))
-        if v.shape[1] < 2:
-            raise DegenerateInputError("polytopes need dimension >= 2")
+        if v.ndim != 2 or v.shape[1] < 2 or not np.isfinite(v).all():
+            raise DegenerateInputError("polytope vertices must be finite points of dimension >= 2")
         if len(v) < v.shape[1] + 1:
             raise DegenerateInputError("need at least dim+1 vertices (thicken flat inputs)")
         try:
@@ -115,25 +118,18 @@ class OffOriginPolytope:
     def dim(self) -> int:
         return self.vertices.shape[1]
 
-    def ray_interval(self, theta: np.ndarray) -> tuple[float, float] | None:
-        """{t > 0 : t theta in K} as [t_min, t_max], or None if the ray misses."""
+    def ray_intervals(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """{t > 0 : t theta in K} as [lo, hi] for each row theta; a missed ray gets [inf, -inf]."""
         eq = self._hull.equations
-        a = eq[:, :-1] @ np.asarray(theta, dtype=float)
+        # stacked per-ray products round like one matrix-vector product per ray
+        a = (eq[None, :, :-1] @ thetas[:, :, None])[..., 0]
         b = eq[:, -1]
-        lo, hi = 0.0, np.inf
-        for ai, bi in zip(a, b):
-            if abs(ai) < 1e-14:
-                if bi > 1e-12:
-                    return None
-                continue
-            t = -bi / ai
-            if ai > 0:
-                hi = min(hi, t)
-            else:
-                lo = max(lo, t)
-        if lo > hi * (1 + 1e-12) + 1e-15:
-            return None
-        return max(lo, 0.0), hi
+        parallel = np.abs(a) < 1e-14
+        t = -b / np.where(parallel, 1.0, a)
+        lo = np.where(a <= -1e-14, t, 0.0).max(axis=1)
+        hi = np.where(a >= 1e-14, t, np.inf).min(axis=1)
+        miss = (parallel & (b > 1e-12)).any(axis=1) | (lo > hi * (1 + 1e-12) + 1e-15)
+        return np.where(miss, np.inf, lo), np.where(miss, -np.inf, hi)
 
     def boundary_sample(self, rng: np.random.Generator, nsamp: int) -> np.ndarray:
         simp = self._hull.simplices
@@ -151,8 +147,10 @@ class OffOriginBall:
 
     def __post_init__(self):
         self.center = c = _read_only(np.atleast_1d(self.center))
-        if self.radius <= 0:
-            raise ParameterError("radius must be positive")
+        if c.ndim != 1 or len(c) < 2 or not np.isfinite(c).all():
+            raise DegenerateInputError("ball center must be a finite vector of dimension >= 2")
+        if not (np.isfinite(self.radius) and self.radius > 0):
+            raise ParameterError("radius must be positive and finite")
         if np.linalg.norm(c) <= self.radius:
             raise DegenerateInputError("origin is not strictly outside the ball")
 
@@ -160,14 +158,12 @@ class OffOriginBall:
     def dim(self) -> int:
         return len(self.center)
 
-    def ray_interval(self, theta: np.ndarray) -> tuple[float, float] | None:
-        theta = np.asarray(theta, dtype=float)
-        ct = float(self.center @ theta)
+    def ray_intervals(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ct = (thetas[:, None, :] @ self.center[:, None])[:, 0, 0]
         disc = ct ** 2 - float(self.center @ self.center) + self.radius ** 2
-        if disc < 0 or ct <= 0:
-            return None
-        root = np.sqrt(disc)
-        return ct - root, ct + root
+        miss = (disc < 0) | (ct <= 0)
+        root = np.sqrt(np.where(miss, 0.0, disc))
+        return np.where(miss, np.inf, ct - root), np.where(miss, -np.inf, ct + root)
 
     def boundary_sample(self, rng: np.random.Generator, nsamp: int) -> np.ndarray:
         u = rng.normal(size=(nsamp, self.dim))
@@ -197,11 +193,9 @@ class TruncatedOutCone:
     def dim(self) -> int:
         return self.base.dim
 
-    def ray_interval(self, theta: np.ndarray) -> tuple[float, float] | None:
-        iv = self.base.ray_interval(theta)
-        if iv is None:
-            return None
-        return iv[0], np.inf
+    def ray_intervals(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        lo, _ = self.base.ray_intervals(thetas)
+        return lo, np.where(lo < np.inf, np.inf, -np.inf)
 
     def boundary_sample(self, rng: np.random.Generator, nsamp: int) -> np.ndarray:
         """Entry-surface points r_min(theta) * theta over random cone directions."""
@@ -211,32 +205,32 @@ class TruncatedOutCone:
         cols = np.argsort(rng.random((nsamp, len(verts))), axis=1)[:, :k]
         pts = np.einsum("nk,nkd->nd", wts, verts[cols])
         thetas = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        out = []
-        for th in thetas:
-            iv = self.base.ray_interval(th)
-            if iv is not None:
-                out.append(iv[0] * th)
-        return np.asarray(out)
+        lo, _ = self.base.ray_intervals(thetas)
+        hit = lo < np.inf
+        return lo[hit, None] * thetas[hit]
 
 
 Shape = OffOriginPolytope | OffOriginBall | TruncatedOutCone
 
 
-def cone_membership(shape: Shape, z: np.ndarray, which: str, tol: float = 1e-9) -> bool:
-    """Membership of z in the in-cone or out-cone of the shape."""
+def cone_membership(shape: Shape, z: np.ndarray, which: str, tol: float = 1e-9) -> bool | np.ndarray:
+    """In-cone or out-cone membership of one point (a bool) or of (Q, dim) rows (a bool array).
+
+    A point whose ray misses the shape is in neither cone, whatever the tol."""
     z = np.asarray(z, dtype=float)
-    t = float(np.linalg.norm(z))
-    if t == 0.0:
+    rows = np.atleast_2d(z)
+    t = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+    if (t == 0.0).any():
         raise SingularPointError("cones are defined away from the origin")
     if which not in ("in", "out"):
         raise ParameterError("which must be 'in' or 'out'")
-    iv = shape.ray_interval(z / t)
-    if iv is None:
-        return False
-    lo, hi = iv
+    lo, hi = shape.ray_intervals(rows / t[:, None])
     if which == "in":
-        return t <= hi * (1 + tol) + tol
-    return t >= lo * (1 - tol) - tol
+        inside = t <= hi * (1 + tol) + tol
+    else:
+        inside = t >= lo * (1 - tol) - tol
+    inside &= lo < np.inf
+    return inside if z.ndim > 1 else bool(inside[0])
 
 
 @dataclass(eq=False)
@@ -271,9 +265,9 @@ def _convex_position_depth(cloud: np.ndarray) -> float:
         hull = ConvexHull(cloud)
     except QhullError as e:
         raise DegenerateInputError(f"degenerate image cloud: {e}") from e
-    a, b = hull.equations[:, :-1], hull.equations[:, -1]
-    depth = -(cloud @ a.T + b)
-    return float(depth.min(axis=1).max())
+    dist = cloud @ hull.equations[:, :-1].T
+    dist += hull.equations[:, -1]
+    return float(-dist.max(axis=1).min())
 
 
 def is_inversion_convex(
@@ -293,6 +287,10 @@ def is_inversion_convex(
     """
     if samples < 100:
         raise ParameterError("need at least 100 sample pairs")
+    if direct_samples < 1:
+        raise ParameterError("need at least one direct sample")
+    if seed < 0:
+        raise ParameterError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     ts = np.linspace(0.0, 1.0, ARC_POINTS_PER_PAIR + 2)[1:-1]
     witness = None
@@ -302,11 +300,9 @@ def is_inversion_convex(
             zs = arc_points(x, y, ts)
         except ArcThroughInfinityError:
             continue
-        for t, z in zip(ts, zs):
-            if not cone_membership(shape, z, "in", tol=tol):
-                witness = (x, y, float(t))
-                break
-        if witness is not None:
+        inside = cone_membership(shape, zs, "in", tol=tol)
+        if not inside.all():
+            witness = (x, y, float(ts[np.argmin(inside)]))
             break
     depth = _convex_position_depth(_direct_image_cloud(shape, rng, direct_samples))
     criterion_convex = witness is None

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from flowerlab.errors import (
     ArcThroughInfinityError,
@@ -10,9 +13,12 @@ from flowerlab.errors import (
     SingularPointError,
 )
 from flowerlab.inversion import (
+    CONVEX_POSITION_TOL,
     OffOriginBall,
     OffOriginPolytope,
     TruncatedOutCone,
+    _convex_position_depth,
+    _direct_image_cloud,
     arc_points,
     cone_membership,
     invert_ball,
@@ -138,21 +144,114 @@ class TestOffOriginShapes:
 
     def test_ray_interval(self):
         p = OffOriginPolytope([[1.0, -1.0], [1.0, 1.0], [2.0, 1.0], [2.0, -1.0]])
-        lo, hi = p.ray_interval(np.array([1.0, 0.0]))
-        assert lo == pytest.approx(1.0) and hi == pytest.approx(2.0)
-        assert p.ray_interval(np.array([0.0, 1.0])) is None
+        lo, hi = p.ray_intervals(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert lo[0] == pytest.approx(1.0) and hi[0] == pytest.approx(2.0)
+        assert lo[1] == np.inf and hi[1] == -np.inf  # the ray misses
 
     def test_ball_ray_interval(self):
         b = OffOriginBall([3.0, 0.0], 1.0)
-        lo, hi = b.ray_interval(np.array([1.0, 0.0]))
-        assert lo == pytest.approx(2.0) and hi == pytest.approx(4.0)
-        assert b.ray_interval(np.array([0.0, 1.0])) is None
+        lo, hi = b.ray_intervals(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert lo[0] == pytest.approx(2.0) and hi[0] == pytest.approx(4.0)
+        assert lo[1] == np.inf and hi[1] == -np.inf  # the ray misses
+
+    def test_outcone_ray_interval(self):
+        c = TruncatedOutCone(OffOriginPolytope([[1.0, -1.0], [1.0, 1.0], [2.0, 1.0], [2.0, -1.0]]))
+        lo, hi = c.ray_intervals(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert lo[0] == pytest.approx(1.0) and hi[0] == np.inf
+        assert lo[1] == np.inf and hi[1] == -np.inf
 
     @pytest.mark.parametrize("scale", [float("inf"), float("nan")])
     def test_non_finite_truncation_scale_rejected(self, scale):
         p = OffOriginPolytope([[2.0, -1.0], [3.0, 0.0], [2.0, 1.0]])
         with pytest.raises(ParameterError, match="finite"):
             TruncatedOutCone(p, scale)
+
+
+def per_facet_ray_interval(poly, theta):
+    """Reference: one ray at a time, by a Python loop over the hull facets."""
+    eq = poly._hull.equations
+    a = eq[:, :-1] @ theta
+    b = eq[:, -1]
+    lo, hi = 0.0, np.inf
+    for ai, bi in zip(a, b):
+        if abs(ai) < 1e-14:
+            if bi > 1e-12:
+                return np.inf, -np.inf
+            continue
+        t = -bi / ai
+        if ai > 0:
+            hi = min(hi, t)
+        else:
+            lo = max(lo, t)
+    if lo > hi * (1 + 1e-12) + 1e-15:
+        return np.inf, -np.inf
+    return max(lo, 0.0), hi
+
+
+def _unit(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _seeded_polytope(dim, seed):
+    rng = np.random.default_rng(seed)
+    while True:
+        base = rng.normal(size=(dim + 3, dim)) * 0.6
+        shift = rng.normal(size=dim)
+        try:
+            return OffOriginPolytope(base + shift * (2.5 + rng.random()) / np.linalg.norm(shift))
+        except DegenerateInputError:
+            continue
+
+
+def _test_rays(poly, rng):
+    """Random rays (many miss), rays through vertices and interior points, and rays parallel to facets."""
+    normals = poly._hull.equations[:, :-1]
+    if poly.dim == 2:
+        along = normals[:, ::-1] * [1.0, -1.0]
+    else:
+        along = np.cross(normals, rng.normal(size=(len(normals), 3)))
+    inner = rng.dirichlet(np.ones(len(poly.vertices)), size=20) @ poly.vertices
+    rays = [rng.normal(size=(100, poly.dim)), poly.vertices, inner, along, -along,
+            -poly.separating_direction[None, :]]
+    return _unit(np.vstack(rays))
+
+
+class TestRayIntervals:
+    """ray_intervals against the per-facet loop, bit for bit.
+
+    Both take each ray's facet products as one matrix-vector BLAS product, so
+    bit equality, which OpenBLAS gives, depends on the BLAS: a BLAS that fuses
+    or orders the sums of the stacked products differently may move an entry
+    by an ulp.
+    """
+
+    @pytest.mark.parametrize("dim, seed", [(d, s) for d in (2, 3) for s in range(5)] + [(2, None)])
+    def test_equals_per_facet_loop(self, dim, seed):
+        # seed None: an axis-aligned square; its facet normals have exact zeros,
+        # so its facet-parallel rays are exactly parallel
+        poly = OffOriginPolytope([[1.0, -1.0], [1.0, 1.0], [2.0, 1.0], [2.0, -1.0]]) if seed is None \
+            else _seeded_polytope(dim, seed)
+        thetas = _test_rays(poly, np.random.default_rng(0 if seed is None else seed))
+        lo, hi = poly.ray_intervals(thetas)
+        ref_lo, ref_hi = np.array([per_facet_ray_interval(poly, th) for th in thetas]).T
+        np.testing.assert_array_equal(lo.view(np.int64), ref_lo.view(np.int64))
+        np.testing.assert_array_equal(hi.view(np.int64), ref_hi.view(np.int64))
+        assert (lo == np.inf).any() and (lo < np.inf).any()
+
+    @pytest.mark.parametrize("which", ["in", "out"])
+    def test_membership_rows_equal_single_points(self, which):
+        rng = np.random.default_rng(7)
+        poly3 = _seeded_polytope(3, 1)
+        shapes = [_seeded_polytope(2, 0), poly3, TruncatedOutCone(poly3, 6.0),
+                  OffOriginBall([0.0, 0.0, 2.5], 1.0)]
+        for shape in shapes:
+            # points on random rays (many miss) and on rays through the boundary
+            rays = _unit(np.vstack([rng.normal(size=(60, shape.dim)), shape.boundary_sample(rng, 60)]))
+            zs = rays * rng.uniform(0.2, 5.0, size=(len(rays), 1))
+            rows = cone_membership(shape, zs, which)
+            assert rows.dtype == bool and rows.shape == (len(zs),)
+            assert rows.tolist() == [cone_membership(shape, z, which) for z in zs]
+            assert rows.any() and not rows.all()
 
 
 class TestConeMembership:
@@ -177,6 +276,12 @@ class TestConeMembership:
     def test_zero_rejected(self):
         with pytest.raises(SingularPointError):
             cone_membership(self.poly, np.zeros(2), "in")
+
+    @pytest.mark.parametrize("which, tol", [("in", -2.0), ("out", 2.0)])
+    def test_missed_ray_in_neither_cone_at_any_tol(self, which, tol):
+        # with |tol| >= 1 the tolerance flips the sign of a missed ray's infinite bound
+        misses = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        assert not cone_membership(self.poly, misses, which, tol=tol).any()
 
     def test_bad_which(self):
         with pytest.raises(ParameterError):
@@ -239,3 +344,40 @@ class TestIsInversionConvex:
     def test_sample_floor(self):
         with pytest.raises(ParameterError):
             is_inversion_convex(OffOriginBall([3.0, 0.0], 1.0), samples=10, seed=0)
+
+    def test_depth_holds_one_points_by_facets_temporary(self):
+        # a 4000-point 3D out-cone image has thousands of facets, so each
+        # points x facets temporary of the depth scan takes hundreds of MB
+        cone = TruncatedOutCone(_seeded_polytope(3, 0), 6.0)
+        cloud = _direct_image_cloud(cone, np.random.default_rng(0), 4000)
+        one_temporary = len(cloud) * len(ConvexHull(cloud).equations) * 8
+        tracemalloc.start()
+        try:
+            depth = _convex_position_depth(cloud)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert depth <= CONVEX_POSITION_TOL
+        assert peak < 1.25 * one_temporary
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: OffOriginPolytope([[2.0, -1.0], [3.0, np.nan], [2.0, 1.0]]), DegenerateInputError),
+        (lambda: OffOriginPolytope([[2.0, -1.0], [np.inf, 0.0], [2.0, 1.0]]), DegenerateInputError),
+        (lambda: OffOriginBall([np.inf, 0.0], 1.0), DegenerateInputError),
+        (lambda: OffOriginBall([3.0, 0.0], np.nan), ParameterError),
+        (lambda: OffOriginBall([3.0, 0.0], np.inf), ParameterError),
+        (lambda: OffOriginBall([3.0], 1.0), DegenerateInputError),
+        (lambda: OffOriginBall([[3.0, 0.0], [0.0, 3.0]], 1.0), DegenerateInputError),
+        (lambda: is_inversion_convex(OffOriginBall([3.0, 0.0], 1.0), direct_samples=0), ParameterError),
+        (lambda: is_inversion_convex(OffOriginBall([3.0, 0.0], 1.0), direct_samples=-5), ParameterError),
+        (lambda: is_inversion_convex(OffOriginBall([3.0, 0.0], 1.0), seed=-1), ParameterError),
+    ],
+    ids=["nan-vertex", "inf-vertex", "inf-center", "nan-radius", "inf-radius", "short-center",
+         "matrix-center", "zero-direct-samples", "negative-direct-samples", "negative-seed"],
+)
+def test_bad_inversion_input_is_a_domain_error(build, error):
+    with pytest.raises(error):
+        build()

@@ -46,3 +46,25 @@ def test_benchmark_tracer_wraps_and_restores_every_layer():
         tracer.install()
     finally:
         tracer.restore()
+
+
+def test_benchmark_tracer_records_inversion_layers():
+    # a verdict that stops calling a wrapped name through its module binding
+    # would leave that layer's per-op metrics at 0 instead of failing
+    import flowerlab.cli  # noqa: F401  (the tracer wraps names in every flowerlab module)
+    from flowerlab import inversion
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    slab = inversion.OffOriginPolytope([[-1, 0.99], [1, 0.99], [1, 1.01], [-1, 1.01]])
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        with tracer.op_span("slab/2d", 0):
+            verdict = inversion.is_inversion_convex(slab, samples=400, seed=2)
+    finally:
+        tracer.restore()
+    assert not verdict.convex
+    names = {span[0] for span in tracer.spans}
+    assert {"inversion.verdict", "inversion.arc", "inversion.membership"} <= names
