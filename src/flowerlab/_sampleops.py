@@ -21,11 +21,16 @@ unchanged, which keeps fixed-point families (regime polygons) exact.  On
 uniform 2D grids it reads one hull pass (_hull_pass: power-of-two rescale,
 convex-position test, Graham scan, edge radial); other grids use qhull.
 
-C has two kernels, both in O(N) memory.  On uniform 2D grids it indexes the
-hull of that same pass (_support_by_vertices).  Everywhere else, including
-2D clouds too wide for the pass, it is the dense max over the clipped Gram,
-DENSE_BLOCK entries at a time (_support_blocked).  hull_radial_and_support
-takes the hull radial and C from one pass.
+On uniform 2D grids C indexes the hull of that same pass
+(_support_by_vertices), and hull_radial_and_support takes both from it.
+Everywhere else C runs the first of two shared dense kernels, which hold
+DENSE_BLOCK products at a time and so need O(N + M) memory:
+
+* _support_blocked, max_i w_i <p_i, theta_j>_+: C (p = theta) and, with w = 1,
+  the support of conv(points + {0}), which is the radial of their petal
+  flower (flower_from_petals, polytope_body, section_radial, global_average).
+* _ball_union_radial, the radial of a union of balls that hold the origin
+  (projected_radial, minkowski_sum_2d).
 """
 from __future__ import annotations
 
@@ -56,8 +61,8 @@ NEAR_HULL_TOL = 1e-12
 # (down to 2**-54 of a sample) stay in the normal floats
 MAX_SPAN_EXP = 800
 
-# entries of the clipped Gram that the dense C holds at once (2 MiB): a block
-# of rays against the whole grid, so C needs O(N) memory at any grid size
+# products the dense kernels hold at once (2 MiB): a block of rays against
+# every point, so memory stays O(N + M) at any grid size and point count
 DENSE_BLOCK = 2 ** 18
 
 
@@ -67,7 +72,8 @@ def support_of_cloud(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:
     if not (np.isfinite(w).all() and (w > 0).all()):
         raise DegenerateInputError("cloud values must be finite and positive")
     hull = _hull_pass(grid, w)
-    return _support_blocked(grid.directions, w) if hull is None else _support_by_vertices(grid, w, *hull[1:])
+    d = grid.directions
+    return _support_blocked(d, d, w) if hull is None else _support_by_vertices(grid, w, *hull[1:])
 
 
 def hull_radial_and_support(grid: DirectionGrid, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,14 +245,26 @@ def _support_by_vertices(grid: DirectionGrid, w: np.ndarray, ws: np.ndarray, pts
     return np.maximum.reduceat(w[cand] * np.maximum(dots, 0.0), starts)
 
 
-def _support_blocked(d: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """C(w) as the dense max over the clipped Gram, built DENSE_BLOCK entries at a time."""
-    out = np.empty(len(w))
-    step = max(1, DENSE_BLOCK // len(w))
-    for j in range(0, len(w), step):
-        block = np.maximum(d @ d[j:j + step].T, 0.0)
-        block *= w[:, None]
+def _support_blocked(pts: np.ndarray, dirs: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """max_i w_i <p_i, theta_j>_+ over the point rows p_i for each ray row theta_j (w = 1 if None)."""
+    out = np.empty(len(dirs))
+    step = max(1, DENSE_BLOCK // len(pts))
+    for j in range(0, len(dirs), step):
+        block = np.maximum(pts @ dirs[j:j + step].T, 0.0)
+        if w is not None:
+            block *= w[:, None]
         out[j:j + step] = block.max(axis=0)
+    return out
+
+
+def _ball_union_radial(centers: np.ndarray, radii: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """max_i <c_i, theta_j> + sqrt(rho_i^2 - |c_i|^2 + <c_i, theta_j>^2): the union of balls B(c_i, rho_i) holding 0."""
+    base = radii ** 2 - (centers ** 2).sum(axis=1)
+    out = np.empty(len(dirs))
+    step = max(1, DENSE_BLOCK // len(centers))
+    for j in range(0, len(dirs), step):
+        ip = centers @ dirs[j:j + step].T
+        out[j:j + step] = (ip + np.sqrt(np.maximum(base[:, None] + ip ** 2, 0.0))).max(axis=0)
     return out
 
 

@@ -25,6 +25,8 @@ import numpy as np
 
 from ._sampleops import (
     EPS_FLOOR,
+    _ball_union_radial,
+    _support_blocked,
     certificate_violation,
     closure,
     hull_radial,
@@ -195,9 +197,7 @@ def flower_from_petals(points: np.ndarray, grid: DirectionGrid) -> Flower:
     if (norms == 0).all():
         raise DegenerateInputError("all petal points are zero")
     pts = pts[norms > 0]
-    r = np.maximum(pts @ grid.directions.T, 0.0).max(axis=0)
-    r = np.maximum(r, EPS_FLOOR)
-    return Flower(StarBody(grid, r), petals=pts)
+    return Flower(StarBody(grid, np.maximum(_support_blocked(pts, grid.directions), EPS_FLOOR)), petals=pts)
 
 
 def flower_of(k: ConvexBody) -> Flower:
@@ -285,13 +285,8 @@ def minkowski_sum_2d(f1: Flower, f2: Flower) -> Flower:
     if f1.petals is None or f2.petals is None:
         raise ParameterError("minkowski_sum_2d needs petal lists on both flowers")
     cx = (f1.petals[:, None, :] + f2.petals[None, :, :]).reshape(-1, 2) / 2.0
-    rho = (
-        np.linalg.norm(f1.petals, axis=1)[:, None] + np.linalg.norm(f2.petals, axis=1)[None, :]
-    ).reshape(-1) / 2.0
-    ip = cx @ grid.directions.T  # (M, N)
-    rad = ip + np.sqrt(np.maximum(rho[:, None] ** 2 - (cx ** 2).sum(axis=1)[:, None] + ip ** 2, 0.0))
-    r = np.maximum(rad.max(axis=0), EPS_FLOOR)
-    f = Flower(StarBody(grid, r))
+    rho = np.add.outer(np.linalg.norm(f1.petals, axis=1), np.linalg.norm(f2.petals, axis=1)).reshape(-1) / 2.0
+    f = Flower(StarBody(grid, np.maximum(_ball_union_radial(cx, rho, grid.directions), EPS_FLOOR)))
     rep = is_flower(f, tol=grid_tol(grid))
     if not rep.ok:
         raise NotAFlowerError("minkowski sum failed the flower certificate", rep.violation)
@@ -325,10 +320,9 @@ def polytope_body(grid: DirectionGrid, vertices: np.ndarray) -> ConvexBody:
     at EPS_FLOOR per the package convention.
     """
     v = np.atleast_2d(np.asarray(vertices, dtype=float))
-    if v.shape[1] != grid.dim:
-        raise ParameterError("vertices have wrong dimension")
-    h = np.maximum((v @ grid.directions.T).max(axis=0), EPS_FLOOR)
-    return ConvexBody(grid, h, certified=True)
+    if v.shape[1] != grid.dim or not len(v):
+        raise ParameterError("vertices must be one or more points of the grid's dimension")
+    return ConvexBody(grid, np.maximum(_support_blocked(v, grid.directions), EPS_FLOOR), certified=True)
 
 
 def regular_polygon_vertices(m: int, circumradius: float = 1.0, phase: float = 0.0) -> np.ndarray:

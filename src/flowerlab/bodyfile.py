@@ -29,12 +29,12 @@ from .spherecore import DirectionGrid, uniform_angle_grid
 
 REPRESENTATIONS = ("radial", "support", "petals", "polytope")
 
-# Largest grid a body file may declare; a larger declared size is refused
-# before anything is allocated.  The support operator C needs O(N) memory on
-# every grid, but N^2 products per call on a directions grid.  The cap also
-# bounds the point count M of petals and polytope files (a flower's radial is
-# built from the dense M x N matrix of petal-direction products) and the
-# CLI's --grid.
+# Largest grid a body file may declare, and largest point count M of a petals
+# or polytope file; a larger declared size is refused before anything is
+# allocated.  C and the support of M points need O(N + M) memory, so the cap
+# bounds work: N^2 products per C call on a directions grid, M x N products
+# per petal radial, and the qhull input of an inversion polytope.  It also
+# caps the CLI's --grid.
 MAX_GRID_SIZE = 8192
 
 
@@ -171,10 +171,7 @@ def parse_body_obj(obj) -> BodyDocument:
             raise BodyFileError(f"'{rep}' bodies need a nonempty 'points' list")
         m = len(obj["points"])
         if m > MAX_GRID_SIZE:
-            raise BodyFileError(
-                f"points: {m} points exceed the cap of {MAX_GRID_SIZE}; their M x N petal matrix on a grid at "
-                f"the cap would need M * N * 8 = {m * MAX_GRID_SIZE * 8:,} bytes"
-            )
+            raise BodyFileError(f"points: {m} points exceed the cap of {MAX_GRID_SIZE}")
         for i, p in enumerate(obj["points"]):
             if not isinstance(p, list) or len(p) != dim:
                 raise BodyFileError(f"points[{i}]: expected a vector of length {dim}")

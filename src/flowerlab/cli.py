@@ -44,14 +44,15 @@ def _int_arg(lo: float, hi: float, expected: str):
     return parse
 
 
-def _finite_float(text: str) -> float:
-    """argparse type: a finite float; nan and inf are usage errors."""
+def _finite_float(text: str, low: float = -math.inf) -> float:
+    """argparse type: a finite float of at least low; nan, inf and smaller values are usage errors."""
     try:
-        if math.isfinite(value := float(text)):
-            return value
+        value = float(text)
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+        value = math.nan
+    if math.isfinite(value) and value >= low:
+        return value
+    raise argparse.ArgumentTypeError(f"expected {f'a number >= {low:g}' if math.isfinite(value) else 'a finite number'}, got {text!r}")
 
 
 def _write(text: str, args):
@@ -267,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     grid = flag("--grid", type=count, default=DEFAULT_GRID_N, help="size of the working grid")
     cert_tol = flag("--tol", type=_finite_float, default=None, help="input certificate tolerance (default 1e-9 in 2D, else 1e-6)")
     power_tol = flag("--tol", type=_finite_float, default=calculus.POWER_TOL, help="power-map tolerance (default %(default)s)")
-    invert_tol = flag("--tol", type=_finite_float, default=CONVEX_POSITION_TOL, help="convex-position tolerance (default %(default)s)")
+    invert_tol = flag("--tol", type=lambda text: _finite_float(text, 0.0), default=CONVEX_POSITION_TOL,
+                      help="non-negative convex-position tolerance (default %(default)s)")
 
     p = argparse.ArgumentParser(prog="flowerlab", description="flower calculus for convex bodies")
     sub = p.add_subparsers(dest="command", required=True)

@@ -291,6 +291,8 @@ def is_inversion_convex(
         raise ParameterError("need at least one direct sample")
     if seed < 0:
         raise ParameterError("seed must be non-negative")
+    if not tol >= 0.0:
+        raise ParameterError("tol must be non-negative")
     rng = np.random.default_rng(seed)
     ts = np.linspace(0.0, 1.0, ARC_POINTS_PER_PAIR + 2)[1:-1]
     witness = None

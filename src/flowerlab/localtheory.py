@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._sampleops import EPS_FLOOR
+from ._sampleops import EPS_FLOOR, _ball_union_radial, _support_blocked, radial_of_halfspaces
 from .bodies import Flower, StarBody, convex_hull_radial, flower_from_petals
 from .errors import (
     ParameterError,
@@ -79,10 +79,7 @@ def canonical_petals(f: Flower) -> np.ndarray:
     """Canonical petal list: core boundary points along the grid rays."""
     if f.petals is not None:
         return f.petals
-    from ._sampleops import radial_of_halfspaces
-
-    w = radial_of_halfspaces(f.grid, f.radial)
-    return w[:, None] * f.grid.directions
+    return radial_of_halfspaces(f.grid, f.radial)[:, None] * f.grid.directions
 
 
 def default_subgrid(k: int, size: int = 720, seed: int = 0) -> DirectionGrid:
@@ -106,10 +103,7 @@ def projected_radial(f: Flower, e: SubspaceBasis, directions_k: np.ndarray) -> n
     dk = np.atleast_2d(np.asarray(directions_k, dtype=float))
     cents = (f.petals @ e.frame.T) / 2.0  # (M, k)
     rho = np.linalg.norm(f.petals, axis=1) / 2.0  # (M,)
-    ip = dk @ cents.T  # (Q, M)
-    disc = np.maximum(rho[None, :] ** 2 - (cents ** 2).sum(axis=1)[None, :] + ip ** 2, 0.0)
-    rad = (ip + np.sqrt(disc)).max(axis=1)
-    return np.maximum(rad, EPS_FLOOR)
+    return np.maximum(_ball_union_radial(cents, rho, dk), EPS_FLOOR)
 
 
 def project_flower(f: Flower, e: SubspaceBasis, grid: DirectionGrid | None = None) -> Flower:
@@ -131,8 +125,7 @@ def section_radial(f: Flower, e: SubspaceBasis, directions_k: np.ndarray) -> np.
     dk = np.atleast_2d(np.asarray(directions_k, dtype=float))
     lifted = dk @ e.frame  # (Q, ambient)
     if f.petals is not None:
-        r = np.maximum(f.petals @ lifted.T, 0.0).max(axis=0)
-        return np.maximum(r, EPS_FLOOR)
+        return np.maximum(_support_blocked(f.petals, lifted), EPS_FLOOR)
     near = np.argmax(lifted @ f.grid.directions.T, axis=1)
     return f.radial[near]
 
@@ -240,10 +233,6 @@ def dvoretzky_search(
     return DvoretzkyResult(k, trials, best[0], best[1], dists, sects)
 
 
-def _rotated_petal_radial(petals: np.ndarray, rot: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    return np.maximum(dirs @ (petals @ rot.T).T, 0.0).max(axis=1)
-
-
 def global_average(f: Flower, n_rotations: int, seed: int) -> float:
     """Oscillation ratio max/min of the average of N rotated radial functions.
 
@@ -258,12 +247,10 @@ def global_average(f: Flower, n_rotations: int, seed: int) -> float:
     acc = np.zeros(grid.size)
     for i in range(n_rotations):
         u = random_rotation(grid.dim, child_seed(seed, i)).matrix
-        acc += _rotated_petal_radial(f.petals, u, grid.directions)
+        acc += _support_blocked(f.petals @ u.T, grid.directions)
     acc /= n_rotations
     lo = acc.min()
-    if lo <= 0.0:
-        return float("inf")
-    return float(acc.max() / lo)
+    return float("inf") if lo <= 0.0 else float(acc.max() / lo)
 
 
 def kashin_petals(n: int, seed: int, num_petals: int | None = None, grid: DirectionGrid | None = None) -> float:

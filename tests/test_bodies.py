@@ -7,9 +7,12 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from flowerlab._sampleops import (
+    DENSE_BLOCK,
     EPS_FLOOR,
     MAX_SPAN_EXP,
+    _ball_union_radial,
     _hull_radial_qhull,
+    _support_blocked,
     certificate_violation,
     closure,
     hull_radial,
@@ -732,4 +735,110 @@ class TestBlockedSupport:
         finally:
             tracemalloc.stop()
         assert g._gram_plus is None
+        assert peak < 16 * 2 ** 20
+
+
+# the dense M x N expressions that flower_from_petals, polytope_body,
+# section_radial, global_average, minkowski_sum_2d and projected_radial held
+# before they shared the blocked kernels.  _dense_point_max and
+# _dense_ball_union multiply points by rays, as the kernels do; the two
+# others multiply rays by points, as global_average and projected_radial did
+def _dense_point_max(pts, dirs):
+    return np.maximum(pts @ dirs.T, 0.0).max(axis=0)
+
+
+def _dense_rotated_point_max(pts, dirs):
+    return np.maximum(dirs @ pts.T, 0.0).max(axis=1)
+
+
+def _dense_ball_union(cx, rho, dirs):
+    ip = cx @ dirs.T
+    return (ip + np.sqrt(np.maximum(rho[:, None] ** 2 - (cx ** 2).sum(axis=1)[:, None] + ip ** 2, 0.0))).max(axis=0)
+
+
+def _dense_projected_ball_union(cents, rho, dk):
+    ip = dk @ cents.T
+    disc = np.maximum(rho[None, :] ** 2 - (cents ** 2).sum(axis=1)[None, :] + ip ** 2, 0.0)
+    return (ip + np.sqrt(disc)).max(axis=1)
+
+
+def _kernel_case(rng, dim, m, n):
+    """n unit rays, m points and ball radii above each center's norm (so every ball holds the origin)."""
+    dirs = rng.normal(size=(n, dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    pts = rng.normal(size=(m, dim)) * rng.uniform(0.5, 2.0, size=(m, 1))
+    return dirs, pts, np.linalg.norm(pts, axis=1) * rng.uniform(1.0, 2.0, size=m)
+
+
+class TestPetalKernels:
+    """The petal radial and the ball-union radial against the dense expressions they replaced."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+    def test_equals_dense_expressions(self, dim):
+        """Bit-equal to the points x rays expressions when the product fits in one block.
+
+        Blocks split once m * n exceeds DENSE_BLOCK, and a block is a BLAS
+        product of other shapes than the whole matrix; the BLAS may order or
+        fuse its sums differently for each shape, so there entries may move by
+        a few ulp.  The rays x points expressions of global_average and
+        projected_radial compute each product with the operands swapped, so
+        they may move by a few ulp at any size; with OpenBLAS 0.3.31 they
+        move by at most 2.  Bit equality also depends on the BLAS.
+        """
+        rng = np.random.default_rng(dim)
+        for m in (1, 7, 32, 96, 500, 3000):
+            for n in (720, 2052, 4100):
+                if m * n > 3 * 2 ** 20:  # the dense oracles hold a few m x n temporaries of up to 24 MiB each
+                    continue
+                dirs, pts, rho = _kernel_case(rng, dim, m, n)
+                same = 0 if DENSE_BLOCK // m >= n else 4
+                point, ball = _support_blocked(pts, dirs), _ball_union_radial(pts, rho, dirs)
+                assert _ulps(point, _dense_point_max(pts, dirs)) <= same, (m, n)
+                assert _ulps(ball, _dense_ball_union(pts, rho, dirs)) <= same, (m, n)
+                assert _ulps(point, _dense_rotated_point_max(pts, dirs)) <= 4, (m, n)
+                assert _ulps(ball, _dense_projected_ball_union(pts, rho, dirs)) <= 4, (m, n)
+
+    @pytest.mark.parametrize("dim, m, n", [(4, 4, 2048), (8, 32, 2048)])
+    def test_benchmark_shapes_bit_equal_in_both_orientations(self, dim, m, n):
+        """The 4D global average (4 petals, 2048 rays) and the 16 -> 8 projection (32 petals, 2048 rays).
+
+        Both orientations round alike at these shapes with OpenBLAS 0.3.31;
+        bit equality depends on the BLAS.
+        """
+        rng = np.random.default_rng(m + n)
+        for _ in range(20):
+            dirs, pts, rho = _kernel_case(rng, dim, m, n)
+            assert _ulps(_support_blocked(pts, dirs), _dense_rotated_point_max(pts, dirs)) == 0
+            assert _ulps(_ball_union_radial(pts, rho, dirs), _dense_projected_ball_union(pts, rho, dirs)) == 0
+
+    @pytest.mark.parametrize("dim, n", [(2, 720), (2, 4100), (3, 2052), (8, 2048)])
+    def test_polytope_support_is_petal_flower_radial(self, dim, n):
+        """r_F = h_K bit for bit: the flower of the petals A and the support of conv(A + {0})."""
+        g = uniform_angle_grid(n) if dim == 2 else sampled_sphere_grid(dim, n, seed=dim)
+        rng = np.random.default_rng(n)
+        for m in (1, 7, 500):
+            a = rng.normal(size=(m, dim))
+            h = polytope_body(g, a).support
+            assert h.tobytes() == flower_from_petals(a, g).radial.tobytes()
+            assert _ulps(h, np.maximum((a @ g.directions.T).max(axis=0), EPS_FLOOR)) <= (0 if m * n <= DENSE_BLOCK else 4)
+
+    @pytest.mark.parametrize("vertices", [np.empty((0, 2)), [[1.0, 0.0, 0.0]]], ids=["no-vertex", "wrong-dim"])
+    def test_bad_polytope_vertices_are_a_parameter_error(self, vertices):
+        # no vertex used to leak numpy's empty-reduction ValueError
+        with pytest.raises(ParameterError, match="one or more points"):
+            polytope_body(uniform_angle_grid(16), vertices)
+
+    @pytest.mark.parametrize("build", [flower_from_petals, lambda pts, g: polytope_body(g, pts)],
+                             ids=["flower_from_petals", "polytope_body"])
+    def test_point_file_at_the_cap_holds_no_petal_matrix(self, build):
+        # the dense M x N product at M = N = 8192 held 512 MiB, and the petal
+        # flower's clipped copy as much again
+        g = uniform_angle_grid(8192)
+        pts = np.random.default_rng(3).normal(size=(8192, 2))
+        tracemalloc.start()
+        try:
+            build(pts, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak < 16 * 2 ** 20

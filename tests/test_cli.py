@@ -563,7 +563,7 @@ class TestSeedAndSizeArguments:
         p = tmp_path / "many.json"
         p.write_text(json.dumps({"dim": 2, "points": [[1.0, 0.0]] * m, "metadata": {}, **extra}))
         assert run([command, p]) == 1
-        assert f"{m * MAX_GRID_SIZE * 8:,} bytes" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {p}: points: {m} points exceed the cap of {MAX_GRID_SIZE}\n"
 
 
 class TestCountAndFloatArguments:
@@ -616,6 +616,23 @@ class TestCountAndFloatArguments:
             run(["kashin", "--dim", "1"])
         assert e.value.code == 2
         assert "--dim: expected an integer from 2 to" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("outcone", [[], ["--outcone"]], ids=["in-cone", "out-cone"])
+    def test_negative_invert_tol_is_a_usage_error(self, tmp_path, monkeypatch, capsys, outcone):
+        # the convex out-cone of this triangle used to come out "convex": false at --tol -2
+        def refuse(*args, **kwargs):
+            raise AssertionError("is_inversion_convex reached")
+
+        monkeypatch.setattr(cli, "is_inversion_convex", refuse)
+        p = tmp_path / "tri.json"
+        p.write_text(json.dumps({"dim": 2, "representation": "polytope", "metadata": {},
+                                 "points": [[-1.0, 0.5], [1.0, 0.5], [0.0, 2.0]]}))
+        with pytest.raises(SystemExit) as e:
+            run(["invert", p, *outcone, "--tol", "-2"])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert "--tol: expected a number >= 0, got '-2'" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize(

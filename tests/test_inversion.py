@@ -374,9 +374,12 @@ class TestIsInversionConvex:
         (lambda: is_inversion_convex(OffOriginBall([3.0, 0.0], 1.0), direct_samples=0), ParameterError),
         (lambda: is_inversion_convex(OffOriginBall([3.0, 0.0], 1.0), direct_samples=-5), ParameterError),
         (lambda: is_inversion_convex(OffOriginBall([3.0, 0.0], 1.0), seed=-1), ParameterError),
+        (lambda: is_inversion_convex(OffOriginBall([3.0, 0.0], 1.0), tol=-2.0), ParameterError),
+        (lambda: is_inversion_convex(OffOriginBall([3.0, 0.0], 1.0), tol=np.nan), ParameterError),
     ],
     ids=["nan-vertex", "inf-vertex", "inf-center", "nan-radius", "inf-radius", "short-center",
-         "matrix-center", "zero-direct-samples", "negative-direct-samples", "negative-seed"],
+         "matrix-center", "zero-direct-samples", "negative-direct-samples", "negative-seed", "negative-tol",
+         "nan-tol"],
 )
 def test_bad_inversion_input_is_a_domain_error(build, error):
     with pytest.raises(error):
