@@ -26,9 +26,10 @@ On uniform 2D grids C indexes the hull of that same pass
 Everywhere else C runs the first of two shared dense kernels, which hold
 DENSE_BLOCK products at a time and so need O(N + M) memory:
 
-* _support_blocked, max_i w_i <p_i, theta_j>_+: C (p = theta) and, with w = 1,
-  the support of conv(points + {0}), which is the radial of their petal
-  flower (flower_from_petals, polytope_body, section_radial, global_average).
+* _support_blocked, max_i w_i <p_i, theta_j>_+: C (p = theta), the ND hull
+  radial (1 / C over the facets) and, with w = 1, the support of
+  conv(points + {0}), which is the radial of their petal flower
+  (flower_from_petals, polytope_body, section_radial, global_average).
 * _ball_union_radial, the radial of a union of balls that hold the origin
   (projected_radial, minkowski_sum_2d).
 """
@@ -109,15 +110,15 @@ def is_convex_position(pts: np.ndarray) -> bool:
 
 
 def _hull_radial_qhull(dirs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Radial of conv(pts) along dirs: D over the hull facets <a_k, x> <= -b_k, as 1 / C(-1/b)."""
     try:
         hull = ConvexHull(pts)
     except QhullError as e:
         raise DegenerateInputError(f"degenerate point cloud: {e}") from e
     a, b = hull.equations[:, :-1], hull.equations[:, -1]
-    ad = a @ dirs.T
-    with np.errstate(divide="ignore"):
-        tt = np.where(ad > 1e-15, -b[:, None] / ad, np.inf)
-    return tt.min(axis=0)
+    if not (b < 0.0).all():
+        raise DegenerateInputError("the hull of the cloud does not hold the origin strictly inside")
+    return 1.0 / _support_blocked(a, dirs, -1.0 / b)
 
 
 def _hull_pass(grid: DirectionGrid, w: np.ndarray) -> tuple | None:

@@ -260,14 +260,14 @@ def _direct_image_cloud(shape: Shape, rng: np.random.Generator, nsamp: int) -> n
 
 
 def _convex_position_depth(cloud: np.ndarray) -> float:
-    """Max over points of the distance to the nearest hull facet (inside depth)."""
+    """Max over points of the distance to the nearest hull facet (inside depth); vertices have depth 0."""
     try:
         hull = ConvexHull(cloud)
     except QhullError as e:
         raise DegenerateInputError(f"degenerate image cloud: {e}") from e
-    dist = cloud @ hull.equations[:, :-1].T
+    dist = np.delete(cloud, hull.vertices, axis=0) @ hull.equations[:, :-1].T
     dist += hull.equations[:, -1]
-    return float(-dist.max(axis=1).min())
+    return max(0.0, -float(dist.max(axis=1).min(initial=np.inf)))
 
 
 def is_inversion_convex(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from flowerlab._sampleops import (
     DENSE_BLOCK,
@@ -48,6 +49,7 @@ from flowerlab.bodies import (
     unit_ball,
     volume,
 )
+from flowerlab.calculus import power
 from flowerlab.errors import (
     CertificationRequiredError,
     DegenerateInputError,
@@ -337,6 +339,20 @@ class TestSums:
         oracle = np.interp(grid720.angles(), ang[order], rad[order], period=2 * np.pi)
         assert np.abs(s.radial - oracle).max() < 1e-6
 
+    @pytest.mark.parametrize("n", [720, 8192])
+    def test_minkowski_sum_of_random_petals_is_the_ball_union(self, n):
+        # 17 of these 20 pairs used to be refused: the grid certificate of an
+        # off-ray ball union carries slack up to 1.7e-2 here, though every
+        # sample is exact
+        g = uniform_angle_grid(n)
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            p1, p2 = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+            s = minkowski_sum_2d(flower_from_petals(p1, g), flower_from_petals(p2, g))
+            cx = (p1[:, None, :] + p2[None, :, :]).reshape(-1, 2) / 2.0
+            rho = np.add.outer(np.linalg.norm(p1, axis=1), np.linalg.norm(p2, axis=1)).reshape(-1) / 2.0
+            assert s.radial.tobytes() == np.maximum(_dense_ball_union(cx, rho, g.directions), EPS_FLOOR).tobytes()
+
     def test_grids_differing_only_in_weights_mismatch(self):
         g = uniform_angle_grid(8)
         w = np.arange(1.0, 9.0)
@@ -553,6 +569,77 @@ class TestHullKernel:
         pts[:, 2] = 0.0
         with pytest.raises(DegenerateInputError):
             _hull_radial_qhull(dirs, pts)
+
+
+def _ratio_min_hull_radial(dirs, pts):
+    """The ND hull radial before it became D over the facets: min over facets of -b / <a, theta>.
+
+    Evaluated a block of rays at a time so the facets x rays temporaries stay
+    small; each ray's ratios and minimum are those of the one dense product.
+    """
+    hull = ConvexHull(pts)
+    a, b = hull.equations[:, :-1], hull.equations[:, -1]
+    out = np.empty(len(dirs))
+    step = max(1, DENSE_BLOCK // len(a))
+    for j in range(0, len(dirs), step):
+        ad = a @ dirs[j:j + step].T
+        with np.errstate(divide="ignore"):
+            out[j:j + step] = np.where(ad > 1e-15, -b[:, None] / ad, np.inf).min(axis=0)
+    return out
+
+
+def _hemisphere_grid():
+    d = np.random.default_rng(4).normal(size=(256, 3))
+    d[:, 2] = np.abs(d[:, 2]) + 0.05
+    return DirectionGrid(3, d / np.linalg.norm(d, axis=1, keepdims=True), np.full(256, 1.0 / 256))
+
+
+class TestNDHullRadial:
+    """hull_radial off the uniform 2D grids: D over qhull's facets through C's blocked kernel."""
+
+    @pytest.mark.parametrize("dim, n", [(3, 64), (3, 512), (3, 4096), (4, 64), (4, 512), (4, 2048), (8, 64), (8, 128)])
+    def test_within_4_ulp_of_ratio_min(self, dim, n):
+        g = sampled_sphere_grid(dim, n, seed=n + dim)
+        rng = np.random.default_rng(n * dim)
+        # lognormal clouds from nearly round (most rays hull vertices) to
+        # spiky (few), and a power step of a 40-vertex polytope
+        clouds = [np.exp(rng.normal(0.0, s, n)) for s in (0.05, 0.5, 2.0)]
+        clouds.append(polytope_body(g, rng.normal(size=(40, dim))).radial() ** 0.917)
+        for w in clouds:
+            out = hull_radial(g, w)
+            assert np.all(out >= w)
+            assert _ulps(out, np.maximum(_ratio_min_hull_radial(g.directions, w[:, None] * g.directions), w)) <= 4
+
+    def test_2d_directions_grid_within_4_ulp_of_ratio_min(self):
+        th = np.random.default_rng(3).uniform(0.0, 2 * np.pi, 300)
+        d = np.stack([np.cos(th), np.sin(th)], axis=1)
+        g = DirectionGrid(2, d, np.full(300, 1.0 / 300))
+        for s in (0.05, 0.5, 2.0):
+            w = np.exp(np.random.default_rng(5).normal(0.0, s, 300))
+            out = hull_radial(g, w)
+            assert np.all(out >= w)
+            assert _ulps(out, np.maximum(_ratio_min_hull_radial(d, w[:, None] * d), w)) <= 4
+
+    def test_holds_no_facets_by_rays_product(self):
+        # the ratio-min scan held three facets x rays temporaries: about 800 MiB here
+        g = sampled_sphere_grid(3, 4096, seed=2)
+        w = np.ones(4096)  # every point a vertex: about 8200 facets
+        tracemalloc.start()
+        try:
+            hull_radial(g, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+    def test_hull_without_the_origin_is_refused(self):
+        # every cloud on one open hemisphere has a facet between it and the
+        # origin; its negative ratios used to be clipped to w silently
+        g = _hemisphere_grid()
+        with pytest.raises(DegenerateInputError, match="origin strictly inside"):
+            hull_radial(g, np.ones(g.size))
+        with pytest.raises(DegenerateInputError, match="origin strictly inside"):
+            power(unit_ball(g), 2.0)
 
 
 @functools.lru_cache(maxsize=None)

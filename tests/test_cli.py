@@ -355,6 +355,35 @@ class TestSubcommandsGolden:
         assert run(["invert", p, "--tol", "0"]) == 0
         assert seen == [CONVEX_POSITION_TOL, 0.0]
 
+    @pytest.mark.parametrize("seed", ["0", "3"])
+    @pytest.mark.parametrize(
+        "points",
+        [[[-1.0, 0.5], [1.0, 0.5], [0.0, 2.0]],
+         [[x, y, z] for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (0.95, 1.05)]],
+        ids=["triangle", "slab-3d"],
+    )
+    def test_invert_outcone_at_tol_0_is_convex(self, tmp_path, capsys, points, seed):
+        # the image cloud is in convex position; its depth used to be vertex
+        # noise such as 2.2e-16, which tol 0 rejected (exit 1), or -0.0
+        p = tmp_path / "poly.json"
+        p.write_text(json.dumps({"dim": len(points[0]), "representation": "polytope", "points": points,
+                                 "metadata": {}}))
+        assert run(["invert", p, "--outcone", "--tol", "0", "--seed", seed]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["convex"] is True and repr(verdict["direct_depth"]) == "0.0"
+
+    def test_power_on_a_hemisphere_grid_is_1(self, tmp_path, capsys):
+        # the hull of a cloud on one open hemisphere does not hold the origin
+        d = np.random.default_rng(4).normal(size=(64, 3))
+        d[:, 2] = np.abs(d[:, 2]) + 0.05
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        p = tmp_path / "cap.json"
+        p.write_text(json.dumps({"dim": 3, "representation": "support", "values": [1.0] * 64, "metadata": {},
+                                 "grid": {"type": "directions", "vectors": d.tolist(), "weights": [1 / 64] * 64}}))
+        assert run(["power", p, "--lambda", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "origin strictly inside" in err and "Traceback" not in err
+
     def test_stability_report(self, square_flower_file, capsys, grid720):
         from flowerlab.localtheory import stability_check
 

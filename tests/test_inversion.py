@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
+import flowerlab.inversion as inversion
 from flowerlab.errors import (
     ArcThroughInfinityError,
     DegenerateInputError,
@@ -346,8 +347,9 @@ class TestIsInversionConvex:
             is_inversion_convex(OffOriginBall([3.0, 0.0], 1.0), samples=10, seed=0)
 
     def test_depth_holds_one_points_by_facets_temporary(self):
-        # a 4000-point 3D out-cone image has thousands of facets, so each
-        # points x facets temporary of the depth scan takes hundreds of MB
+        # a 4000-point 3D out-cone image has thousands of facets, so a points
+        # x facets temporary of the depth scan takes hundreds of MB; the image
+        # is in convex position, and hull vertices are not scanned at all
         cone = TruncatedOutCone(_seeded_polytope(3, 0), 6.0)
         cloud = _direct_image_cloud(cone, np.random.default_rng(0), 4000)
         one_temporary = len(cloud) * len(ConvexHull(cloud).equations) * 8
@@ -357,8 +359,63 @@ class TestIsInversionConvex:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert depth <= CONVEX_POSITION_TOL
-        assert peak < 1.25 * one_temporary
+        assert depth == 0.0
+        assert peak < 0.05 * one_temporary
+
+
+def full_scan_depth(cloud):
+    """Reference: the depth scan over every point, hull vertices included, a block of rows at a time."""
+    hull = ConvexHull(cloud)
+    a, b = hull.equations[:, :-1], hull.equations[:, -1]
+    nearest = np.concatenate([(cloud[i:i + 256] @ a.T + b).max(axis=1) for i in range(0, len(cloud), 256)])
+    return float(-nearest.min())
+
+
+def _depth_corpus(seed):
+    """Out-cones, bounded polytopes, slabs and balls in 2D and 3D."""
+    rng = np.random.default_rng(seed)
+    shapes = []
+    for dim in (2, 3):
+        box = np.array(np.meshgrid(*[[-1.0, 1.0]] * (dim - 1), [0.95, 1.05])).reshape(dim, -1).T
+        shapes += [TruncatedOutCone(_seeded_polytope(dim, seed), 6.0), _seeded_polytope(dim, seed + 100),
+                   OffOriginPolytope(box), OffOriginBall(_unit(rng.normal(size=dim)) * 2.5, 1.0)]
+    return shapes
+
+
+class TestDepthAgainstFullScan:
+    """The vertex-skipping depth against the scan of every point.
+
+    Hull vertices lie on their facets, so a full scan reads float noise there;
+    only the depths of the other points count.  Bit equality off the vertices
+    takes a BLAS that rounds a row of a product alike whatever rows surround it.
+    """
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equal_off_the_vertices(self, seed):
+        for shape in _depth_corpus(seed):
+            cloud = _direct_image_cloud(shape, np.random.default_rng(seed), 4000)
+            depth, ref = _convex_position_depth(cloud), full_scan_depth(cloud)
+            if ref > 1e-15:
+                assert depth == ref
+            else:  # the full scan's maximum is vertex noise
+                assert abs(ref) <= 1e-15 and 0.0 <= depth <= max(ref, 0.0)
+                assert np.copysign(1.0, depth) == 1.0
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_verdicts_equal_full_scan_verdicts(self, seed, monkeypatch):
+        for shape in _depth_corpus(seed):
+            v = is_inversion_convex(shape, seed=seed)
+            with monkeypatch.context() as m:
+                m.setattr(inversion, "_convex_position_depth", full_scan_depth)
+                ref = is_inversion_convex(shape, seed=seed)
+            assert v.convex == ref.convex
+            assert (v.witness is None) == (ref.witness is None)
+            if ref.witness is not None:
+                assert all(np.array_equal(a, b) for a, b in zip(v.witness, ref.witness))
+            if ref.direct_depth > 1e-15:
+                assert v.direct_depth == ref.direct_depth
+            else:
+                assert 0.0 <= v.direct_depth <= max(ref.direct_depth, 0.0)
 
 
 @pytest.mark.parametrize(
