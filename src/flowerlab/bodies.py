@@ -52,17 +52,6 @@ def default_cert_tol(grid: DirectionGrid) -> float:
     return CERT_TOL_2D if grid.dim == 2 else CERT_TOL_ND
 
 
-def grid_tol(grid: DirectionGrid) -> float:
-    """Discretization-level certificate tolerance (~5e-4 at N=720, O(1/N^2)).
-
-    Calibrated to the closure gap of hulls and Minkowski sums, whose vertices
-    fall between grid rays.
-    """
-    if grid.dim == 2:
-        return 6.0 * (2 * np.pi / grid.size) ** 2
-    return 4.0 / np.sqrt(grid.size)
-
-
 def _check_same_grid(a: DirectionGrid, b: DirectionGrid):
     if a is b:
         return
@@ -163,8 +152,10 @@ class CertificateReport(NamedTuple):
 
 
 def is_support_consistent(grid: DirectionGrid, support: np.ndarray, tol: float | None = None) -> CertificateReport:
-    """Discrete support-function certificate: C(D(h)) reproduces h within tol."""
+    """Discrete support-function certificate: C(D(h)) reproduces h within tol (>= 0)."""
     tol = default_cert_tol(grid) if tol is None else tol
+    if tol < 0:
+        raise ParameterError("tol must be non-negative")
     v = certificate_violation(grid, support)
     return CertificateReport(v <= tol, v)
 

@@ -15,7 +15,8 @@ from typing import Callable
 import numpy as np
 
 from ._sampleops import EPS_FLOOR, hull_radial
-from .bodies import ConvexBody, Flower, StarBody, _check_same_grid, convexify_support, unit_ball, volume
+from .bodies import (ConvexBody, Flower, StarBody, _check_same_grid, alexandrov, convexify_support, core_of,
+                     flower_of, unit_ball, volume)
 from .errors import CertificationRequiredError, ConvergenceError, DegenerateInputError, ParameterError
 from .spherecore import DirectionGrid, _read_only
 
@@ -178,13 +179,15 @@ def compose(t: ConvexBody, k: ConvexBody) -> ConvexBody:
     """T o K: conv of the star body with radial h_T * r_K."""
     _check_same_grid(t.grid, k.grid)
     if not (t.certified and k.certified):
-        raise ParameterError("compose needs certified bodies")
+        raise CertificationRequiredError("compose needs certified bodies")
     return convexify_support(StarBody(t.grid, t.support * k.radial()))
 
 
 def radial_compose(t: ConvexBody, k: ConvexBody) -> ConvexBody:
     """T (.) K: conv of the radial product r_T * r_K; commutative."""
     _check_same_grid(t.grid, k.grid)
+    if not (t.certified and k.certified):
+        raise CertificationRequiredError("radial_compose needs certified bodies")
     return convexify_support(StarBody(t.grid, t.radial() * k.radial()))
 
 
@@ -199,8 +202,6 @@ def log_mean_0(k: ConvexBody, t: ConvexBody, lam: float) -> ConvexBody:
     _check_same_grid(k.grid, t.grid)
     if not 0.0 <= lam <= 1.0:
         raise ParameterError("lambda must lie in [0, 1]")
-    from .bodies import alexandrov
-
     g = k.support ** (1.0 - lam) * t.support ** lam
     return alexandrov(g, k.grid)
 
@@ -234,6 +235,4 @@ def check_composition_bm(t: ConvexBody, k1: ConvexBody, k2: ConvexBody, mode: st
 
 def power_flower(f: Flower, lam: float) -> Flower:
     """F^lambda, computed on the core and transported back through flower_of."""
-    from .bodies import core_of, flower_of
-
     return flower_of(power(core_of(f), lam).body)

@@ -266,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
                 default=os.environ.get("FLOWERLAB_SEED") or "0", help="random seed (env FLOWERLAB_SEED)")
     count = _int_arg(-math.inf, MAX_GRID_SIZE, f"an integer of at most {MAX_GRID_SIZE}")
     grid = flag("--grid", type=count, default=DEFAULT_GRID_N, help="size of the working grid")
-    cert_tol = flag("--tol", type=_finite_float, default=None, help="input certificate tolerance (default 1e-9 in 2D, else 1e-6)")
+    cert_tol = flag("--tol", type=lambda text: _finite_float(text, 0.0), default=None,
+                    help="non-negative input certificate tolerance (default 1e-9 in 2D, else 1e-6)")
     power_tol = flag("--tol", type=_finite_float, default=calculus.POWER_TOL, help="power-map tolerance (default %(default)s)")
     invert_tol = flag("--tol", type=lambda text: _finite_float(text, 0.0), default=CONVEX_POSITION_TOL,
                       help="non-negative convex-position tolerance (default %(default)s)")

@@ -54,10 +54,6 @@ class SymmetryError(FlowerlabError):
     pass
 
 
-class RepresentationRequiredError(FlowerlabError):
-    pass
-
-
 class MethodDisagreementError(FlowerlabError):
     """The arc criterion and the direct convex-position test disagree."""
 

@@ -1,9 +1,11 @@
 """Local theory of flowers: geometric distance, projections/sections,
 the stability bound, Dvoretzky-type projection search, and global averaging.
 
-Projection and rotation act on the petal representation whenever one is
-available (exact at any direction); flowers built without petals can have a
-canonical petal list synthesized from the core boundary at the grid nodes.
+Projections, sections and rotations act on a petal representation, which is
+exact at any direction.  A flower is a union of petals, so every flower has
+one: a flower built without a petal list uses its canonical petals, the core
+boundary points at the grid nodes, whose petal flower reproduces a certified
+flower's samples at the nodes to a few ulp.
 """
 from __future__ import annotations
 
@@ -14,13 +16,7 @@ import numpy as np
 
 from ._sampleops import EPS_FLOOR, _ball_union_radial, _support_blocked, radial_of_halfspaces
 from .bodies import Flower, StarBody, convex_hull_radial, flower_from_petals
-from .errors import (
-    ParameterError,
-    RepresentationRequiredError,
-    SymmetryError,
-    UnboundedBodyError,
-    UnsupportedDimensionError,
-)
+from .errors import ParameterError, SymmetryError, UnboundedBodyError, UnsupportedDimensionError
 from .spherecore import (
     DirectionGrid,
     SubspaceBasis,
@@ -76,7 +72,12 @@ def distance_to_ball(a: StarBody | Flower) -> DistanceReport:
 
 
 def canonical_petals(f: Flower) -> np.ndarray:
-    """Canonical petal list: core boundary points along the grid rays."""
+    """The flower's petal list; without one, the core boundary points D(r) theta along the grid rays.
+
+    Their petal flower has radial C(D(r)), which is r itself (to float
+    precision) when r passes the certificate, and otherwise the flower of the
+    largest convex body whose support lies below r.
+    """
     if f.petals is not None:
         return f.petals
     return radial_of_halfspaces(f.grid, f.radial)[:, None] * f.grid.directions
@@ -96,13 +97,12 @@ def projected_radial(f: Flower, e: SubspaceBasis, directions_k: np.ndarray) -> n
     Each petal B_x projects to the ball with center P_E x / 2 and radius
     |x| / 2 inside E; the projected flower is the union of those balls.
     """
-    if f.petals is None:
-        raise RepresentationRequiredError("projection needs a petal representation")
     if e.ambient_dim != f.grid.dim:
         raise ParameterError("subspace lives in a different ambient dimension")
     dk = np.atleast_2d(np.asarray(directions_k, dtype=float))
-    cents = (f.petals @ e.frame.T) / 2.0  # (M, k)
-    rho = np.linalg.norm(f.petals, axis=1) / 2.0  # (M,)
+    pts = canonical_petals(f)
+    cents = (pts @ e.frame.T) / 2.0  # (M, k)
+    rho = np.linalg.norm(pts, axis=1) / 2.0  # (M,)
     return np.maximum(_ball_union_radial(cents, rho, dk), EPS_FLOOR)
 
 
@@ -119,15 +119,12 @@ def project_flower(f: Flower, e: SubspaceBasis, grid: DirectionGrid | None = Non
 def section_radial(f: Flower, e: SubspaceBasis, directions_k: np.ndarray) -> np.ndarray:
     """Radial samples of F cap E at frame-coordinate directions.
 
-    With petals the values are exact (r_F(u) = max_x <x, u>_+); otherwise the
-    parent radial is resampled by nearest grid direction.
+    r_F(u) = max_x <x, u>_+ over the petals x (canonical_petals): exact at
+    any direction for a petal list; for a certified flower without one, within
+    a few ulp of its samples at its grid nodes.
     """
     dk = np.atleast_2d(np.asarray(directions_k, dtype=float))
-    lifted = dk @ e.frame  # (Q, ambient)
-    if f.petals is not None:
-        return np.maximum(_support_blocked(f.petals, lifted), EPS_FLOOR)
-    near = np.argmax(lifted @ f.grid.directions.T, axis=1)
-    return f.radial[near]
+    return np.maximum(_support_blocked(canonical_petals(f), dk @ e.frame), EPS_FLOOR)
 
 
 def section_flower(f: Flower, e: SubspaceBasis, grid: DirectionGrid | None = None) -> Flower:
@@ -209,8 +206,7 @@ def dvoretzky_search(
         raise ParameterError("need at least one trial")
     if not 1 <= k <= f.grid.dim:
         raise ParameterError("k out of range")
-    if f.petals is None:
-        raise RepresentationRequiredError("dvoretzky_search needs a petal representation")
+    f = Flower(f.body, canonical_petals(f))  # built once for all trials
     if k >= 2:
         if subgrid is None:
             subgrid = default_subgrid(k, seed=child_seed(seed, 2 ** 20))
@@ -241,13 +237,11 @@ def global_average(f: Flower, n_rotations: int, seed: int) -> float:
     """
     if n_rotations < 1:
         raise ParameterError("need at least one rotation")
-    if f.petals is None:
-        raise RepresentationRequiredError("global_average needs a petal representation")
-    grid = f.grid
+    grid, pts = f.grid, canonical_petals(f)
     acc = np.zeros(grid.size)
     for i in range(n_rotations):
         u = random_rotation(grid.dim, child_seed(seed, i)).matrix
-        acc += _support_blocked(f.petals @ u.T, grid.directions)
+        acc += _support_blocked(pts @ u.T, grid.directions)
     acc /= n_rotations
     lo = acc.min()
     return float("inf") if lo <= 0.0 else float(acc.max() / lo)

@@ -21,6 +21,10 @@ def plot_svg(bodies, labels=None) -> str:
     Flower, or ConvexBody -- the latter plotted by its radial).  Viewport is
     auto-scaled with a 10% margin.  Returns the SVG text.
     """
+    # imported here: xml.sax loads urllib.request, about 2 MiB and 16 ms that
+    # every other subcommand would pay at start-up
+    from xml.sax.saxutils import escape
+
     snaps = []
     for b in bodies:
         grid = b.grid
@@ -59,6 +63,6 @@ def plot_svg(bodies, labels=None) -> str:
         color = PALETTE[i % len(PALETTE)]
         y = 20 + 18 * i
         lines.append(f'<rect x="12" y="{_fmt(y - 9)}" width="14" height="4" fill="{color}"/>')
-        lines.append(f'<text x="32" y="{_fmt(y)}" font-family="sans-serif" font-size="13">{label}</text>')
+        lines.append(f'<text x="32" y="{_fmt(y)}" font-family="sans-serif" font-size="13">{escape(str(label))}</text>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -32,7 +32,6 @@ from flowerlab.bodies import (
     core_of,
     flower_from_petals,
     flower_of,
-    grid_tol,
     is_flower,
     is_support_consistent,
     minkowski_sum_2d,
@@ -61,6 +60,17 @@ from flowerlab.spherecore import DirectionGrid, sampled_sphere_grid, uniform_ang
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
+
+
+def grid_tol(grid: DirectionGrid) -> float:
+    """Discretization-level certificate tolerance (~5e-4 at N=720, O(1/N^2)).
+
+    Calibrated to the closure gap of hulls and Minkowski sums, whose vertices
+    fall between grid rays.
+    """
+    if grid.dim == 2:
+        return 6.0 * (2 * np.pi / grid.size) ** 2
+    return 4.0 / np.sqrt(grid.size)
 
 
 class TestPetalRadial:
@@ -278,6 +288,12 @@ class TestIsFlower:
         rep = is_flower(StarBody(grid720, 1.0 / (np.abs(d[:, 0]) + np.abs(d[:, 1]))))
         assert not rep.ok
         assert rep.violation > 0.1
+
+    def test_negative_tol_rejected(self, grid720):
+        # a negative tolerance would fail every certificate, a violation of 0.0 included
+        assert is_support_consistent(grid720, np.ones(720), tol=0.0) == (True, 0.0)
+        with pytest.raises(ParameterError, match="tol must be non-negative"):
+            is_support_consistent(grid720, np.ones(720), tol=-1.0)
 
     def test_flower_of_any_certified_body(self, grid720):
         for seed in range(10):

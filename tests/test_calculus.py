@@ -388,3 +388,8 @@ def test_uncertified_body_rejected_by_maps(grid720):
         power_naive(k, 0.5)
     with pytest.raises(CertificationRequiredError):
         power(k, 0.5)
+    ball = unit_ball(grid720)
+    for op in (compose, radial_compose):
+        for t, b in ((k, ball), (ball, k)):
+            with pytest.raises(CertificationRequiredError):
+                op(t, b)

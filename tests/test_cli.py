@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import warnings
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -424,6 +425,20 @@ class TestSubcommandsGolden:
         assert lines[0] == "trial,seed,k,distance"
         assert len(lines) == 6
 
+    def test_radial_flower_file_runs_dvoretzky_and_global_avg(self, square_flower_file, tmp_path, capsys):
+        # a flower without a petal list uses its canonical petals
+        outs = []
+        for i in range(2):
+            rep = tmp_path / f"dv{i}.csv"
+            assert run(["dvoretzky", square_flower_file, "--k", "2", "--trials", "4", "--grid", "64", "--seed", "3",
+                        "--sections", "--report", rep]) == 0
+            assert run(["global-avg", square_flower_file, "--n-rot", "8", "--seed", "2"]) == 0
+            outs.append((capsys.readouterr(), rep.read_bytes()))
+        (a, rep_a), (b, rep_b) = outs
+        assert a.err == "" and a.out == b.out and rep_a == rep_b
+        assert rep_a.decode().startswith("trial,seed,k,distance,section_distance\n")
+        assert float(a.out.splitlines()[-1]) >= 1.0
+
     def test_kashin_deterministic(self, capsys):
         assert run(["kashin", "--dim", "3", "--seed", "5"]) == 0
         a = capsys.readouterr().out
@@ -460,6 +475,13 @@ class TestPlot:
         assert text.count("<polyline") == 2
         assert "circle" in text  # unit reference
         assert "square-flower" in text  # legend from metadata
+
+    def test_markup_in_labels_is_escaped(self, tmp_path, grid720):
+        p, svg = tmp_path / "k.json", tmp_path / "k.svg"
+        serialize_body(document_for_convex(square_body(grid720), metadata={"name": "K<1 & L"}), p)
+        assert run(["plot", p, "--out", svg]) == 0
+        texts = [t.text for t in ET.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}text")]
+        assert texts == ["K<1 & L"]
 
     def test_flower_encloses_core_in_plot_data(self, grid720):
         # h_K >= r_K pointwise: the flower curve encloses the body curve
@@ -662,6 +684,21 @@ class TestCountAndFloatArguments:
         err = capsys.readouterr().err
         assert "--tol: expected a number >= 0, got '-2'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["flower", "core", "polar"])
+    def test_negative_certificate_tol_is_a_usage_error(self, tmp_path, capsys, grid720, command):
+        # a negative tolerance would fail every certificate, the ball's violation 0.0 included
+        ball = unit_ball(grid720)
+        doc = document_for_star(flower_of(ball).body) if command == "core" else document_for_convex(ball)
+        body = tmp_path / "ball.json"
+        serialize_body(doc, body)
+        with pytest.raises(SystemExit) as e:
+            run([command, body, "--tol", "-1"])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert "--tol: expected a number >= 0, got '-1'" in err
+        assert "Traceback" not in err
+        assert run([command, body, "--tol", "0"]) == 0
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize(

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from flowerlab._sampleops import EPS_FLOOR, _ball_union_radial, _support_blocked, support_of_cloud
 from flowerlab.bodies import (
+    Flower,
     StarBody,
     core_of,
     flower_from_petals,
@@ -10,10 +14,11 @@ from flowerlab.bodies import (
     square_body,
     unit_ball,
 )
-from flowerlab.errors import RepresentationRequiredError, SymmetryError, UnsupportedDimensionError
+from flowerlab.errors import SymmetryError, UnsupportedDimensionError
 from flowerlab.localtheory import (
     ExperimentReport,
     canonical_petals,
+    default_subgrid,
     distance_to_ball,
     dvoretzky_search,
     global_average,
@@ -28,10 +33,18 @@ from flowerlab.localtheory import (
 from flowerlab.spherecore import (
     SubspaceBasis,
     child_seed,
+    random_rotation,
     random_subspace,
     sampled_sphere_grid,
     uniform_angle_grid,
 )
+
+
+def _petalless_flower(dim, n, seed=0):
+    """A flower without a petal list: the certified support C(w) of a log-normal cloud, as radial samples."""
+    grid = uniform_angle_grid(n) if dim == 2 else sampled_sphere_grid(dim, n, seed=seed, symmetric=True)
+    w = np.exp(0.3 * np.random.default_rng(seed).normal(size=n))
+    return Flower(StarBody(grid, support_of_cloud(grid, w)))
 
 
 class TestDistance:
@@ -96,11 +109,15 @@ class TestProjection:
         r = projected_radial(f, e, np.array([[1.0], [-1.0]]))
         assert np.abs(r - 0.5).max() < 1e-12
 
-    def test_needs_petals(self, grid720):
-        f = flower_of(unit_ball(grid720))
-        e = SubspaceBasis(2, 1, np.array([[1.0, 0.0]]))
-        with pytest.raises(RepresentationRequiredError):
-            projected_radial(f, e, np.array([[1.0]]))
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_petalless_projection_is_its_canonical_petal_projection(self, dim):
+        f = flower_of(unit_ball(uniform_angle_grid(720))) if dim == 2 else _petalless_flower(3, 512)
+        pf = flower_from_petals(canonical_petals(f), f.grid)
+        assert pf.petals.shape == (f.grid.size, dim)
+        for k in range(1, dim + 1):
+            e = random_subspace(dim, k, seed=k)
+            kdirs = np.array([[1.0], [-1.0]]) if k == 1 else default_subgrid(k, size=256).directions
+            assert projected_radial(f, e, kdirs).tobytes() == projected_radial(pf, e, kdirs).tobytes()
 
     def test_k1_flower_rejected(self, grid720):
         f = flower_from_petals([[1.0, 0.0]], grid720)
@@ -147,6 +164,93 @@ class TestSection:
         e = random_subspace(3, 2, seed=9)
         kdirs = uniform_angle_grid(64).directions
         assert np.all(projected_radial(f, e, kdirs) >= section_radial(f, e, kdirs) - 1e-12)
+
+
+class TestPetallessFlowers:
+    """Flowers without a petal list go through their canonical petals (core boundary points at the nodes)."""
+
+    @pytest.mark.parametrize("dim,n", [(2, 720), (2, 2048), (3, 2048), (3, 4096), (4, 1024)])
+    def test_section_at_own_nodes_within_4_ulp(self, dim, n):
+        f = _petalless_flower(dim, n, seed=dim)
+        full = SubspaceBasis(dim, dim, np.eye(dim))
+        r = section_radial(f, full, f.grid.directions)
+        assert (np.abs(r - f.radial) <= 4 * np.spacing(f.radial)).all()
+
+    def test_projection_radial_dominates_section(self):
+        f = _petalless_flower(3, 1024, seed=7)
+        kdirs = uniform_angle_grid(256).directions
+        for seed in range(4):
+            e = random_subspace(3, 2, seed=seed)
+            assert (projected_radial(f, e, kdirs) >= section_radial(f, e, kdirs)).all()
+
+    def test_section_holds_no_directions_by_nodes_product(self):
+        # one directions x nodes product would be 4096 x 4096 floats, 128 MiB
+        f = _petalless_flower(3, 4096, seed=1)
+        e = random_subspace(3, 2, seed=2)
+        kdirs = uniform_angle_grid(4096).directions
+        tracemalloc.start()
+        try:
+            section_radial(f, e, kdirs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+    def test_dvoretzky_and_global_average_read_the_canonical_petals(self):
+        f = _petalless_flower(3, 512, seed=3)
+        pf = Flower(f.body, canonical_petals(f))
+        sub = uniform_angle_grid(128)
+        a = dvoretzky_search(f, 2, trials=6, seed=4, subgrid=sub, include_sections=True)
+        b = dvoretzky_search(pf, 2, trials=6, seed=4, subgrid=sub, include_sections=True)
+        assert a.distances.tobytes() == b.distances.tobytes()
+        assert a.section_distances.tobytes() == b.section_distances.tobytes()
+        assert global_average(f, 8, seed=5) == global_average(pf, 8, seed=5)
+
+
+class TestPetalFlowerKernels:
+    """On petal lists each local-theory output is the direct kernel expression, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def b1(self):  # flower(B_1^16) on a carrier grid, as in the projection/section contrast
+        n = 16
+        return flower_from_petals(np.vstack([np.eye(n), -np.eye(n)]), sampled_sphere_grid(n, 64, seed=0, symmetric=True))
+
+    @staticmethod
+    def _projected(pts, e, dk):
+        return np.maximum(_ball_union_radial((pts @ e.frame.T) / 2.0, np.linalg.norm(pts, axis=1) / 2.0, dk), EPS_FLOOR)
+
+    @staticmethod
+    def _section(pts, e, dk):
+        return np.maximum(_support_blocked(pts, dk @ e.frame), EPS_FLOOR)
+
+    def test_projection_and_section(self, b1):
+        dk = sampled_sphere_grid(8, 512, seed=1, symmetric=True).directions
+        e = random_subspace(16, 8, seed=2)
+        assert projected_radial(b1, e, dk).tobytes() == self._projected(b1.petals, e, dk).tobytes()
+        assert section_radial(b1, e, dk).tobytes() == self._section(b1.petals, e, dk).tobytes()
+
+    def test_dvoretzky(self, b1):
+        sub = sampled_sphere_grid(8, 512, seed=3, symmetric=True)
+        res = dvoretzky_search(b1, 8, trials=5, seed=11, subgrid=sub, include_sections=True)
+        proj, sect = [], []
+        for i in range(5):
+            e = random_subspace(16, 8, child_seed(11, i))
+            rp, rs = self._projected(b1.petals, e, sub.directions), self._section(b1.petals, e, sub.directions)
+            proj.append(float(rp.max() / rp.min()))
+            sect.append(float(rs.max() / rs.min()))
+        assert res.distances.tobytes() == np.array(proj).tobytes()
+        assert res.section_distances.tobytes() == np.array(sect).tobytes()
+        assert res.best_distance == min(proj)
+
+    def test_global_average(self):
+        grid = sampled_sphere_grid(4, 512, seed=4, symmetric=True)
+        x = np.array([[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5]])
+        f = flower_from_petals(np.vstack([x, -x]), grid)
+        acc = np.zeros(grid.size)
+        for i in range(16):
+            acc += _support_blocked(f.petals @ random_rotation(4, child_seed(12, i)).matrix.T, grid.directions)
+        acc /= 16
+        assert global_average(f, 16, seed=12) == float(acc.max() / acc.min())
 
 
 class TestStability:
