@@ -161,6 +161,8 @@ def power_partition(k: ConvexBody, lam: float, partition: Partition) -> ConvexBo
     s_i = t_{i-1}/t_i applied right to left; for lambda > 1 the order is
     reversed with s_i = t_i/t_{i-1}.
     """
+    if not k.certified:
+        raise CertificationRequiredError("power_partition needs a certified convex body")
     t = partition.endpoints
     if lam < 1.0:
         if not (np.isclose(t[0], lam) and np.isclose(t[-1], 1.0)):

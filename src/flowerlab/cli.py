@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -44,15 +45,16 @@ def _int_arg(lo: float, hi: float, expected: str):
     return parse
 
 
-def _finite_float(text: str, low: float = -math.inf) -> float:
-    """argparse type: a finite float of at least low; nan, inf and smaller values are usage errors."""
+def _finite_float(text: str, low: float = -math.inf, strict: bool = False) -> float:
+    """argparse type: a finite float of at least low (above low if strict); nan, inf and other values are usage errors."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if math.isfinite(value) and value >= low:
+    if math.isfinite(value) and (value > low if strict else value >= low):
         return value
-    raise argparse.ArgumentTypeError(f"expected {f'a number >= {low:g}' if math.isfinite(value) else 'a finite number'}, got {text!r}")
+    bound = f"a number {'>' if strict else '>='} {low:g}"
+    raise argparse.ArgumentTypeError(f"expected {bound if math.isfinite(value) else 'a finite number'}, got {text!r}")
 
 
 def _write(text: str, args):
@@ -75,8 +77,12 @@ def _load_convex(path, doc: BodyDocument | None = None) -> bodies.ConvexBody:
     return k
 
 
-def _load_flower(path) -> bodies.Flower:
-    return parse_body(path).to_flower()
+def _load_flower(doc: BodyDocument, tol: float | None = None) -> bodies.Flower:
+    """The flower of a petals or radial file; radial samples must pass the certificate within tol, as in core."""
+    f = doc.to_flower()
+    if doc.representation == "radial":
+        bodies.core_of(f, tol)
+    return f
 
 
 def cmd_flower(args):
@@ -84,7 +90,7 @@ def cmd_flower(args):
     if doc.representation == "support":
         f = bodies.flower_of(doc.to_convex(args.tol))
     else:
-        f = doc.to_flower()
+        f = _load_flower(doc, args.tol)
     _emit(document_for_star(f, metadata=doc.metadata), args)
 
 
@@ -181,20 +187,12 @@ def cmd_invert(args):
 
 
 def cmd_stability(args):
-    f = _load_flower(args.body)
-    rep = localtheory.stability_check(f)
-    obj = {
-        "eps": rep.eps,
-        "hull_distance": rep.hull_distance,
-        "flower_distance": rep.flower_distance,
-        "bound_applies": rep.bound_applies,
-        "bound_holds": rep.bound_holds,
-    }
-    _write(json.dumps(obj, indent=2) + "\n", args)
+    rep = localtheory.stability_check(_load_flower(parse_body(args.body)))
+    _write(json.dumps(dataclasses.asdict(rep), indent=2) + "\n", args)
 
 
 def cmd_dvoretzky(args):
-    f = _load_flower(args.body)
+    f = _load_flower(parse_body(args.body))
     subgrid = None
     if args.k >= 2:
         subgrid = localtheory.default_subgrid(args.k, size=args.grid, seed=child_seed(args.seed, 2 ** 20))
@@ -219,7 +217,7 @@ def cmd_dvoretzky(args):
 
 
 def cmd_global_avg(args):
-    f = _load_flower(args.body)
+    f = _load_flower(parse_body(args.body))
     ratio = localtheory.global_average(f, args.n_rot, args.seed)
     _write(f"{ratio!r}\n", args)
 
@@ -268,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     grid = flag("--grid", type=count, default=DEFAULT_GRID_N, help="size of the working grid")
     cert_tol = flag("--tol", type=lambda text: _finite_float(text, 0.0), default=None,
                     help="non-negative input certificate tolerance (default 1e-9 in 2D, else 1e-6)")
-    power_tol = flag("--tol", type=_finite_float, default=calculus.POWER_TOL, help="power-map tolerance (default %(default)s)")
+    power_tol = flag("--tol", type=lambda text: _finite_float(text, 0.0, strict=True), default=calculus.POWER_TOL,
+                     help="positive power-map tolerance (default %(default)s)")
     invert_tol = flag("--tol", type=lambda text: _finite_float(text, 0.0), default=CONVEX_POSITION_TOL,
                       help="non-negative convex-position tolerance (default %(default)s)")
 

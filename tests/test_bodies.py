@@ -175,6 +175,25 @@ class TestCof:
         assert np.abs(p.radial() - t.radial).max() < 1e-12
 
 
+POLAR_GRIDS = ["uniform-720", "uniform-2048", "uniform-8192", "directions-500", "sphere3-4096", "sphere4-1024"]
+
+
+@functools.cache
+def _polar_bodies(kind):
+    """Three certified bodies on the grid named by kind."""
+    if kind.startswith("uniform"):
+        g = _uniform_grid(int(kind.split("-")[1]))
+        return [random_convex_body(g, seed) for seed in range(3)]
+    if kind == "directions-500":
+        th = np.sort(np.random.default_rng(7).uniform(0, 2 * np.pi, 500))
+        g = DirectionGrid(2, np.stack([np.cos(th), np.sin(th)], axis=1), np.full(500, 1 / 500))
+    else:
+        dim, n = int(kind[6]), int(kind.split("-")[1])
+        g = sampled_sphere_grid(dim, n, seed=dim + n)
+    rngs = [np.random.default_rng(seed) for seed in range(3)]
+    return [ConvexBody(g, support_of_cloud(g, np.exp(rng.normal(0.0, 0.3, g.size))), certified=True) for rng in rngs]
+
+
 class TestPolar:
     def test_ball(self, grid720):
         assert np.abs(polar(unit_ball(grid720)).support - 1.0).max() < 1e-15
@@ -190,6 +209,47 @@ class TestPolar:
             k = random_convex_body(grid720, seed + 50)
             kk = polar(polar(k))
             assert np.abs(kk.support - k.support).max() < 1e-12
+
+    @pytest.mark.parametrize("kind", POLAR_GRIDS)
+    def test_is_one_cloud_support(self, kind, monkeypatch):
+        import flowerlab.bodies as bodies_mod
+
+        calls = {"C": 0, "cert": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(bodies_mod, "support_of_cloud", counted("C", support_of_cloud))
+        monkeypatch.setattr(bodies_mod, "certificate_violation", counted("cert", certificate_violation))
+        for k in _polar_bodies(kind):
+            calls.update(C=0, cert=0)
+            p = polar(k)
+            assert calls == {"C": 1, "cert": 0}
+            assert p.certified
+            assert p.support.tobytes() == support_of_cloud(k.grid, 1.0 / k.support).tobytes()
+
+    @pytest.mark.parametrize("kind", POLAR_GRIDS)
+    def test_output_passes_certificate_at_every_scale(self, kind):
+        """The C/D identity D(g) = 1/C(1/g) certifies every output of C.
+
+        So polar's output, one C call, passes C(D(h)) == h to within a few ulp
+        of max(h) at any scale of the input: the absolute certificate tolerance
+        would refuse tiny outputs that are exact to the last place.
+        """
+        for k in _polar_bodies(kind):
+            for scale in (2.0 ** -40, 1e-9, 1.0, 1e6, 2.0 ** 40):
+                h = polar(ConvexBody(k.grid, scale * k.support, certified=True)).support
+                assert certificate_violation(k.grid, h) <= 4 * np.spacing(h.max())
+
+    def test_tiny_body(self):
+        # the output's certificate gap, 4.768e-07, is above the absolute
+        # tolerance 1e-9 but only 1 ulp of its largest sample, 2.7e9
+        k = random_convex_body(uniform_angle_grid(720), 3)
+        tiny = ConvexBody(k.grid, 1e-9 * k.support, certified=True)
+        assert np.abs(polar(polar(tiny)).support / tiny.support - 1.0).max() < 1e-12
 
 
 class TestConvexify:

@@ -388,6 +388,8 @@ def test_uncertified_body_rejected_by_maps(grid720):
         power_naive(k, 0.5)
     with pytest.raises(CertificationRequiredError):
         power(k, 0.5)
+    with pytest.raises(CertificationRequiredError):
+        power_partition(k, 0.5, Partition.geometric(0.5, 1.0, 4))
     ball = unit_ball(grid720)
     for op in (compose, radial_compose):
         for t, b in ((k, ball), (ball, k)):

@@ -13,6 +13,8 @@ import flowerlab.bodyfile as bodyfile
 import flowerlab.cli as cli
 import flowerlab.localtheory as localtheory
 from flowerlab.bodies import (
+    ConvexBody,
+    StarBody,
     flower_from_petals,
     flower_of,
     polar,
@@ -439,6 +441,30 @@ class TestSubcommandsGolden:
         assert rep_a.decode().startswith("trial,seed,k,distance,section_distance\n")
         assert float(a.out.splitlines()[-1]) >= 1.0
 
+    def test_radial_file_must_be_a_flower(self, tmp_path, capsys, grid720):
+        # the radial samples of B_1^2 are not support-consistent, so no flower
+        # has them; core refuses the file and so does every flower reader
+        d = grid720.directions
+        cross, ball = tmp_path / "cross.json", tmp_path / "ball.json"
+        serialize_body(document_for_star(StarBody(grid720, 1.0 / np.abs(d).sum(axis=1))), cross)
+        serialize_body(document_for_star(flower_of(unit_ball(grid720)).body), ball)
+        for argv in (["flower"], ["core"], ["stability"], ["dvoretzky", "--k", "2", "--trials", "3"],
+                     ["global-avg", "--n-rot", "4"]):
+            assert run([*argv, cross]) == 1
+            assert capsys.readouterr().err == "error: not a flower: certificate violation 1.716e-01\n"
+            assert run([*argv, ball]) == 0
+            assert capsys.readouterr().err == ""
+
+    def test_polar_of_a_tiny_body(self, tmp_path, capsys, grid720):
+        # the output's certificate gap, 4.8e-07, is above the absolute 1e-9
+        # but only 1 ulp of its largest sample, 2.7e9
+        tiny = ConvexBody(grid720, 1e-9 * random_convex_body(grid720, 3).support, certified=True)
+        body = tmp_path / "tiny.json"
+        serialize_body(document_for_convex(tiny), body)
+        assert run(["polar", body]) == 0
+        out = parse_body_obj(json.loads(capsys.readouterr().out))
+        assert np.array_equal(out.values, polar(tiny).support)
+
     def test_kashin_deterministic(self, capsys):
         assert run(["kashin", "--dim", "3", "--seed", "5"]) == 0
         a = capsys.readouterr().out
@@ -685,20 +711,26 @@ class TestCountAndFloatArguments:
         assert "--tol: expected a number >= 0, got '-2'" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["flower", "core", "polar"])
+    @pytest.mark.parametrize("command", ["flower", "core", "polar", "power"])
     def test_negative_certificate_tol_is_a_usage_error(self, tmp_path, capsys, grid720, command):
-        # a negative tolerance would fail every certificate, the ball's violation 0.0 included
+        # a negative tolerance would fail every certificate, the ball's violation 0.0 included;
+        # power's tolerance bounds an increment, so 0 is out of range there too
         ball = unit_ball(grid720)
         doc = document_for_star(flower_of(ball).body) if command == "core" else document_for_convex(ball)
         body = tmp_path / "ball.json"
         serialize_body(doc, body)
-        with pytest.raises(SystemExit) as e:
-            run([command, body, "--tol", "-1"])
-        assert e.value.code == 2
-        err = capsys.readouterr().err
-        assert "--tol: expected a number >= 0, got '-1'" in err
-        assert "Traceback" not in err
-        assert run([command, body, "--tol", "0"]) == 0
+        power = command == "power"
+        argv = [command, body, *(["--lambda", "2"] if power else [])]
+        for value in ["-1", "0"] if power else ["-1"]:
+            with pytest.raises(SystemExit) as e:
+                run([*argv, "--tol", value])
+            assert e.value.code == 2
+            err = capsys.readouterr().err
+            assert f"--tol: expected a number {'>' if power else '>='} 0, got '{value}'" in err
+            assert "Traceback" not in err
+        assert run([*argv, "--tol", "1e-300" if power else "0"]) == 0
+        if power:  # the ball's increment is 0, below any positive tolerance
+            assert json.loads(capsys.readouterr().out)["metadata"]["power"]["tol"] == 1e-300
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize(
