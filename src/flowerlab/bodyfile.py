@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import ConvexBody, Flower, StarBody, flower_from_petals, is_support_consistent
+from .bodies import ConvexBody, Flower, StarBody, flower_from_petals
 from .errors import BodyFileError
 from .inversion import OffOriginPolytope
 from .spherecore import DirectionGrid, uniform_angle_grid
@@ -51,12 +51,6 @@ class BodyDocument:
         if self.representation not in ("radial", "support"):
             raise BodyFileError(f"cannot view a '{self.representation}' body as a star body")
         return StarBody(self.grid, self.values)
-
-    def to_convex(self, tol: float | None = None) -> ConvexBody:
-        """The support samples as a convex body, certified iff they pass the certificate within tol."""
-        if self.representation != "support":
-            raise BodyFileError(f"expected a support body, got '{self.representation}'")
-        return ConvexBody(self.grid, self.values, certified=is_support_consistent(self.grid, self.values, tol).ok)
 
     def to_flower(self) -> Flower:
         if self.representation == "petals":

@@ -80,7 +80,10 @@ def apply_radial_map(k: ConvexBody, f: RadialMap) -> ConvexBody:
     if not k.certified:
         raise CertificationRequiredError("radial maps need a certified convex body")
     f.check_zero_fixed(k.grid)
-    s = np.asarray(f.evaluator(k.grid.directions, k.radial()), dtype=float)
+    with np.errstate(over="ignore"):
+        s = np.asarray(f.evaluator(k.grid.directions, k.radial()), dtype=float)
+    if not np.isfinite(s).all():
+        raise DegenerateInputError("radial map left the float range: mapped radial samples are not finite")
     if (s <= 0).all():
         raise DegenerateInputError("radial map produced no positive values")
     return convexify_support(StarBody(k.grid, np.maximum(s, EPS_FLOOR)))
@@ -135,7 +138,7 @@ def power(k: ConvexBody, lam: float, tol: float = POWER_TOL, m_cap: int = POWER_
         raise CertificationRequiredError("power needs a certified convex body")
     grid = k.grid
     if lam == 1.0:
-        return PowerResult(ConvexBody(grid, k.support, certified=k.certified), lam, 0, 0.0)
+        return PowerResult(k, lam, 0, 0.0)
     if lam == 0.0:
         return PowerResult(unit_ball(grid), lam, 0, 0.0)
     w0 = k.radial()
@@ -173,7 +176,7 @@ def power_partition(k: ConvexBody, lam: float, partition: Partition) -> ConvexBo
             raise ParameterError("partition must span [1, lambda]")
         ratios = t[1:] / t[:-1]  # apply s_1 first
     else:
-        return ConvexBody(k.grid, k.support, certified=k.certified)
+        return k
     return ConvexBody.hull_backed(k.grid, _power_run(k.grid, k.radial(), ratios))
 
 

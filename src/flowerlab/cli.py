@@ -19,7 +19,7 @@ import sys
 
 from . import bodies, calculus, localtheory, mixedvol
 from .bodyfile import MAX_GRID_SIZE, BodyDocument, document_for_convex, document_for_star, parse_body, serialize_body
-from .errors import FlowerlabError, ParameterError
+from .errors import BodyFileError, CertificationRequiredError, FlowerlabError, ParameterError
 from .inversion import CONVEX_POSITION_TOL, TruncatedOutCone, is_inversion_convex
 from .localtheory import ExperimentReport
 from .spherecore import child_seed
@@ -69,12 +69,15 @@ def _emit(doc: BodyDocument, args):
     _write(serialize_body(doc), args)
 
 
-def _load_convex(path, doc: BodyDocument | None = None) -> bodies.ConvexBody:
-    """The certified convex body of a support file; pass `doc` when it is already parsed."""
-    k = (parse_body(path) if doc is None else doc).to_convex()
-    if not k.certified:
-        raise ParameterError(f"{path}: support samples failed certification")
-    return k
+def _load_convex(path, doc: BodyDocument | None = None, tol: float | None = None) -> bodies.ConvexBody:
+    """The certified convex body of a support file (pass `doc` if parsed): its samples must pass the certificate within tol."""
+    doc = parse_body(path) if doc is None else doc
+    if doc.representation != "support":
+        raise BodyFileError(f"{path}: expected a support body, got '{doc.representation}'")
+    rep = bodies.is_support_consistent(doc.grid, doc.values, tol)
+    if not rep.ok:
+        raise CertificationRequiredError(f"{path}: support samples failed certification: violation {rep.violation:.3e}")
+    return bodies.ConvexBody(doc.grid, doc.values, certified=True)
 
 
 def _load_flower(doc: BodyDocument, tol: float | None = None) -> bodies.Flower:
@@ -88,7 +91,7 @@ def _load_flower(doc: BodyDocument, tol: float | None = None) -> bodies.Flower:
 def cmd_flower(args):
     doc = parse_body(args.body)
     if doc.representation == "support":
-        f = bodies.flower_of(doc.to_convex(args.tol))
+        f = bodies.flower_of(_load_convex(args.body, doc, args.tol))
     else:
         f = _load_flower(doc, args.tol)
     _emit(document_for_star(f, metadata=doc.metadata), args)
@@ -106,7 +109,7 @@ def cmd_cof(args):
 
 def cmd_polar(args):
     doc = parse_body(args.body)
-    _emit(document_for_convex(bodies.polar(doc.to_convex(args.tol)), metadata=doc.metadata), args)
+    _emit(document_for_convex(bodies.polar(_load_convex(args.body, doc, args.tol)), metadata=doc.metadata), args)
 
 
 def cmd_alexandrov(args):
@@ -116,7 +119,7 @@ def cmd_alexandrov(args):
 
 def cmd_power(args):
     doc = parse_body(args.body)
-    res = calculus.power(doc.to_convex(), args.lam, tol=args.tol)
+    res = calculus.power(_load_convex(args.body, doc), args.lam, tol=args.tol)
     meta = dict(doc.metadata)
     meta["power"] = {"lambda": args.lam, "tol": args.tol, "m_final": res.m_final, "increment": res.increment}
     _emit(document_for_convex(res.body, metadata=meta), args)
@@ -134,7 +137,7 @@ def cmd_fmap(args):
             raise ParameterError("fmap --fn scale needs --factor")
         f = calculus.RadialMap.scale(args.factor)
         detail = {"fn": "scale", "factor": args.factor}
-    k = calculus.apply_radial_map(doc.to_convex(), f)
+    k = calculus.apply_radial_map(_load_convex(args.body, doc), f)
     meta = dict(doc.metadata)
     meta["fmap"] = detail
     _emit(document_for_convex(k, metadata=meta), args)

@@ -9,6 +9,7 @@ from flowerlab.bodies import (
     ConvexBody,
     StarBody,
     cof,
+    convexify_support,
     flower_of,
     polar,
     polytope_body,
@@ -105,6 +106,14 @@ class TestPower:
         k = random_convex_body(grid720, 2)
         assert np.array_equal(power(k, 1.0).body.support, k.support)
         assert np.all(power(k, 0.0).body.support == 1.0)
+
+    def test_lambda_one_returns_k_itself(self, grid720):
+        # a copy of a hull-backed body would drop its hull radial for the
+        # outer radial D(h), up to 3.3e-3 off in log on this body
+        k = convexify_support(StarBody(grid720, np.exp(0.3 * np.random.default_rng(0).standard_normal(720))))
+        for out in (power(k, 1.0).body, power_partition(k, 1.0, Partition.geometric(1.0, 2.0, 4))):
+            assert out.radial().tobytes() == k.radial().tobytes()
+            assert volume(out) == volume(k)
 
     def test_scaled_ball(self, grid720):
         res = power(unit_ball(grid720, 2.0), 0.5)

@@ -270,7 +270,7 @@ class TestSubcommandsGolden:
         assert np.array_equal(doc.values, ref.body.support)
         # through the file only support samples survive; the reconstructed
         # radial is the outer half-space representation (O(1/N^2) above r^0.5)
-        r = doc.to_convex().radial()
+        r = doc.to_body().radial()
         assert np.all(r >= k.radial() ** 0.5 - 1e-12)
         assert np.abs(r - k.radial() ** 0.5).max() < 1e-4
         assert doc.metadata["power"]["lambda"] == 0.5
@@ -767,6 +767,42 @@ class TestPowerRange:
             assert run(["power", square_file, "--lambda", "1e300"]) == 1
         err = capsys.readouterr().err
         assert err == "error: power map left the float range: radial samples ** 1e+150 are not finite and positive\n"
+
+    def test_overflowing_fmap_lambda_is_a_domain_error(self, square_file, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["fmap", square_file, "--fn", "power", "--lambda", "1e300"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: radial map left the float range: mapped radial samples are not finite\n"
+
+
+class TestSupportLoader:
+    """Every subcommand that reads a support file certifies it in cli._load_convex, with one message."""
+
+    @pytest.fixture
+    def cross_file(self, tmp_path, grid720):
+        # the samples 1/(|cos| + |sin|) are B_1^2's radial, not a support function: violation 0.1716
+        path = tmp_path / "cross.json"
+        serialize_body(document_for_convex(ConvexBody(grid720, 1.0 / np.abs(grid720.directions).sum(axis=1))), path)
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ["flower", "{b}"], ["polar", "{b}"], ["power", "{b}", "--lambda", "2"],
+        ["fmap", "{b}", "--fn", "scale", "--factor", "2"], ["compose", "{b}", "{b}"], ["rcompose", "{b}", "{b}"],
+        ["logmean", "{b}", "{b}", "--lambda", "0.5"], ["mixedvol", "{b}", "{b}"], ["bm-probe", "{b}", "{b}", "{b}"],
+    ])
+    def test_failed_certificate_has_one_message(self, cross_file, capsys, argv):
+        assert run([a.format(b=cross_file) for a in argv]) == 1
+        assert capsys.readouterr().err == f"error: {cross_file}: support samples failed certification: violation 1.716e-01\n"
+
+    @pytest.mark.parametrize("command", ["flower", "polar"])
+    def test_tol_reaches_the_loader(self, cross_file, capsys, command):
+        assert run([command, cross_file, "--tol", "0.2"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_radial_file_is_not_a_support_file(self, square_file, square_flower_file, capsys):
+        assert run(["compose", square_flower_file, square_file]) == 1
+        assert capsys.readouterr().err == f"error: {square_flower_file}: expected a support body, got 'radial'\n"
 
 
 class TestSupportBody:

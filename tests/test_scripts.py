@@ -68,3 +68,31 @@ def test_benchmark_tracer_records_inversion_layers():
     assert not verdict.convex
     names = {span[0] for span in tracer.spans}
     assert {"inversion.verdict", "inversion.arc", "inversion.membership"} <= names
+
+
+def test_cli_corpus_records_exit_codes_hashes_and_stderr(tmp_path):
+    import hashlib
+
+    from flowerlab import flower_of, random_convex_body, uniform_angle_grid
+    from flowerlab.bodyfile import document_for_star, serialize_body
+
+    spec = importlib.util.spec_from_file_location("cli_corpus", SCRIPTS / "cli_corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tmp = str(tmp_path)
+    files = module.write_inputs(tmp)
+    k, cross = files["k720-0-s"], files["x720-s"]
+    picked = [["flower", k], ["compose", cross, k], ["power", k, "--lambda", "0.5", "--out", "{tmp}/o.json"],
+              ["fmap", k, "--fn", "power"]]
+    assert all(argv in module.cases(files) for argv in picked)
+    flower, refused, written, missing = (module.run_case(argv, tmp) for argv in picked)
+
+    sha = lambda text: hashlib.sha256(text.encode()).hexdigest()  # noqa: E731
+    body = flower_of(random_convex_body(uniform_angle_grid(720), 0)).body
+    assert flower == {"argv": ["flower", "$TMP/k720-0-s.json"], "exit": 0, "files": {}, "stderr": "", "warnings": [],
+                      "stdout": sha(serialize_body(document_for_star(body, metadata={"name": "k720-0"})))}
+    assert refused["exit"] == 1 and refused["stdout"] == sha("")
+    assert refused["stderr"] == "error: $TMP/x720-s.json: support samples failed certification: violation 1.716e-01\n"
+    assert written["exit"] == 0 and written["stdout"] == sha("")
+    assert written["files"] == {"$TMP/o.json": hashlib.sha256((tmp_path / "o.json").read_bytes()).hexdigest()}
+    assert missing["exit"] == 1 and missing["stderr"] == "error: fmap --fn power needs --lambda\n"
