@@ -38,7 +38,7 @@ def write_inputs(tmp):
 
     def put_set(name, k, pts):  # support, radial (the flower of k) and petal files
         put(f"{name}-s", document_for_convex(k, {"name": name}))
-        put(f"{name}-r", document_for_star(flower_of(k).body))
+        put(f"{name}-r", document_for_star(flower_of(k)))
         put(f"{name}-p", BodyDocument(k.grid.dim, "petals", k.grid, points=pts))
 
     for n in (720, 2048):
@@ -54,6 +54,8 @@ def write_inputs(tmp):
     g3 = sampled_sphere_grid(3, 512, 0)
     k3 = convexify_support(StarBody(g3, np.exp(0.2 * np.random.default_rng(0).normal(size=512))))
     put_set("k3d", k3, np.random.default_rng(1).normal(size=(12, 3)))
+    # petals whose squared lengths overflow the floats
+    put(HUGE, BodyDocument(3, "petals", g3, points=1e160 * np.vstack([np.eye(3), -np.eye(3)])))
     put("tri", BodyDocument(2, "polytope", None, points=np.array([[2.0, 0.0], [3.0, 0.0], [2.0, 1.0]])))
     put("slab", BodyDocument(2, "polytope", None, points=np.array([[-1, 0.99], [1, 0.99], [1, 1.01], [-1, 1.01]])))
     return files
@@ -68,11 +70,12 @@ UNARY = [[c, *flags.split()] for c, variants in (
     ("dvoretzky", ["--k 1 --trials 3", "--k 2 --trials 2 --grid 64 --seed 1 --sections --report {tmp}/d.csv"]),
     ("global-avg", ["--n-rot 4"])) for flags in variants]
 PAIRED = [["compose"], ["rcompose"], ["logmean", "--lambda", "0.5"], ["mixedvol", "--report", "{tmp}/m.csv"]]
+HUGE = "huge3d-p"  # petals of length 1e160, run only through the subcommands that project, rotate or measure a flower
 
 
 def cases(files):
     """Every case as an argv list of text, with {tmp} still to fill in."""
-    out = [[*cmd[:1], f, *cmd[1:]] for f in files.values() for cmd in UNARY]
+    out = [[*cmd[:1], f, *cmd[1:]] for name, f in files.items() if name != HUGE for cmd in UNARY]
     for a, b in (("k720-0-s", "k720-1-s"), ("k2048-0-s", "k2048-1-s"), ("k720-0-s", "k720-0-r"), ("x720-s", "k720-0-s"),
                  ("k720-0-s", "x720-s"), ("t720-1e+06", "k720-0-s"), ("k3d-s", "k3d-s"), ("k720-0-s", "k2048-0-s")):
         out += [[cmd[0], files[a], files[b], *cmd[1:]] for cmd in PAIRED]
@@ -81,6 +84,7 @@ def cases(files):
     out += [["invert", files[p], *flags] for p in ("tri", "slab") for flags in
             (["--outcone"], ["--samples", "50", "--seed", "3", "--tol", "1e-3"], ["--outcone", "--trunc-scale", "4"])]
     out += [["kashin", "--dim", "3"], ["kashin", "--dim", "4", "--petals", "6", "--grid", "64", "--seed", "2"]]
+    out += [[cmd[0], files[HUGE], *cmd[1:]] for cmd in UNARY if cmd[0] in ("dvoretzky", "global-avg", "stability")]
     return out
 
 

@@ -31,7 +31,9 @@ DENSE_BLOCK products at a time and so need O(N + M) memory:
   conv(points + {0}), which is the radial of their petal flower
   (flower_from_petals, polytope_body, section_radial, global_average).
 * _ball_union_radial, the radial of a union of balls that hold the origin
-  (projected_radial, minkowski_sum_2d).
+  (projected_radial, minkowski_sum_2d).  It and _row_norms, which gives
+  those callers their petal lengths, rescale by a power of two, so petals
+  whose squares would overflow stay exact.
 """
 from __future__ import annotations
 
@@ -114,7 +116,7 @@ def _hull_radial_qhull(dirs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     try:
         hull = ConvexHull(pts)
     except QhullError as e:
-        raise DegenerateInputError(f"degenerate point cloud: {e}") from e
+        raise DegenerateInputError.from_qhull("degenerate point cloud", e) from e
     a, b = hull.equations[:, :-1], hull.equations[:, -1]
     if not (b < 0.0).all():
         raise DegenerateInputError("the hull of the cloud does not hold the origin strictly inside")
@@ -258,15 +260,28 @@ def _support_blocked(pts: np.ndarray, dirs: np.ndarray, w: np.ndarray | None = N
     return out
 
 
+def _row_norms(pts: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows, taken on the rows scaled by a power of two so the squares stay in the floats."""
+    k = int(np.frexp(np.abs(pts).max())[1])
+    return np.ldexp(np.linalg.norm(np.ldexp(pts, -k), axis=1), k)
+
+
 def _ball_union_radial(centers: np.ndarray, radii: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """max_i <c_i, theta_j> + sqrt(rho_i^2 - |c_i|^2 + <c_i, theta_j>^2): the union of balls B(c_i, rho_i) holding 0."""
+    """max_i <c_i, theta_j> + sqrt(rho_i^2 - |c_i|^2 + <c_i, theta_j>^2): the union of balls B(c_i, rho_i) holding 0.
+
+    The balls are scaled by 2**-k, with k centring the radii on 1 as in
+    _hull_pass, so the squares stay in the floats at any scale; the scaling
+    is exact, so in-range results are unchanged bit for bit.
+    """
+    k = (int(np.frexp(radii.max())[1]) + int(np.frexp(radii.min())[1])) // 2
+    centers, radii = np.ldexp(centers, -k), np.ldexp(radii, -k)
     base = radii ** 2 - (centers ** 2).sum(axis=1)
     out = np.empty(len(dirs))
     step = max(1, DENSE_BLOCK // len(centers))
     for j in range(0, len(dirs), step):
         ip = centers @ dirs[j:j + step].T
         out[j:j + step] = (ip + np.sqrt(np.maximum(base[:, None] + ip ** 2, 0.0))).max(axis=0)
-    return out
+    return np.ldexp(out, k)
 
 
 def hull_radial(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:

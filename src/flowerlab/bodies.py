@@ -26,6 +26,7 @@ import numpy as np
 from ._sampleops import (
     EPS_FLOOR,
     _ball_union_radial,
+    _row_norms,
     _support_blocked,
     certificate_violation,
     closure,
@@ -125,25 +126,17 @@ class ConvexBody:
 
 
 @dataclass(eq=False)
-class Flower:
-    """Star body whose radial samples pass the support-consistency certificate."""
+class Flower(StarBody):
+    """Star body whose radial samples pass the support-consistency certificate, with an optional petal list."""
 
-    body: StarBody
     petals: np.ndarray | None = None  # (M, dim) petal points, optional
 
     def __post_init__(self):
+        super().__post_init__()
         if self.petals is not None:
             self.petals = _read_only(np.atleast_2d(self.petals))
             if self.petals.shape[1] != self.grid.dim:
                 raise ParameterError("petal points have wrong dimension")
-
-    @property
-    def grid(self) -> DirectionGrid:
-        return self.body.grid
-
-    @property
-    def radial(self) -> np.ndarray:
-        return self.body.radial
 
 
 class CertificateReport(NamedTuple):
@@ -160,7 +153,7 @@ def is_support_consistent(grid: DirectionGrid, support: np.ndarray, tol: float |
     return CertificateReport(v <= tol, v)
 
 
-def is_flower(s: StarBody | Flower, tol: float | None = None) -> CertificateReport:
+def is_flower(s: StarBody, tol: float | None = None) -> CertificateReport:
     """A star body is a flower iff its radial vector is support-consistent."""
     return is_support_consistent(s.grid, s.radial, tol)
 
@@ -184,18 +177,18 @@ def flower_from_petals(points: np.ndarray, grid: DirectionGrid) -> Flower:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != grid.dim:
         raise ParameterError("petal points have wrong dimension")
-    norms = np.linalg.norm(pts, axis=1)
-    if (norms == 0).all():
+    nonzero = (pts != 0.0).any(axis=1)
+    if not nonzero.any():
         raise DegenerateInputError("all petal points are zero")
-    pts = pts[norms > 0]
-    return Flower(StarBody(grid, np.maximum(_support_blocked(pts, grid.directions), EPS_FLOOR)), petals=pts)
+    pts = pts[nonzero]
+    return Flower(grid, np.maximum(_support_blocked(pts, grid.directions), EPS_FLOOR), pts)
 
 
 def flower_of(k: ConvexBody) -> Flower:
     """The flower with radial samples equal to the support samples of K."""
     if not k.certified:
         raise CertificationRequiredError("flower_of needs a certified convex body")
-    return Flower(StarBody(k.grid, k.support))
+    return Flower(k.grid, k.support)
 
 
 def core_of(f: Flower, tol: float | None = None) -> ConvexBody:
@@ -246,7 +239,7 @@ def _ball_mean(grid: DirectionGrid, values: np.ndarray) -> float:
     return math.pi ** (n / 2) / math.gamma(n / 2 + 1) * quadrature_mean(grid, values)
 
 
-def volume(a: StarBody | Flower | ConvexBody) -> float:
+def volume(a: StarBody | ConvexBody) -> float:
     """kappa_n times the spherical average of r^n (polar-coordinates formula)."""
     r = a.radial() if isinstance(a, ConvexBody) else a.radial
     return _ball_mean(a.grid, r ** a.grid.dim)
@@ -255,7 +248,7 @@ def volume(a: StarBody | Flower | ConvexBody) -> float:
 def radial_sum(f1: Flower, f2: Flower) -> Flower:
     """Radial sum: adds radial samples; the flower of K1 + K2 for the cores."""
     _check_same_grid(f1.grid, f2.grid)
-    return Flower(StarBody(f1.grid, f1.radial + f2.radial))
+    return Flower(f1.grid, f1.radial + f2.radial)
 
 
 def minkowski_sum_2d(f1: Flower, f2: Flower) -> Flower:
@@ -274,8 +267,8 @@ def minkowski_sum_2d(f1: Flower, f2: Flower) -> Flower:
     if f1.petals is None or f2.petals is None:
         raise ParameterError("minkowski_sum_2d needs petal lists on both flowers")
     cx = (f1.petals[:, None, :] + f2.petals[None, :, :]).reshape(-1, 2) / 2.0
-    rho = np.add.outer(np.linalg.norm(f1.petals, axis=1), np.linalg.norm(f2.petals, axis=1)).reshape(-1) / 2.0
-    return Flower(StarBody(grid, np.maximum(_ball_union_radial(cx, rho, grid.directions), EPS_FLOOR)))
+    rho = np.add.outer(_row_norms(f1.petals), _row_norms(f2.petals)).reshape(-1) / 2.0
+    return Flower(grid, np.maximum(_ball_union_radial(cx, rho, grid.directions), EPS_FLOOR))
 
 
 def sup_log_distance(r1: np.ndarray, r2: np.ndarray) -> float:
@@ -283,7 +276,7 @@ def sup_log_distance(r1: np.ndarray, r2: np.ndarray) -> float:
     return float(np.abs(np.log(np.asarray(r1, float)) - np.log(np.asarray(r2, float))).max())
 
 
-def convex_hull_radial(s: StarBody | Flower) -> StarBody:
+def convex_hull_radial(s: StarBody) -> StarBody:
     """Radial samples of the convex hull conv(S) along the grid rays."""
     return StarBody(s.grid, hull_radial(s.grid, s.radial))
 
@@ -298,8 +291,20 @@ def unit_ball(grid: DirectionGrid, radius: float = 1.0) -> ConvexBody:
     return ConvexBody(grid, np.full(grid.size, float(radius)), certified=True)
 
 
+def _certified_if_consistent(grid: DirectionGrid, support: np.ndarray) -> ConvexBody:
+    """Convex body of exact support samples, certified iff they pass the certificate at the default tolerance.
+
+    Exact support samples of a polytope whose vertices lie off the grid rays
+    can fail it (by up to about 1e-2 at N = 720): the grid's half-space body
+    then cuts the vertex off, so C(D(h)) falls below h near that vertex.
+    """
+    k = ConvexBody(grid, support)
+    k.certified = is_support_consistent(grid, k.support).ok
+    return k
+
+
 def polytope_body(grid: DirectionGrid, vertices: np.ndarray) -> ConvexBody:
-    """Convex body conv(vertices + {0}) from its exact support samples.
+    """Convex body conv(vertices + {0}) from its exact support samples, certified iff they pass the certificate.
 
     Support values that vanish (0 on the boundary, e.g. segments) are floored
     at EPS_FLOOR per the package convention.
@@ -307,7 +312,7 @@ def polytope_body(grid: DirectionGrid, vertices: np.ndarray) -> ConvexBody:
     v = np.atleast_2d(np.asarray(vertices, dtype=float))
     if v.shape[1] != grid.dim or not len(v):
         raise ParameterError("vertices must be one or more points of the grid's dimension")
-    return ConvexBody(grid, np.maximum(_support_blocked(v, grid.directions), EPS_FLOOR), certified=True)
+    return _certified_if_consistent(grid, np.maximum(_support_blocked(v, grid.directions), EPS_FLOOR))
 
 
 def regular_polygon_vertices(m: int, circumradius: float = 1.0, phase: float = 0.0) -> np.ndarray:
@@ -316,9 +321,9 @@ def regular_polygon_vertices(m: int, circumradius: float = 1.0, phase: float = 0
 
 
 def square_body(grid: DirectionGrid, half_width: float = 1.0) -> ConvexBody:
-    """The square [-a, a]^2 as a certified body (exact support |c|+|s| scaled)."""
+    """The square [-a, a]^2 from its exact support a(|c| + |s|), certified iff the samples pass the certificate."""
     d = grid.directions
-    return ConvexBody(grid, half_width * (np.abs(d[:, 0]) + np.abs(d[:, 1])), certified=True)
+    return _certified_if_consistent(grid, half_width * (np.abs(d[:, 0]) + np.abs(d[:, 1])))
 
 
 def random_convex_body(grid: DirectionGrid, seed: int, amp: float = 0.35, kmax: int = 6) -> ConvexBody:

@@ -56,10 +56,10 @@ class BodyDocument:
         if self.representation == "petals":
             return flower_from_petals(self.points, self.grid)
         if self.representation == "radial":
-            return Flower(StarBody(self.grid, self.values))
+            return Flower(self.grid, self.values)
         raise BodyFileError(f"cannot view a '{self.representation}' body as a flower")
 
-    def to_body(self) -> StarBody | Flower | ConvexBody:
+    def to_body(self) -> StarBody | ConvexBody:
         """The body the samples stand for: support samples as an uncertified convex
         body, petals as their flower, radial samples as a star body."""
         if self.representation == "support":
@@ -215,7 +215,7 @@ def serialize_body(doc: BodyDocument, path=None) -> str:
     return text
 
 
-def document_for_star(s: StarBody | Flower, representation: str = "radial", metadata: dict | None = None) -> BodyDocument:
+def document_for_star(s: StarBody, representation: str = "radial", metadata: dict | None = None) -> BodyDocument:
     return BodyDocument(s.grid.dim, representation, s.grid, values=s.radial.copy(), metadata=metadata or {})
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -43,6 +44,9 @@ def _int_arg(lo: float, hi: float, expected: str):
         raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
 
     return parse
+
+
+_seed_arg = _int_arg(0, math.inf, "a non-negative integer")
 
 
 def _finite_float(text: str, low: float = -math.inf, strict: bool = False) -> float:
@@ -253,8 +257,13 @@ def cmd_plot(args):
     _write(plot_svg(objs, labels=labels), args)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per subcommand, each carrying only the flags its handler reads."""
+    """One subparser per subcommand, each carrying only the flags its handler reads; built once per process.
+
+    --seed defaults to None here: main reads FLOWERLAB_SEED on every call, so
+    the cached parser does not freeze the environment of its first call.
+    """
 
     def flag(*names, **spec):
         parent = argparse.ArgumentParser(add_help=False)
@@ -263,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     out = flag("--out", default=None, help="output path (default stdout)")
     report = flag("--report", default=None, help="CSV report path")
-    seed = flag("--seed", type=_int_arg(0, math.inf, "a non-negative integer"),
-                default=os.environ.get("FLOWERLAB_SEED") or "0", help="random seed (env FLOWERLAB_SEED)")
+    seed = flag("--seed", type=_seed_arg, default=None, help="random seed (env FLOWERLAB_SEED)")
     count = _int_arg(-math.inf, MAX_GRID_SIZE, f"an integer of at most {MAX_GRID_SIZE}")
     grid = flag("--grid", type=count, default=DEFAULT_GRID_N, help="size of the working grid")
     cert_tol = flag("--tol", type=lambda text: _finite_float(text, 0.0), default=None,
@@ -362,6 +370,11 @@ def _kashin_size_error(args) -> str | None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) is None:  # a subcommand with --seed, run without it
+        try:
+            args.seed = _seed_arg(os.environ.get("FLOWERLAB_SEED") or "0")
+        except argparse.ArgumentTypeError as e:
+            parser.error(f"argument --seed: {e}")
     if args.command == "kashin" and (problem := _kashin_size_error(args)):
         parser.error(problem)
     try:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
+from ._sampleops import DENSE_BLOCK
 from .errors import (
     ArcThroughInfinityError,
     DegenerateInputError,
@@ -105,7 +106,7 @@ class OffOriginPolytope:
         try:
             hull = ConvexHull(v)
         except QhullError as e:
-            raise DegenerateInputError(f"degenerate vertex set: {e}") from e
+            raise DegenerateInputError.from_qhull("degenerate vertex set", e) from e
         offsets = hull.equations[:, -1]
         j = int(np.argmax(offsets))
         if offsets[j] <= 1e-12:
@@ -260,14 +261,24 @@ def _direct_image_cloud(shape: Shape, rng: np.random.Generator, nsamp: int) -> n
 
 
 def _convex_position_depth(cloud: np.ndarray) -> float:
-    """Max over points of the distance to the nearest hull facet (inside depth); vertices have depth 0."""
+    """Max over points of the distance to the nearest hull facet (inside depth); vertices have depth 0.
+
+    The non-vertices are scanned against the facets DENSE_BLOCK products at a
+    time, so memory stays O(points + facets).
+    """
     try:
         hull = ConvexHull(cloud)
     except QhullError as e:
-        raise DegenerateInputError(f"degenerate image cloud: {e}") from e
-    dist = np.delete(cloud, hull.vertices, axis=0) @ hull.equations[:, :-1].T
-    dist += hull.equations[:, -1]
-    return max(0.0, -float(dist.max(axis=1).min(initial=np.inf)))
+        raise DegenerateInputError.from_qhull("degenerate image cloud", e) from e
+    rows = np.delete(cloud, hull.vertices, axis=0)
+    a, b = hull.equations[:, :-1], hull.equations[:, -1]
+    nearest = np.inf
+    step = max(1, DENSE_BLOCK // len(a))
+    for i in range(0, len(rows), step):
+        dist = rows[i:i + step] @ a.T
+        dist += b
+        nearest = min(nearest, float(dist.max(axis=1).min()))
+    return max(0.0, -nearest)
 
 
 def is_inversion_convex(

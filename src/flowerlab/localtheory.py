@@ -10,11 +10,11 @@ flower's samples at the nodes to a few ulp.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._sampleops import EPS_FLOOR, _ball_union_radial, _support_blocked, radial_of_halfspaces
+from ._sampleops import EPS_FLOOR, _ball_union_radial, _row_norms, _support_blocked, radial_of_halfspaces
 from .bodies import Flower, StarBody, convex_hull_radial, flower_from_petals
 from .errors import ParameterError, SymmetryError, UnboundedBodyError, UnsupportedDimensionError
 from .spherecore import (
@@ -58,7 +58,7 @@ class ExperimentReport:
             w.writerows(self.rows)
 
 
-def distance_to_ball(a: StarBody | Flower) -> DistanceReport:
+def distance_to_ball(a: StarBody) -> DistanceReport:
     """d(A, B) for origin-symmetric A: max radial over min radial."""
     grid, r = a.grid, a.radial
     anti = grid.antipode_index()
@@ -102,7 +102,7 @@ def projected_radial(f: Flower, e: SubspaceBasis, directions_k: np.ndarray) -> n
     dk = np.atleast_2d(np.asarray(directions_k, dtype=float))
     pts = canonical_petals(f)
     cents = (pts @ e.frame.T) / 2.0  # (M, k)
-    rho = np.linalg.norm(pts, axis=1) / 2.0  # (M,)
+    rho = _row_norms(pts) / 2.0  # (M,)
     return np.maximum(_ball_union_radial(cents, rho, dk), EPS_FLOOR)
 
 
@@ -112,8 +112,7 @@ def project_flower(f: Flower, e: SubspaceBasis, grid: DirectionGrid | None = Non
         raise UnsupportedDimensionError("project_flower needs k >= 2; use projected_radial for k = 1")
     if grid is None:
         grid = default_subgrid(e.k)
-    r = projected_radial(f, e, grid.directions)
-    return Flower(StarBody(grid, r))
+    return Flower(grid, projected_radial(f, e, grid.directions))
 
 
 def section_radial(f: Flower, e: SubspaceBasis, directions_k: np.ndarray) -> np.ndarray:
@@ -133,7 +132,7 @@ def section_flower(f: Flower, e: SubspaceBasis, grid: DirectionGrid | None = Non
         raise UnsupportedDimensionError("section_flower needs k >= 2")
     if grid is None:
         grid = default_subgrid(e.k)
-    return Flower(StarBody(grid, section_radial(f, e, grid.directions)))
+    return Flower(grid, section_radial(f, e, grid.directions))
 
 
 @dataclass(eq=False)
@@ -154,7 +153,7 @@ def stability_check(f: Flower) -> StabilityReport:
     """
     hull = convex_hull_radial(f)
     d_hull = distance_to_ball(hull).value
-    d_flower = distance_to_ball(f.body).value
+    d_flower = distance_to_ball(f).value
     eps = d_hull - 1.0
     applies = eps < 0.1
     holds = bool(d_flower <= 1.0 + 3.0 * np.sqrt(max(eps, 0.0))) if applies else None
@@ -206,7 +205,7 @@ def dvoretzky_search(
         raise ParameterError("need at least one trial")
     if not 1 <= k <= f.grid.dim:
         raise ParameterError("k out of range")
-    f = Flower(f.body, canonical_petals(f))  # built once for all trials
+    f = replace(f, petals=canonical_petals(f))  # built once for all trials
     if k >= 2:
         if subgrid is None:
             subgrid = default_subgrid(k, seed=child_seed(seed, 2 ** 20))

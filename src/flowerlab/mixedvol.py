@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import ConvexBody, Flower, StarBody, _ball_mean, _check_same_grid, volume
+from .bodies import ConvexBody, Flower, _ball_mean, _check_same_grid, volume
 from .errors import DegenerateInputError, ParameterError
 from .spherecore import _read_only
 
@@ -42,7 +42,7 @@ def combine(c: FlowerCombination) -> Flower:
     r = np.zeros(c.grid.size)
     for lam, body in zip(c.coefficients, c.bodies):
         r += lam * body.support
-    return Flower(StarBody(c.grid, r))
+    return Flower(c.grid, r)
 
 
 def flower_mixed_volume(*bodies: ConvexBody) -> float:

@@ -17,8 +17,9 @@ def _fmt(x: float) -> str:
 def plot_svg(bodies, labels=None) -> str:
     """Render the radial boundaries of 2D bodies with a unit-circle reference.
 
-    bodies: iterable of objects with .grid (2D) and radial samples (StarBody,
-    Flower, or ConvexBody -- the latter plotted by its radial).  Viewport is
+    bodies: iterable of 2D StarBody (flowers included) and ConvexBody
+    objects; a star body is drawn from its radial samples, a convex body from
+    its radial() (the radial of its half-space body).  Viewport is
     auto-scaled with a 10% margin.  Returns the SVG text.
     """
     # imported here: xml.sax loads urllib.request, about 2 MiB and 16 ms that

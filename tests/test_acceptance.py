@@ -55,9 +55,9 @@ def test_criterion_01_duality_identities(grid720):
     for seed in range(1000):
         k = random_convex_body(grid720, seed)
         f = flower_of(k)
-        back = cof(cof(f.body))
+        back = cof(cof(f))
         worst_inv = max(worst_inv, float(np.abs(back.radial / f.radial - 1.0).max()))
-        worst_prod = max(worst_prod, float(np.abs(cof(f.body).radial * k.support - 1.0).max()))
+        worst_prod = max(worst_prod, float(np.abs(cof(f).radial * k.support - 1.0).max()))
     elapsed = time.time() - t0
     ok = worst_inv < 1e-14 and worst_prod < 1e-12 and elapsed < 10.0
     report(1, "duality-identities", ok,
@@ -292,7 +292,7 @@ def test_criterion_13_cli_determinism(tmp_path, grid720):
     sq = tmp_path / "square.json"
     serialize_body(document_for_convex(square_body(grid720), metadata={"name": "square"}), sq)
     fl = tmp_path / "flower.json"
-    serialize_body(document_for_star(flower_of(square_body(grid720)).body), fl)
+    serialize_body(document_for_star(flower_of(square_body(grid720))), fl)
 
     # round trip: serialize(parse(f)) is byte-identical
     checks.append(serialize_body(parse_body(sq)) == sq.read_text())

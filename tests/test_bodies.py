@@ -129,6 +129,14 @@ class TestFlowerCore:
         d = grid720.directions
         assert np.abs(f.radial - (np.abs(d[:, 0]) + np.abs(d[:, 1]))).max() < 1e-15
 
+    def test_flower_is_a_star_body_that_checks_its_samples(self, grid720):
+        f = flower_of(square_body(grid720))
+        assert isinstance(f, StarBody) and f.petals is None
+        with pytest.raises(DegenerateInputError):
+            Flower(grid720, np.zeros(720))
+        with pytest.raises(GridMismatchError):
+            Flower(grid720, np.ones(719), petals=[E1])
+
     def test_uncertified_rejected(self, grid720):
         k = ConvexBody(grid720, np.ones(720), certified=False)
         with pytest.raises(CertificationRequiredError):
@@ -149,9 +157,9 @@ class TestFlowerCore:
 
     def test_core_of_rejects_non_flower(self, grid720):
         d = grid720.directions
-        cross = StarBody(grid720, 1.0 / (np.abs(d[:, 0]) + np.abs(d[:, 1])))
+        cross = Flower(grid720, 1.0 / (np.abs(d[:, 0]) + np.abs(d[:, 1])))
         with pytest.raises(NotAFlowerError):
-            core_of(Flower(cross))
+            core_of(cross)
 
 
 class TestCof:
@@ -168,7 +176,7 @@ class TestCof:
 
     def test_cof_of_flower_is_polar_radial(self, grid720):
         k = random_convex_body(grid720, 3)
-        t = cof(flower_of(k).body)
+        t = cof(flower_of(k))
         assert np.all(t.radial * k.support == pytest.approx(1.0, abs=1e-12))
         # matches the polar body's radial samples
         p = polar(k)
@@ -434,7 +442,7 @@ class TestSums:
         w = np.arange(1.0, 9.0)
         reweighted = DirectionGrid(2, g.directions, w / w.sum())
         with pytest.raises(GridMismatchError):
-            radial_sum(Flower(StarBody(g, np.ones(8))), Flower(StarBody(reweighted, np.ones(8))))
+            radial_sum(Flower(g, np.ones(8)), Flower(reweighted, np.ones(8)))
 
     def test_sum_preserves_certificate_at_grid_tol(self, grid720):
         f1 = flower_of(random_convex_body(grid720, 11))
@@ -506,6 +514,38 @@ class TestRegularPolygons:
         assert is_support_consistent(grid720, k.support).ok
 
 
+def _constructor_outputs(g, rng):
+    """Convex bodies from every library constructor, polytopes with vertices off the grid rays included."""
+    r = np.exp(0.3 * rng.normal(size=g.size))
+    out = [unit_ball(g, 1.7), polytope_body(g, rng.normal(size=(12, g.dim))), alexandrov(r, g),
+           convexify_support(StarBody(g, r))]
+    if g.dim == 2:
+        out += [square_body(g), square_body(g, 2.5), random_convex_body(g, 5),
+                polytope_body(g, [[3.0, 1.0], [-3.0, 1.0], [-3.0, -1.0], [3.0, -1.0]])]
+        out += [polytope_body(g, regular_polygon_vertices(m, 1.3, rng.uniform(0.0, 2 * np.pi))) for m in (3, 4, 5, 7)]
+    out.append(polar(out[2]))
+    return out
+
+
+class TestConstructorsCertifyOnlyWhatPasses:
+    """A certified body's samples pass the certificate, so core_of(flower_of(k)) holds for every certified k."""
+
+    @pytest.mark.parametrize("grid", [720, 722, "3d"])
+    def test_certified_outputs_pass_the_certificate(self, grid):
+        g = sampled_sphere_grid(3, 2048, seed=0) if grid == "3d" else uniform_angle_grid(grid)
+        for k in _constructor_outputs(g, np.random.default_rng(7)):
+            if k.certified:
+                assert is_support_consistent(g, k.support).ok
+                assert np.array_equal(core_of(flower_of(k)).support, k.support)
+
+    def test_square_without_corner_rays_is_not_certified(self):
+        # no ray of the 722-grid meets a corner of the square: violation 4.1e-3
+        k = square_body(uniform_angle_grid(722))
+        assert not k.certified
+        with pytest.raises(CertificationRequiredError):
+            flower_of(k)
+
+
 def test_strictly_positive_radial_required(grid720):
     with pytest.raises(DegenerateInputError):
         StarBody(grid720, np.zeros(720))
@@ -541,7 +581,7 @@ class TestMinkowskiErrors:
         from flowerlab.errors import ParameterError
 
         f1 = flower_from_petals([[1.0, 0.0]], grid720)
-        f2 = Flower(StarBody(grid720, np.ones(720)))
+        f2 = Flower(grid720, np.ones(720))
         with pytest.raises(ParameterError):
             minkowski_sum_2d(f1, f2)
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from flowerlab.bodies import (
     ConvexBody,
     StarBody,
+    alexandrov,
     cof,
     convexify_support,
     flower_of,
@@ -271,7 +272,7 @@ class TestCompositions:
 
     def test_radial_product_reciprocal(self, grid720):
         k = random_convex_body(grid720, 16)
-        f = flower_of(k).body
+        f = flower_of(k)
         prod = radial_product(f, cof(f))
         assert np.abs(prod.radial - 1.0).max() < 1e-12
 
@@ -287,7 +288,7 @@ class TestCompositions:
         t = random_convex_body(grid720, 17)
         k = random_convex_body(grid720, 18)
         lhs = compose(t, k)
-        rhs = convexify_support(radial_product(flower_of(t).body, k.as_star()))
+        rhs = convexify_support(radial_product(flower_of(t), k.as_star()))
         assert np.abs(lhs.support - rhs.support).max() < 1e-12
 
 
@@ -359,7 +360,7 @@ class TestRegimeThreshold:
         # inflates the powered radial somewhere (sharpness itself not asserted)
         inside = polytope_body(grid720, 0.99 * regular_polygon_vertices(4, np.sqrt(2.0), phase=np.pi / 4))
         a = 3.0
-        outside = polytope_body(grid720, [[a, 1.0], [-a, 1.0], [-a, -1.0], [a, -1.0]])
+        outside = alexandrov(polytope_body(grid720, [[a, 1.0], [-a, 1.0], [-a, -1.0], [a, -1.0]]).support, grid720)
         lam = 0.5
         r_in = inside.radial()
         assert np.abs(power_naive(inside, lam).radial() - r_in ** lam).max() < 1e-9

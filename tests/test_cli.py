@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -50,7 +51,7 @@ def square_file(tmp_path, grid720):
 @pytest.fixture
 def square_flower_file(tmp_path, grid720):
     f = flower_of(square_body(grid720))
-    doc = document_for_star(f.body, metadata={"name": "square-flower"})
+    doc = document_for_star(f, metadata={"name": "square-flower"})
     path = tmp_path / "square_flower.json"
     serialize_body(doc, path)
     return path
@@ -447,7 +448,7 @@ class TestSubcommandsGolden:
         d = grid720.directions
         cross, ball = tmp_path / "cross.json", tmp_path / "ball.json"
         serialize_body(document_for_star(StarBody(grid720, 1.0 / np.abs(d).sum(axis=1))), cross)
-        serialize_body(document_for_star(flower_of(unit_ball(grid720)).body), ball)
+        serialize_body(document_for_star(flower_of(unit_ball(grid720))), ball)
         for argv in (["flower"], ["core"], ["stability"], ["dvoretzky", "--k", "2", "--trials", "3"],
                      ["global-avg", "--n-rot", "4"]):
             assert run([*argv, cross]) == 1
@@ -622,6 +623,27 @@ class TestSeedAndSizeArguments:
         monkeypatch.setenv("FLOWERLAB_SEED", "abc")
         assert run(["volume", square_file]) == 0
 
+    def test_parser_built_once_and_env_seed_read_per_call(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        out = {}
+        for value in ("5", "6"):
+            monkeypatch.setenv("FLOWERLAB_SEED", value)
+            assert run(["kashin", "--dim", "3"]) == 0
+            out[value] = capsys.readouterr().out
+        assert built.count("flowerlab") <= 1
+        monkeypatch.delenv("FLOWERLAB_SEED")
+        for value in ("5", "6"):
+            assert run(["kashin", "--dim", "3", "--seed", value]) == 0
+            assert capsys.readouterr().out == out[value]
+        assert out["5"] != out["6"]
+
     def test_grid_beyond_cap_is_a_usage_error(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("grid allocated")
@@ -716,7 +738,7 @@ class TestCountAndFloatArguments:
         # a negative tolerance would fail every certificate, the ball's violation 0.0 included;
         # power's tolerance bounds an increment, so 0 is out of range there too
         ball = unit_ball(grid720)
-        doc = document_for_star(flower_of(ball).body) if command == "core" else document_for_convex(ball)
+        doc = document_for_star(flower_of(ball)) if command == "core" else document_for_convex(ball)
         body = tmp_path / "ball.json"
         serialize_body(doc, body)
         power = command == "power"

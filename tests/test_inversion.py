@@ -363,6 +363,23 @@ class TestIsInversionConvex:
         assert peak < 0.05 * one_temporary
 
 
+    def test_depth_of_a_deep_image_holds_no_points_by_facets_temporary(self):
+        # the 3D slab image has 3260 non-vertices against 1476 facets, 37 MiB
+        # in one piece; the scan takes DENSE_BLOCK products at a time
+        slab = OffOriginPolytope(np.array(np.meshgrid([-1.0, 1.0], [-1.0, 1.0], [0.95, 1.05])).reshape(3, -1).T)
+        cloud = _direct_image_cloud(slab, np.random.default_rng(0), 4000)
+        hull = ConvexHull(cloud)
+        one_temporary = (len(cloud) - len(hull.vertices)) * len(hull.equations) * 8
+        tracemalloc.start()
+        try:
+            depth = _convex_position_depth(cloud)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert depth == full_scan_depth(cloud) > 0.0
+        assert peak < 0.25 * one_temporary
+
+
 def full_scan_depth(cloud):
     """Reference: the depth scan over every point, hull vertices included, a block of rows at a time."""
     hull = ConvexHull(cloud)
@@ -441,3 +458,15 @@ class TestDepthAgainstFullScan:
 def test_bad_inversion_input_is_a_domain_error(build, error):
     with pytest.raises(error):
         build()
+
+
+def test_qhull_failure_reads_as_one_repeatable_line():
+    # qhull appends its options, with a per-run id, to every error; only its reason is kept
+    flat = [[1.0, 0.0, 2.0], [2.0, 0.0, 2.0], [3.0, 1.0, 2.0], [4.0, 3.0, 2.0]]
+    messages = set()
+    for _ in range(2):
+        with pytest.raises(DegenerateInputError) as e:
+            OffOriginPolytope(flat)
+        messages.add(str(e.value))
+    (message,) = messages
+    assert message.startswith("degenerate vertex set: QH") and "\n" not in message

@@ -44,7 +44,7 @@ def _petalless_flower(dim, n, seed=0):
     """A flower without a petal list: the certified support C(w) of a log-normal cloud, as radial samples."""
     grid = uniform_angle_grid(n) if dim == 2 else sampled_sphere_grid(dim, n, seed=seed, symmetric=True)
     w = np.exp(0.3 * np.random.default_rng(seed).normal(size=n))
-    return Flower(StarBody(grid, support_of_cloud(grid, w)))
+    return Flower(grid, support_of_cloud(grid, w))
 
 
 class TestDistance:
@@ -60,7 +60,7 @@ class TestDistance:
 
     def test_square_flower_same_distance(self, grid720):
         # d(K, B) = d(flower_of(K), B): shared max/min of h
-        rep = distance_to_ball(flower_of(square_body(grid720)).body)
+        rep = distance_to_ball(flower_of(square_body(grid720)))
         assert rep.value == pytest.approx(np.sqrt(2.0), abs=1e-9)
 
     def test_scale_invariance_exact(self, grid720):
@@ -198,7 +198,7 @@ class TestPetallessFlowers:
 
     def test_dvoretzky_and_global_average_read_the_canonical_petals(self):
         f = _petalless_flower(3, 512, seed=3)
-        pf = Flower(f.body, canonical_petals(f))
+        pf = Flower(f.grid, f.radial, canonical_petals(f))
         sub = uniform_angle_grid(128)
         a = dvoretzky_search(f, 2, trials=6, seed=4, subgrid=sub, include_sections=True)
         b = dvoretzky_search(pf, 2, trials=6, seed=4, subgrid=sub, include_sections=True)
@@ -251,6 +251,29 @@ class TestPetalFlowerKernels:
             acc += _support_blocked(f.petals @ random_rotation(4, child_seed(12, i)).matrix.T, grid.directions)
         acc /= 16
         assert global_average(f, 16, seed=12) == float(acc.max() / acc.min())
+
+
+class TestHugePetals:
+    """Petals far beyond 2**511, whose squared radii overflow the floats, project exactly."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_projected_radial_scales_bit_for_bit(self, k):
+        grid = sampled_sphere_grid(3, 512, seed=0)
+        x = np.vstack([np.eye(3), -np.eye(3)])
+        e = random_subspace(3, k, seed=5)
+        dk = uniform_angle_grid(64).directions if k == 2 else np.array([[1.0], [-1.0]])
+        small = projected_radial(flower_from_petals(x, grid), e, dk)
+        with np.errstate(over="raise", invalid="raise"):
+            huge = projected_radial(flower_from_petals(np.ldexp(x, 520), grid), e, dk)
+        assert huge.tobytes() == np.ldexp(small, 520).tobytes()
+
+    def test_dvoretzky_distances_do_not_depend_on_scale(self):
+        grid = sampled_sphere_grid(3, 512, seed=0)
+        x = np.vstack([np.eye(3), -np.eye(3)])
+        sub = uniform_angle_grid(64)
+        a = dvoretzky_search(flower_from_petals(x, grid), 2, trials=4, seed=1, subgrid=sub)
+        b = dvoretzky_search(flower_from_petals(np.ldexp(x, 520), grid), 2, trials=4, seed=1, subgrid=sub)
+        assert a.distances.tobytes() == b.distances.tobytes()
 
 
 class TestStability:

@@ -88,7 +88,7 @@ def test_cli_corpus_records_exit_codes_hashes_and_stderr(tmp_path):
     flower, refused, written, missing = (module.run_case(argv, tmp) for argv in picked)
 
     sha = lambda text: hashlib.sha256(text.encode()).hexdigest()  # noqa: E731
-    body = flower_of(random_convex_body(uniform_angle_grid(720), 0)).body
+    body = flower_of(random_convex_body(uniform_angle_grid(720), 0))
     assert flower == {"argv": ["flower", "$TMP/k720-0-s.json"], "exit": 0, "files": {}, "stderr": "", "warnings": [],
                       "stdout": sha(serialize_body(document_for_star(body, metadata={"name": "k720-0"})))}
     assert refused["exit"] == 1 and refused["stdout"] == sha("")

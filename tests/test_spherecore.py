@@ -167,7 +167,7 @@ class TestArrayOwnership:
             (lambda a: DirectionGrid(2, _GRID16.directions, a), "weights", np.full(16, 1 / 16)),
             (lambda a: StarBody(_GRID16, a), "radial", np.ones(16)),
             (lambda a: ConvexBody(_GRID16, a), "support", np.ones(16)),
-            (lambda a: Flower(StarBody(_GRID16, np.ones(16)), petals=a), "petals", np.array([[1.0, 0.0], [0.0, 1.0]])),
+            (lambda a: Flower(_GRID16, np.ones(16), petals=a), "petals", np.array([[1.0, 0.0], [0.0, 1.0]])),
             (Partition, "endpoints", np.array([0.5, 0.75, 1.0])),
             (OffOriginPolytope, "vertices", np.array([[2.0, 0.0], [3.0, 0.0], [2.0, 1.0]])),
             (lambda a: OffOriginBall(a, 0.5), "center", np.array([2.0, 0.0])),
