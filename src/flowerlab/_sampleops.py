@@ -23,13 +23,31 @@ convex-position test, Graham scan, edge radial); other grids use qhull.
 
 On uniform 2D grids C indexes the hull of that same pass
 (_support_by_vertices), and hull_radial_and_support takes both from it.
-Everywhere else C runs the first of two shared dense kernels, which hold
-DENSE_BLOCK products at a time and so need O(N + M) memory:
+Everywhere else C runs the cone-pruned kernel _support_pruned, and so does
+the ND hull radial (1 / C over the facets, whose normals join the cap of
+their nearest centre):
 
-* _support_blocked, max_i w_i <p_i, theta_j>_+: C (p = theta), the ND hull
-  radial (1 / C over the facets) and, with w = 1, the support of
-  conv(points + {0}), which is the radial of their petal flower
-  (flower_from_petals, polytope_body, section_radial, global_average).
+* The grid's rays fall into about sqrt(N) caps (DirectionGrid.caps), each
+  a centre and an angular radius; for C the points are the rays, so the
+  caps group them too.
+* Each ray cap takes its own group's products first; the least of their
+  per-ray maxima is a floor below every answer in the cap.  A point group
+  whose cone bound, max w * cos(angle between centres - both radii), stays
+  below the floor is skipped; the rest are gathered.
+* A cap that keeps more than half the rows takes them all without
+  gathering: the dense max, where caps are wide (4D, 8D).
+* No product has one row or one ray (the BLAS would take gemv and round
+  otherwise; a lone row or ray is repeated) or more than RAY_BLOCK rays,
+  and point sets too small for caps to pay take the dense kernel whole.
+  So the result equals the dense max bit for bit.
+
+The two shared dense kernels hold DENSE_BLOCK products at a time and so
+need O(N + M) memory:
+
+* _support_blocked, max_i w_i <p_i, theta_j>_+: the small point sets of the
+  pruned kernel and, with w = 1, the support of conv(points + {0}), which
+  is the radial of their petal flower (flower_from_petals, polytope_body,
+  section_radial, global_average).
 * _ball_union_radial, the radial of a union of balls that hold the origin
   (projected_radial, minkowski_sum_2d).  It and _row_norms, which gives
   those callers their petal lengths, rescale by a power of two, so petals
@@ -41,7 +59,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegenerateInputError
-from .spherecore import DirectionGrid
+from .spherecore import Caps, DirectionGrid, angle_between, nearest_centre
 
 # the Graham kernel below is plain numpy/Python; the flag stays because the
 # benchmark harness reads it to label the 2D hull kernel
@@ -64,9 +82,26 @@ NEAR_HULL_TOL = 1e-12
 # (down to 2**-54 of a sample) stay in the normal floats
 MAX_SPAN_EXP = 800
 
+# largest coordinate exponent, in powers of two, of a cloud that qhull takes as
+# it is; products of up to 15 such coordinates, as in its simplex
+# determinants, stay in the floats
+QHULL_MAX_EXP = 64
+
 # products the dense kernels hold at once (2 MiB): a block of rays against
 # every point, so memory stays O(N + M) at any grid size and point count
 DENSE_BLOCK = 2 ** 18
+
+# widest block of rays in one product of the pruned kernel.  The BLAS may
+# round the last few columns of a wider product with another kernel (OpenBLAS
+# does past 192 columns), and a product with one row or one column goes
+# through gemv, which rounds differently again; blocks of 2 .. RAY_BLOCK rays
+# and at least 2 rows round every entry as the dense blocks at N >= 2048 do
+RAY_BLOCK = 128
+
+# absolute slack on the cosine bound of the pruned kernel: it covers the unit
+# norms (to UNIT_NORM_TOL), the rounding of the angles and of the products,
+# so a dropped point group never holds a product that reaches the own-cap floor
+PRUNE_SLACK = 1e-9
 
 
 def support_of_cloud(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:
@@ -75,8 +110,10 @@ def support_of_cloud(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:
     if not (np.isfinite(w).all() and (w > 0).all()):
         raise DegenerateInputError("cloud values must be finite and positive")
     hull = _hull_pass(grid, w)
-    d = grid.directions
-    return _support_blocked(d, d, w) if hull is None else _support_by_vertices(grid, w, *hull[1:])
+    if hull is None:
+        caps = grid.caps()
+        return _support_pruned(caps, grid.directions, grid.directions, w, caps.order, caps.starts, caps.radius)
+    return _support_by_vertices(grid, w, *hull[1:])
 
 
 def hull_radial_and_support(grid: DirectionGrid, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,16 +148,32 @@ def is_convex_position(pts: np.ndarray) -> bool:
     return bool((cross >= 0.0).all())
 
 
-def _hull_radial_qhull(dirs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Radial of conv(pts) along dirs: D over the hull facets <a_k, x> <= -b_k, as 1 / C(-1/b)."""
+def _hull_radial_qhull(grid: DirectionGrid, pts: np.ndarray) -> np.ndarray:
+    """Radial of conv(pts) along the grid rays: D over the hull facets <a_k, x> <= -b_k, as 1 / C(-1/b).
+
+    The facet normals join the cap of their nearest centre, so the facet
+    support runs through the pruned kernel.  A cloud whose largest coordinate
+    lies beyond 2**QHULL_MAX_EXP or below 2**-QHULL_MAX_EXP is scaled by
+    2**-k to a largest coordinate in [0.5, 1) first: b scales by 2**-k and a
+    does not, so the radial scales back exactly.  Other clouds reach qhull as
+    they are, since qhull itself is not exact under scaling.
+    """
+    k = int(np.frexp(np.abs(pts).max())[1])
+    k = k if abs(k) > QHULL_MAX_EXP else 0
     try:
-        hull = ConvexHull(pts)
+        hull = ConvexHull(np.ldexp(pts, -k) if k else pts)
     except QhullError as e:
         raise DegenerateInputError.from_qhull("degenerate point cloud", e) from e
     a, b = hull.equations[:, :-1], hull.equations[:, -1]
     if not (b < 0.0).all():
         raise DegenerateInputError("the hull of the cloud does not hold the origin strictly inside")
-    return 1.0 / _support_blocked(a, dirs, -1.0 / b)
+    caps = grid.caps()
+    label = nearest_centre(a, caps.centres)
+    order = np.argsort(label, kind="stable")
+    starts = np.searchsorted(label[order], np.arange(len(caps.radius) + 1))
+    radius = np.zeros(len(caps.radius))
+    np.maximum.at(radius, label, angle_between(a, caps.centres[label]))
+    return np.ldexp(1.0 / _support_pruned(caps, grid.directions, a, -1.0 / b, order, starts, radius), k)
 
 
 def _hull_pass(grid: DirectionGrid, w: np.ndarray) -> tuple | None:
@@ -248,6 +301,80 @@ def _support_by_vertices(grid: DirectionGrid, w: np.ndarray, ws: np.ndarray, pts
     return np.maximum.reduceat(w[cand] * np.maximum(dots, 0.0), starts)
 
 
+def _support_pruned(caps: Caps, dirs: np.ndarray, pts: np.ndarray, w: np.ndarray,
+                    order: np.ndarray, starts: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """max_i w_i <p_i, theta_j>_+ over the point rows p_i for each grid ray theta_j, skipping far point groups.
+
+    Point group g holds the rows order[starts[g]:starts[g + 1]], each within
+    radius[g] of the cap centre g; for C they are the caps themselves.  Ray
+    cap c first takes its own group's products: the least of their per-ray
+    maxima is the floor L_c.  No point of group g makes more on a ray of cap c
+    than max_g w * cos(max(0, spread - radius_c - radius_g)), so a group whose
+    bound (plus PRUNE_SLACK) stays below L_c cannot change any max and is
+    skipped.  A cap that keeps more than half the rows takes them all without
+    gathering, which is the dense max where caps are wide (high dimensions).
+    Every product is an entry of the dense expression of _support_blocked,
+    rounded alike (see RAY_BLOCK), and the max is exact, so the result equals
+    the dense one bit for bit.  Point sets whose dense blocks would hold more
+    than RAY_BLOCK rays or a single ray, which the BLAS rounds otherwise, take
+    the dense kernel whole, and so keep its bits: below DENSE_BLOCK /
+    RAY_BLOCK rows the whole product is small, and above DENSE_BLOCK / 2 rows
+    they are the facets of high-dimensional hulls, whose qhull run dominates.
+    """
+    if not 2 <= DENSE_BLOCK // len(pts) <= RAY_BLOCK:
+        return _support_blocked(pts, dirs, w)
+    sizes = np.diff(starts)
+    top = np.zeros(len(sizes))
+    filled = sizes > 0
+    top[filled] = np.maximum.reduceat(w[order], starts[:-1][filled])
+    gap = np.maximum(caps.spread - caps.radius[:, None] - radius[None, :], 0.0)
+    reach = top * (np.cos(gap) + PRUNE_SLACK)
+    half = len(pts) // 2
+    buf = np.empty(max(DENSE_BLOCK, 4 * len(pts)))
+    out = np.empty(len(dirs))
+    for c in range(len(caps.radius)):
+        rays = caps.order[caps.starts[c]:caps.starts[c + 1]]
+        theta = dirs[rays]
+        if sizes[reach[c] >= top[c]].sum() > half:  # L_c is at most about top_c: even that floor keeps most rows
+            out[rays] = _block_max(pts, theta, w, buf)
+            continue
+        own = order[starts[c]:starts[c + 1]]
+        best = _block_max(pts[own], theta, w[own], buf) if len(own) else np.zeros(len(rays))
+        keep = reach[c] >= best.min()
+        keep[c] = False
+        if sizes[keep].sum() > half:
+            best = np.maximum(best, _block_max(pts, theta, w, buf))
+        elif keep.any():
+            rows = order[np.repeat(keep, sizes)]
+            best = np.maximum(best, _block_max(pts[rows], theta, w[rows], buf))
+        out[rays] = best
+    return out
+
+
+def _block_max(pts: np.ndarray, dirs: np.ndarray, w: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """max_i w_i <p_i, theta_j>_+ by the expression of _support_blocked, in products of 2 .. RAY_BLOCK rays and >= 2 rows.
+
+    A single row or ray is repeated, which leaves every max unchanged.  The
+    products are written into buf, so a kernel call allocates its block once.
+    """
+    if len(pts) == 1:
+        pts, w = np.repeat(pts, 2, axis=0), np.repeat(w, 2)
+    n = len(dirs)
+    if n == 1:
+        dirs = np.repeat(dirs, 2, axis=0)
+    step = max(4, min(RAY_BLOCK, DENSE_BLOCK // len(pts)))
+    parts = -(-len(dirs) // step)
+    cuts = [i * len(dirs) // parts for i in range(parts + 1)]  # parts of >= 2 rays, as step >= 4
+    out = np.empty(len(dirs))
+    for j, k in zip(cuts[:-1], cuts[1:]):
+        block = buf[:len(pts) * (k - j)].reshape(len(pts), k - j)
+        np.matmul(pts, dirs[j:k].T, out=block)
+        np.maximum(block, 0.0, out=block)
+        block *= w[:, None]
+        out[j:k] = block.max(axis=0)
+    return out[:n]
+
+
 def _support_blocked(pts: np.ndarray, dirs: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     """max_i w_i <p_i, theta_j>_+ over the point rows p_i for each ray row theta_j (w = 1 if None)."""
     out = np.empty(len(dirs))
@@ -292,7 +419,7 @@ def hull_radial(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:
     """
     w = np.asarray(w, dtype=float)
     if grid.dim != 2 or grid.uniform_n is None:
-        return np.maximum(_hull_radial_qhull(grid.directions, w[:, None] * grid.directions), w)
+        return np.maximum(_hull_radial_qhull(grid, w[:, None] * grid.directions), w)
     hull = _hull_pass(grid, w)
     if hull is None:
         raise DegenerateInputError(f"cloud values span more than 2**{MAX_SPAN_EXP}; the hull kernel would leave the floats")

@@ -240,9 +240,26 @@ def _ball_mean(grid: DirectionGrid, values: np.ndarray) -> float:
 
 
 def volume(a: StarBody | ConvexBody) -> float:
-    """kappa_n times the spherical average of r^n (polar-coordinates formula)."""
+    """kappa_n times the spherical average of r^n (polar-coordinates formula).
+
+    Where r^n leaves the floats, r is scaled by a power of two first, so
+    in-range volumes are unchanged bit for bit; a volume that itself leaves
+    the floats is refused.
+    """
     r = a.radial() if isinstance(a, ConvexBody) else a.radial
-    return _ball_mean(a.grid, r ** a.grid.dim)
+    n = a.grid.dim
+    with np.errstate(over="ignore"):
+        v = _ball_mean(a.grid, r ** n)
+    if 0.0 < v < math.inf:
+        return v
+    k = int(np.frexp(r.max())[1])
+    try:
+        v = math.ldexp(_ball_mean(a.grid, np.ldexp(r, -k) ** n), n * k)
+    except OverflowError:
+        v = math.inf
+    if not 0.0 < v < math.inf:
+        raise DegenerateInputError(f"the volume leaves the floats (about 2**{n * k})")
+    return v
 
 
 def radial_sum(f1: Flower, f2: Flower) -> Flower:

@@ -13,6 +13,7 @@ All random constructors are pure functions of (parameters, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +21,12 @@ from .errors import GridMismatchError, InvalidGridError, ParameterError
 
 UNIT_NORM_TOL = 1e-12
 ORTHO_TOL = 1e-10
+
+# nearest-centre rounds of the cap builder; later rounds barely move the caps
+CAP_ROUNDS = 4
+
+# entries of the rays x centres products the cap builder holds at once (2 MiB)
+CAP_BLOCK = 2 ** 18
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -39,6 +46,7 @@ class DirectionGrid:
     uniform_n: int | None = None  # set for 2D uniform angle grids
     _gram_plus: np.ndarray | None = field(default=None, repr=False, compare=False)
     _angles: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _caps: "Caps | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.directions = _read_only(np.atleast_2d(self.directions))
@@ -83,6 +91,12 @@ class DirectionGrid:
             self._angles = a
         return self._angles
 
+    def caps(self) -> "Caps":
+        """The rays grouped into about sqrt(N) angular caps, cached; see Caps."""
+        if self._caps is None:
+            self._caps = _build_caps(self.directions)
+        return self._caps
+
     def antipode_index(self) -> np.ndarray:
         """Index map i -> j with theta_j == -theta_i (exact pairing required)."""
         n = self.size
@@ -92,6 +106,62 @@ class DirectionGrid:
         if n % 2 == 0 and np.array_equal(self.directions[half:], -self.directions[:half]):
             return (np.arange(n) + half) % n
         raise InvalidGridError("grid has no exact antipodal pairing")
+
+
+class Caps(NamedTuple):
+    """A partition of the grid's rays into K angular caps, for the cone-pruned support kernel.
+
+    Cap c holds the rays order[starts[c]:starts[c + 1]] (ascending), each
+    within radius[c] radians of the unit centre centres[c]; spread[c, c'] is
+    the angle between two centres.  Every cap holds at least one ray.
+    """
+
+    order: np.ndarray  # (N,) ray indices, cap by cap
+    starts: np.ndarray  # (K + 1,) offsets into order
+    centres: np.ndarray  # (K, dim)
+    radius: np.ndarray  # (K,)
+    spread: np.ndarray  # (K, K)
+
+
+def angle_between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Angles between unit rows, as 2 atan2(|u - v|, |u + v|): accurate near 0 and pi, unlike arccos of the dot."""
+    return 2.0 * np.arctan2(np.linalg.norm(u - v, axis=-1), np.linalg.norm(u + v, axis=-1))
+
+
+def nearest_centre(rows: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    """Index of the centre with the largest inner product, per row, CAP_BLOCK products at a time."""
+    out = np.empty(len(rows), dtype=np.intp)
+    step = max(1, CAP_BLOCK // len(centres))
+    for i in range(0, len(rows), step):
+        out[i:i + step] = (rows[i:i + step] @ centres.T).argmax(axis=1)
+    return out
+
+
+def _build_caps(d: np.ndarray) -> Caps:
+    """Caps of the unit rows d: spherical k-means with K = round(sqrt(N)), seeded by evenly spaced rows.
+
+    A pure function of d: no random draw, so equal grids get equal caps.
+    Empty caps are dropped.
+    """
+    n = len(d)
+    centres = d[np.linspace(0, n - 1, max(1, round(n ** 0.5))).astype(np.intp)]
+    for _ in range(CAP_ROUNDS):
+        sums = np.zeros_like(centres)
+        np.add.at(sums, nearest_centre(d, centres), d)
+        norms = np.linalg.norm(sums, axis=1)
+        moved = norms > 0.0
+        centres[moved] = sums[moved] / norms[moved, None]
+    label = nearest_centre(d, centres)
+    used, label = np.unique(label, return_inverse=True)
+    centres = centres[used]
+    order = np.argsort(label, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(label))))
+    radius = np.maximum.reduceat(angle_between(d[order], centres[label[order]]), starts[:-1])
+    spread = angle_between(centres[:, None, :], centres[None, :, :])
+    caps = Caps(order, starts, centres, radius, spread)
+    for a in caps:
+        a.flags.writeable = False
+    return caps
 
 
 @dataclass(eq=False)

@@ -1,4 +1,5 @@
 import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
+import flowerlab._sampleops as sampleops
 from flowerlab._sampleops import (
     DENSE_BLOCK,
     EPS_FLOOR,
@@ -14,6 +16,7 @@ from flowerlab._sampleops import (
     _ball_union_radial,
     _hull_radial_qhull,
     _support_blocked,
+    _support_pruned,
     certificate_violation,
     closure,
     hull_radial,
@@ -56,7 +59,7 @@ from flowerlab.errors import (
     NotAFlowerError,
     ParameterError,
 )
-from flowerlab.spherecore import DirectionGrid, sampled_sphere_grid, uniform_angle_grid
+from flowerlab.spherecore import Caps, DirectionGrid, angle_between, sampled_sphere_grid, uniform_angle_grid
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -394,6 +397,27 @@ class TestVolume:
         b = StarBody(grid720, 1.0 + 0.3 * np.maximum(np.cos(grid720.angles()), 0.0))
         assert volume(b) >= volume(a)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e150, 1e300])
+    def test_scaled_bodies_give_their_volume_or_a_refusal(self, dim, scale):
+        """A volume in the floats comes out finite and scaled by scale^dim; one outside is refused, with no warning."""
+        g = uniform_angle_grid(720) if dim == 2 else sampled_sphere_grid(3, 512, seed=4)
+        k = random_convex_body(g, 3) if dim == 2 else convexify_support(StarBody(g, np.exp(0.2 * np.cos(g.directions[:, 0]))))
+        base = volume(k)
+        scaled = ConvexBody(g, scale * k.support, certified=True)
+        if -307 < math.log10(base) + dim * math.log10(scale) < 308:
+            got = volume(scaled)
+            assert got == pytest.approx(base * scale ** dim, rel=1e-12)
+        else:
+            with pytest.raises(DegenerateInputError, match="volume leaves the floats"):
+                volume(scaled)
+
+    def test_in_range_volume_is_the_plain_formula(self, grid720):
+        k = random_convex_body(grid720, 5)
+        r = k.radial()
+        assert volume(k) == math.pi * float(grid720.weights @ r ** 2)
+
 
 class TestSums:
     def test_radial_sum_of_balls(self, grid720):
@@ -665,7 +689,7 @@ class TestHullKernel:
         g, w = _hull_test_cloud(kind, n, rs)
         out = hull_radial(g, w)
         pts = w[:, None] * g.directions
-        ref = np.maximum(_hull_radial_qhull(g.directions, pts), w)
+        ref = np.maximum(_hull_radial_qhull(g, pts), w)
         assert np.all(out >= w)
         assert np.abs(out / ref - 1.0).max() <= 1e-12
         if is_convex_position(pts):
@@ -680,11 +704,11 @@ class TestHullKernel:
         assert hull_radial(g, w) is w
 
     def test_flat_cloud_is_degenerate_input(self):
-        dirs = sampled_sphere_grid(3, 64, seed=1).directions
-        pts = dirs.copy()
+        g = sampled_sphere_grid(3, 64, seed=1)
+        pts = g.directions.copy()
         pts[:, 2] = 0.0
         with pytest.raises(DegenerateInputError):
-            _hull_radial_qhull(dirs, pts)
+            _hull_radial_qhull(g, pts)
 
 
 def _ratio_min_hull_radial(dirs, pts):
@@ -939,6 +963,107 @@ class TestBlockedSupport:
             tracemalloc.stop()
         assert g._gram_plus is None
         assert peak < 16 * 2 ** 20
+
+
+def _pruned_test_clouds(g, rng):
+    """Seeded clouds for C on a sampled grid: log-normal, hull supports and radials, a spike, floored runs, far scales."""
+    n = g.size
+    h = support_of_cloud(g, np.exp(rng.normal(0.0, 0.3, n)))  # the support of a hull body
+    spike = np.exp(rng.normal(0.0, 0.3, n))
+    spike[rng.integers(n)] = 1e6
+    floor = np.exp(rng.normal(0.0, 0.3, n))
+    floor[np.sort(g.caps().order[: n // 5])] = EPS_FLOOR  # whole caps
+    floor[rng.integers(n, size=n // 50)] = EPS_FLOOR
+    clouds = [np.exp(rng.normal(0.0, s, n)) for s in (0.3, 1.0, 3.0)]
+    clouds += [radial_of_halfspaces(g, h), 1.0 / h, spike, floor]
+    return clouds + [np.ldexp(clouds[0], 500), np.ldexp(clouds[1], -500)]
+
+
+def _split_first_cap(g):
+    """The grid's caps with the first one split into one-ray caps centred on their ray."""
+    caps = g.caps()
+    first = caps.order[: caps.starts[1]]
+    centres = np.vstack([g.directions[first], caps.centres[1:]])
+    starts = np.concatenate((np.arange(len(first)), caps.starts[1:]))
+    radius = np.concatenate((np.zeros(len(first)), caps.radius[1:]))
+    return Caps(caps.order, starts, centres, radius, angle_between(centres[:, None, :], centres[None, :, :]))
+
+
+class TestPrunedSupport:
+    """The cone-pruned C and facet support equal the dense max of _support_blocked bit for bit."""
+
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "symmetric"])
+    @pytest.mark.parametrize("dim, n", [(dim, n) for n in (100, 886, 2048, 4096) for dim in (3, 4, 8)] + [(3, 8192)])
+    def test_c_equals_dense_max(self, n, dim, symmetric):
+        """Every cloud up to N = 2048, every third above; 8192 in 3D only, where caps prune most."""
+        g = sampled_sphere_grid(dim, n, seed=n + dim, symmetric=symmetric)
+        d = g.directions
+        for w in _pruned_test_clouds(g, np.random.default_rng(n * dim))[:: 1 if n <= 2048 else 3]:
+            assert _ulps(support_of_cloud(g, w), _support_blocked(d, d, w)) == 0
+
+    @pytest.mark.parametrize("dim, n", [(3, 2048), (3, 4096), (4, 2048), (8, 2048)])
+    def test_d_and_certificate_follow_the_dense_path(self, dim, n):
+        """D(C(w)) and the certificate of C(w), each C taken densely, are what the pruned C gives."""
+        g = sampled_sphere_grid(dim, n, seed=7 * n + dim)
+        d = g.directions
+        w = np.exp(np.random.default_rng(n).normal(0.0, 0.5, n))
+        h = _support_blocked(d, d, w)
+        r = 1.0 / _support_blocked(d, d, 1.0 / h)
+        assert _ulps(radial_of_halfspaces(g, support_of_cloud(g, w)), r) == 0
+        assert certificate_violation(g, h) == float(np.abs(h - _support_blocked(d, d, r)).max())
+
+    @pytest.mark.parametrize("dim, n, kind", [(3, 2048, "ellipsoid"), (3, 4096, "ellipsoid"), (4, 2048, "ellipsoid"),
+                                              (3, 2048, "hull"), (4, 2048, "hull")])
+    def test_facet_support_equals_dense(self, dim, n, kind):
+        """The ellipsoid's cloud has about 2N facets (pruned in 3D); the hull body's fewer (dense whole in 3D)."""
+        g = sampled_sphere_grid(dim, n, seed=n + dim)
+        if kind == "ellipsoid":
+            r = 1.0 / np.linalg.norm(g.directions / np.linspace(1.0, 2.0, dim), axis=1)
+        else:
+            r = radial_of_halfspaces(g, support_of_cloud(g, np.exp(np.random.default_rng(n).normal(0.0, 0.3, n))))
+        pts = r[:, None] * g.directions
+        hull = ConvexHull(pts)
+        a, b = hull.equations[:, :-1], hull.equations[:, -1]
+        assert _ulps(_hull_radial_qhull(g, pts), 1.0 / _support_blocked(a, g.directions, -1.0 / b)) == 0
+
+    def test_one_ray_caps_and_one_row_groups(self, monkeypatch):
+        """Caps of one ray and groups of one row give the dense bits, and no product has a side of 1."""
+        g = sampled_sphere_grid(3, 2048, seed=5)
+        d = g.directions
+        caps = _split_first_cap(g)
+        shapes = []
+        real = np.matmul
+
+        def spy(a, b, **kw):
+            shapes.append((a.shape, b.shape))
+            return real(a, b, **kw)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        for w in _pruned_test_clouds(g, np.random.default_rng(5))[:4]:
+            out = _support_pruned(caps, d, d, w, caps.order, caps.starts, caps.radius)
+            assert _ulps(out, _support_blocked(d, d, w)) == 0
+        assert shapes and min(min(a[0], b[1]) for a, b in shapes) >= 2
+
+
+class TestQhullScale:
+    """qhull takes in-range clouds as they are and far clouds scaled by a power of two."""
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("k", [0, 530, -530])
+    def test_hull_radial_scales_exactly(self, dim, k):
+        """The cloud's largest coordinate lies in [0.5, 1), where a far copy is scaled back to, so the bits agree."""
+        g = sampled_sphere_grid(dim, 512, seed=dim)
+        pts = np.exp(np.random.default_rng(dim).normal(0.0, 0.3, 512))[:, None] * g.directions
+        pts = np.ldexp(pts, -int(np.frexp(np.abs(pts).max())[1]))
+        assert _ulps(_hull_radial_qhull(g, np.ldexp(pts, k)), np.ldexp(_hull_radial_qhull(g, pts), k)) == 0
+
+    def test_in_range_cloud_reaches_qhull_unchanged(self, monkeypatch):
+        g = sampled_sphere_grid(3, 512, seed=1)
+        pts = 2.0 ** 40 * np.exp(np.random.default_rng(1).normal(0.0, 0.3, 512))[:, None] * g.directions
+        seen = []
+        monkeypatch.setattr(sampleops, "ConvexHull", lambda p: seen.append(p) or ConvexHull(p))
+        _hull_radial_qhull(g, pts)
+        assert seen[0] is pts
 
 
 # the dense M x N expressions that flower_from_petals, polytope_body,

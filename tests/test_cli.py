@@ -404,6 +404,28 @@ class TestSubcommandsGolden:
         rep = json.loads(capsys.readouterr().out)
         assert rep["bound_applies"] is True and rep["bound_holds"] is True
 
+    def test_stability_of_petals_past_qhull_range(self, tmp_path, capsys):
+        """Petals of length 1e160: qhull gets the cloud scaled by a power of two, so its determinants stay finite."""
+        from flowerlab.spherecore import sampled_sphere_grid
+
+        reports = []
+        for scale in (1.0, 1e160):
+            p = tmp_path / "petals.json"
+            pts = scale * np.vstack([np.eye(3), -np.eye(3)])
+            serialize_body(bodyfile.BodyDocument(3, "petals", sampled_sphere_grid(3, 512, 0, symmetric=True), points=pts), p)
+            assert run(["stability", p]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[1]["eps"] == pytest.approx(reports[0]["eps"], rel=1e-12)
+
+    def test_volume_past_the_floats_is_refused(self, tmp_path, capsys, grid720):
+        p = tmp_path / "big.json"
+        serialize_body(document_for_convex(ConvexBody(grid720, 1e300 * random_convex_body(grid720, 1).support)), p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["volume", p]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "volume leaves the floats" in captured.err
+
     def test_dvoretzky_with_report(self, tmp_path, capsys):
         obj = {
             "dim": 3,

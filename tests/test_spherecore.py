@@ -12,6 +12,7 @@ from flowerlab.inversion import OffOriginBall, OffOriginPolytope
 from flowerlab.mixedvol import FlowerCombination
 from flowerlab.spherecore import (
     DirectionGrid,
+    angle_between,
     child_seed,
     quadrature_mean,
     random_rotation,
@@ -208,3 +209,28 @@ class TestArrayOwnership:
         assert grid720.angles() is a
         assert not a.flags.writeable
         assert np.array_equal(a, np.mod(np.arctan2(grid720.directions[:, 1], grid720.directions[:, 0]), 2 * np.pi))
+
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "symmetric"])
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_caps_frozen_in_place_and_partition_the_rays(self, dim, symmetric):
+        grid = sampled_sphere_grid(dim, 4096, 3, symmetric=symmetric)
+        caps = grid.caps()
+        assert grid.caps() is caps
+        assert all(not a.flags.writeable for a in caps)
+        assert len(caps.centres) == len(caps.radius) == len(caps.starts) - 1 == 64
+        assert caps.starts[0] == 0 and caps.starts[-1] == grid.size and (np.diff(caps.starts) > 0).all()
+        assert np.array_equal(np.sort(caps.order), np.arange(grid.size))
+        label = np.repeat(np.arange(64), np.diff(caps.starts))
+        assert (angle_between(grid.directions[caps.order], caps.centres[label]) <= caps.radius[label]).all()
+        twin = DirectionGrid(dim, grid.directions.copy(), grid.weights)  # caps are a pure function of the directions
+        assert all(np.array_equal(a, b) for a, b in zip(twin.caps(), caps))
+
+    def test_caps_build_in_small_memory(self):
+        grid = sampled_sphere_grid(3, 8192, 4)
+        tracemalloc.start()
+        try:
+            grid.caps()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
