@@ -312,7 +312,8 @@ def _support_pruned(caps: Caps, dirs: np.ndarray, pts: np.ndarray, w: np.ndarray
     than max_g w * cos(max(0, spread - radius_c - radius_g)), so a group whose
     bound (plus PRUNE_SLACK) stays below L_c cannot change any max and is
     skipped.  A cap that keeps more than half the rows takes them all without
-    gathering, which is the dense max where caps are wide (high dimensions).
+    gathering, in one pass with the other such caps at the end: the dense
+    max, where caps are wide (high dimensions).
     Every product is an entry of the dense expression of _support_blocked,
     rounded alike (see RAY_BLOCK), and the max is exact, so the result equals
     the dense one bit for bit.  Point sets whose dense blocks would hold more
@@ -332,22 +333,27 @@ def _support_pruned(caps: Caps, dirs: np.ndarray, pts: np.ndarray, w: np.ndarray
     half = len(pts) // 2
     buf = np.empty(max(DENSE_BLOCK, 4 * len(pts)))
     out = np.empty(len(dirs))
+    dense = []  # rays of the caps that take every row, taken together at the end
     for c in range(len(caps.radius)):
         rays = caps.order[caps.starts[c]:caps.starts[c + 1]]
-        theta = dirs[rays]
         if sizes[reach[c] >= top[c]].sum() > half:  # L_c is at most about top_c: even that floor keeps most rows
-            out[rays] = _block_max(pts, theta, w, buf)
+            dense.append(rays)
             continue
+        theta = dirs[rays]
         own = order[starts[c]:starts[c + 1]]
         best = _block_max(pts[own], theta, w[own], buf) if len(own) else np.zeros(len(rays))
         keep = reach[c] >= best.min()
         keep[c] = False
         if sizes[keep].sum() > half:
-            best = np.maximum(best, _block_max(pts, theta, w, buf))
-        elif keep.any():
+            dense.append(rays)
+            continue
+        if keep.any():
             rows = order[np.repeat(keep, sizes)]
             best = np.maximum(best, _block_max(pts[rows], theta, w[rows], buf))
         out[rays] = best
+    if dense:
+        rays = np.concatenate(dense)
+        out[rays] = _block_max(pts, dirs[rays], w, buf)
     return out
 
 
