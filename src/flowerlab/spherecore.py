@@ -22,10 +22,10 @@ from .errors import GridMismatchError, InvalidGridError, ParameterError
 UNIT_NORM_TOL = 1e-12
 ORTHO_TOL = 1e-10
 
-# nearest-centre rounds of the cap builder; later rounds barely move the caps
+# nearest-centre rounds of _build_caps; later rounds barely move the caps
 CAP_ROUNDS = 4
 
-# entries of the rays x centres products the cap builder holds at once (2 MiB)
+# entries of the rays x centres products nearest_centre holds at once (2 MiB)
 CAP_BLOCK = 2 ** 18
 
 
