@@ -59,7 +59,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegenerateInputError
-from .spherecore import Caps, DirectionGrid, angle_between, nearest_centre
+from .spherecore import DENSE_BLOCK, Caps, DirectionGrid, angle_between, nearest_centre
 
 # the Graham kernel below is plain numpy/Python; the flag stays because the
 # benchmark harness reads it to label the 2D hull kernel
@@ -86,10 +86,6 @@ MAX_SPAN_EXP = 800
 # it is; products of up to 15 such coordinates, as in its simplex
 # determinants, stay in the floats
 QHULL_MAX_EXP = 64
-
-# products the dense kernels hold at once (2 MiB): a block of rays against
-# every point, so memory stays O(N + M) at any grid size and point count
-DENSE_BLOCK = 2 ** 18
 
 # widest block of rays in one product of the pruned kernel.  The BLAS may
 # round the last few columns of a wider product with another kernel (OpenBLAS
@@ -140,12 +136,24 @@ def certificate_violation(grid: DirectionGrid, g: np.ndarray) -> float:
     return float(np.abs(np.asarray(g, dtype=float) - closure(grid, g)).max())
 
 
+def _turns(pts: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a_i = p_{i-s}, b_i = p_{i+s} of an angularly sorted 2D cloud, and turn_i >= 0 iff a_i, p_i, b_i turn left."""
+    a = np.roll(pts, s, axis=0)
+    b = np.roll(pts, -s, axis=0)
+    return a, b, (pts[:, 0] - a[:, 0]) * (b[:, 1] - pts[:, 1]) - (pts[:, 1] - a[:, 1]) * (b[:, 0] - pts[:, 0])
+
+
 def is_convex_position(pts: np.ndarray) -> bool:
     """True if the angularly sorted cloud is in convex position (all left turns)."""
-    a = np.roll(pts, 1, axis=0)
-    b = np.roll(pts, -1, axis=0)
-    cross = (pts[:, 0] - a[:, 0]) * (b[:, 1] - pts[:, 1]) - (pts[:, 1] - a[:, 1]) * (b[:, 0] - pts[:, 0])
-    return bool((cross >= 0.0).all())
+    return bool((_turns(pts, 1)[2] >= 0.0).all())
+
+
+def convex_hull(points: np.ndarray, what: str) -> ConvexHull:
+    """The package's one qhull call; a failure raises DegenerateInputError("what: qhull's reason"), no run id."""
+    try:
+        return ConvexHull(points)
+    except QhullError as e:
+        raise DegenerateInputError(f"{what}: {' '.join(str(e).split('While executing')[0].split())}") from e
 
 
 def _hull_radial_qhull(grid: DirectionGrid, pts: np.ndarray) -> np.ndarray:
@@ -160,10 +168,7 @@ def _hull_radial_qhull(grid: DirectionGrid, pts: np.ndarray) -> np.ndarray:
     """
     k = int(np.frexp(np.abs(pts).max())[1])
     k = k if abs(k) > QHULL_MAX_EXP else 0
-    try:
-        hull = ConvexHull(np.ldexp(pts, -k) if k else pts)
-    except QhullError as e:
-        raise DegenerateInputError.from_qhull("degenerate point cloud", e) from e
+    hull = convex_hull(np.ldexp(pts, -k) if k else pts, "degenerate point cloud")
     a, b = hull.equations[:, :-1], hull.equations[:, -1]
     if not (b < 0.0).all():
         raise DegenerateInputError("the hull of the cloud does not hold the origin strictly inside")
@@ -193,17 +198,18 @@ def _hull_pass(grid: DirectionGrid, w: np.ndarray) -> tuple | None:
     k = (hi + lo) // 2
     ws = np.ldexp(w, -k)
     pts = ws[:, None] * grid.directions
-    if is_convex_position(pts):
-        return w, ws, pts, None, None
     keep = _graham_vertices(pts)
+    if keep is None:
+        return w, ws, pts, None, None
     edge = _edge_radial(grid, pts, keep)
     return np.maximum(np.ldexp(edge, k), w), ws, pts, keep, edge
 
 
-def _graham_vertices(pts: np.ndarray) -> np.ndarray:
-    """Indices, in angular (CCW) order, of the hull vertices of an angularly sorted 2D cloud.
+def _graham_vertices(pts: np.ndarray) -> np.ndarray | None:
+    """Indices, in angular (CCW) order, of the hull vertices of an angularly sorted 2D cloud; None in convex position.
 
-    The origin must be interior.  A point lying strictly inside
+    The origin must be interior.  Convex position is is_convex_position's
+    test, on the turns of s = 1.  Otherwise a point lying strictly inside
     conv{0, p_{i-s}, p_{i+s}} is never a hull vertex (the test is valid
     whenever the bracketing pair spans less than pi, which cross(a, b) > 0
     certifies); one vectorized pass with s in {1, 2} drops most interior
@@ -211,14 +217,12 @@ def _graham_vertices(pts: np.ndarray) -> np.ndarray:
     always a vertex, and pops only on a strict right turn, so collinear
     boundary points stay.
     """
-    n = len(pts)
-    idx = np.arange(n)
-    bad = np.zeros(n, dtype=bool)
+    bad = np.zeros(len(pts), dtype=bool)
     for s in (1, 2):
-        a = pts[(idx - s) % n]
-        b = pts[(idx + s) % n]
+        a, b, turn = _turns(pts, s)
+        if s == 1 and (turn >= 0.0).all():
+            return None
         span_ok = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] > 0.0
-        turn = (pts[:, 0] - a[:, 0]) * (b[:, 1] - pts[:, 1]) - (pts[:, 1] - a[:, 1]) * (b[:, 0] - pts[:, 0])
         bad |= span_ok & (turn < 0.0)
     cand = np.flatnonzero(~bad)
     q = pts[cand]
@@ -385,11 +389,14 @@ def _support_blocked(pts: np.ndarray, dirs: np.ndarray, w: np.ndarray | None = N
     """max_i w_i <p_i, theta_j>_+ over the point rows p_i for each ray row theta_j (w = 1 if None)."""
     out = np.empty(len(dirs))
     step = max(1, DENSE_BLOCK // len(pts))
-    for j in range(0, len(dirs), step):
-        block = np.maximum(pts @ dirs[j:j + step].T, 0.0)
+    cuts = [*range(0, len(dirs), step), len(dirs)]
+    if step > 1 and len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        del cuts[-2]  # a lone last ray joins the block before: the BLAS takes gemv for one ray and rounds otherwise
+    for j, k in zip(cuts[:-1], cuts[1:]):
+        block = np.maximum(pts @ dirs[j:k].T, 0.0)
         if w is not None:
             block *= w[:, None]
-        out[j:j + step] = block.max(axis=0)
+        out[j:k] = block.max(axis=0)
     return out
 
 

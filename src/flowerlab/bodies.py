@@ -161,7 +161,7 @@ def is_flower(s: StarBody, tol: float | None = None) -> CertificateReport:
 def petal_radial(x: np.ndarray, theta: np.ndarray) -> float:
     """Radial function of the petal B_x (ball with diameter [0, x]) at theta."""
     x = np.asarray(x, dtype=float)
-    if np.linalg.norm(x) == 0.0:
+    if not (x != 0.0).any():
         raise DegenerateInputError("petal point must be nonzero")
     return float(max(np.dot(x, np.asarray(theta, dtype=float)), 0.0))
 

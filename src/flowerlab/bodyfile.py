@@ -32,9 +32,9 @@ REPRESENTATIONS = ("radial", "support", "petals", "polytope")
 # Largest grid a body file may declare, and largest point count M of a petals
 # or polytope file; a larger declared size is refused before anything is
 # allocated.  C and the support of M points need O(N + M) memory, so the cap
-# bounds work: N^2 products per C call on a directions grid, M x N products
-# per petal radial, and the qhull input of an inversion polytope.  It also
-# caps the CLI's --grid.
+# bounds work: up to N^2 products per C call on a directions grid, M x N
+# products per petal radial, and the qhull input of an inversion polytope.  It
+# also caps the CLI's --grid.
 MAX_GRID_SIZE = 8192
 
 

@@ -122,13 +122,13 @@ def _power_run(grid: DirectionGrid, w: np.ndarray, exponents) -> np.ndarray:
     return w
 
 
-def power(k: ConvexBody, lam: float, tol: float = POWER_TOL, m_cap: int = POWER_M_CAP) -> PowerResult:
+def power(k: ConvexBody, lam: float, tol: float = POWER_TOL) -> PowerResult:
     """The proper power K^lambda via m-doubled geometric partitions.
 
     lambda = 1 returns K; lambda = 0 returns the unit ball.  Otherwise the
     composed naive powers P_{s} with s = lambda^(1/m) are iterated on radial
     samples, doubling m until the sup-log-radial increment between successive
-    refinements drops below tol.
+    refinements drops below tol, or refusing once m reaches POWER_M_CAP.
     """
     if lam < 0:
         raise ParameterError("power exponent must be nonnegative")
@@ -150,7 +150,7 @@ def power(k: ConvexBody, lam: float, tol: float = POWER_TOL, m_cap: int = POWER_
         inc = float(np.abs(np.log(cur) - np.log(prev)).max())
         if inc < tol:
             return PowerResult(ConvexBody.hull_backed(grid, cur), lam, m, inc)
-        if m >= m_cap:
+        if m >= POWER_M_CAP:
             raise ConvergenceError(
                 f"power map did not converge by m={m} (increment {inc:.3e})", m, inc
             )
@@ -230,7 +230,7 @@ def check_composition_bm(t: ConvexBody, k1: ConvexBody, k2: ConvexBody, mode: st
     if mode not in ("compose", "rcompose"):
         raise ParameterError("mode must be 'compose' or 'rcompose'")
     op = compose if mode == "compose" else radial_compose
-    ksum = ConvexBody(k1.grid, k1.support + k2.support, certified=k1.certified and k2.certified)
+    ksum = alexandrov(k1.support + k2.support, k1.grid)  # certified: h1 + h2 itself can fail the certificate
     n = t.grid.dim
     lhs = volume(op(t, ksum)) ** (1.0 / n)
     r1 = volume(op(t, k1)) ** (1.0 / n)

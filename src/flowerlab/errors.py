@@ -18,10 +18,7 @@ class ParameterError(FlowerlabError):
 
 
 class DegenerateInputError(FlowerlabError):
-    @classmethod
-    def from_qhull(cls, what: str, e: Exception) -> "DegenerateInputError":
-        """what, then qhull's reason without the option dump after it, which carries a per-run id."""
-        return cls(f"{what}: {' '.join(str(e).split('While executing')[0].split())}")
+    pass
 
 
 class NotAFlowerError(FlowerlabError):

@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
-from ._sampleops import DENSE_BLOCK
+from ._sampleops import convex_hull
 from .errors import (
     ArcThroughInfinityError,
     DegenerateInputError,
@@ -29,10 +28,11 @@ from .errors import (
     ParameterError,
     SingularPointError,
 )
-from .spherecore import _read_only
+from .spherecore import DENSE_BLOCK, _read_only
 
 CONVEX_POSITION_TOL = 1e-7
 ARC_POINTS_PER_PAIR = 9  # interior arc points tested per sampled pair
+DIRECT_SAMPLES = 4000  # boundary points inverted for the direct convex-position test
 
 
 def invert_point(x: np.ndarray) -> np.ndarray:
@@ -103,10 +103,7 @@ class OffOriginPolytope:
             raise DegenerateInputError("polytope vertices must be finite points of dimension >= 2")
         if len(v) < v.shape[1] + 1:
             raise DegenerateInputError("need at least dim+1 vertices (thicken flat inputs)")
-        try:
-            hull = ConvexHull(v)
-        except QhullError as e:
-            raise DegenerateInputError.from_qhull("degenerate vertex set", e) from e
+        hull = convex_hull(v, "degenerate vertex set")
         offsets = hull.equations[:, -1]
         j = int(np.argmax(offsets))
         if offsets[j] <= 1e-12:
@@ -266,10 +263,7 @@ def _convex_position_depth(cloud: np.ndarray) -> float:
     The non-vertices are scanned against the facets DENSE_BLOCK products at a
     time, so memory stays O(points + facets).
     """
-    try:
-        hull = ConvexHull(cloud)
-    except QhullError as e:
-        raise DegenerateInputError.from_qhull("degenerate image cloud", e) from e
+    hull = convex_hull(cloud, "degenerate image cloud")
     rows = np.delete(cloud, hull.vertices, axis=0)
     a, b = hull.equations[:, :-1], hull.equations[:, -1]
     nearest = np.inf
@@ -286,20 +280,17 @@ def is_inversion_convex(
     samples: int = 400,
     seed: int = 0,
     tol: float = CONVEX_POSITION_TOL,
-    direct_samples: int = 4000,
 ) -> InversionVerdict:
     """Convexity test for phi(shape) by the arc criterion, cross-checked directly.
 
     The criterion samples pairs x, y from the in-cone and tests arc interior
     points for in-cone membership; a violating (x, y, t) is returned as the
-    witness.  The direct method inverts a dense boundary sample and measures
-    the convex-position depth of the image cloud.  Disagreement raises
+    witness.  The direct method inverts DIRECT_SAMPLES boundary points and
+    measures the convex-position depth of the image cloud.  Disagreement raises
     MethodDisagreementError.
     """
     if samples < 100:
         raise ParameterError("need at least 100 sample pairs")
-    if direct_samples < 1:
-        raise ParameterError("need at least one direct sample")
     if seed < 0:
         raise ParameterError("seed must be non-negative")
     if not tol >= 0.0:
@@ -317,7 +308,7 @@ def is_inversion_convex(
         if not inside.all():
             witness = (x, y, float(ts[np.argmin(inside)]))
             break
-    depth = _convex_position_depth(_direct_image_cloud(shape, rng, direct_samples))
+    depth = _convex_position_depth(_direct_image_cloud(shape, rng, DIRECT_SAMPLES))
     criterion_convex = witness is None
     direct_convex = depth <= tol
     if criterion_convex != direct_convex:

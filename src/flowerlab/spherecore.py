@@ -25,8 +25,9 @@ ORTHO_TOL = 1e-10
 # nearest-centre rounds of _build_caps; later rounds barely move the caps
 CAP_ROUNDS = 4
 
-# entries of the rays x centres products nearest_centre holds at once (2 MiB)
-CAP_BLOCK = 2 ** 18
+# products every blocked kernel holds at once (2 MiB): a block of rows against
+# every point, so memory stays O(N + M) at any grid size and point count
+DENSE_BLOCK = 2 ** 18
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -70,8 +71,8 @@ class DirectionGrid:
     def gram_plus(self) -> np.ndarray:
         """Clipped Gram matrix max(<theta_i, theta_j>, 0), cached.
 
-        No library path reads it: C builds the same entries a block at a time.
-        It stays as the dense reference that C is tested against.
+        No library path or test oracle reads it: C builds the same entries a
+        block at a time.  Its one remaining reader is the benchmark set-ups.
         """
         if self._gram_plus is None:
             g = self.directions @ self.directions.T
@@ -129,9 +130,9 @@ def angle_between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def nearest_centre(rows: np.ndarray, centres: np.ndarray) -> np.ndarray:
-    """Index of the centre with the largest inner product, per row, CAP_BLOCK products at a time."""
+    """Index of the centre with the largest inner product, per row, DENSE_BLOCK products at a time."""
     out = np.empty(len(rows), dtype=np.intp)
-    step = max(1, CAP_BLOCK // len(centres))
+    step = max(1, DENSE_BLOCK // len(centres))
     for i in range(0, len(rows), step):
         out[i:i + step] = (rows[i:i + step] @ centres.T).argmax(axis=1)
     return out

@@ -1,7 +1,16 @@
-import numpy as np
-import pytest
+import os
 
-from flowerlab.spherecore import uniform_angle_grid
+# One BLAS thread, as the benchmark runs.  OpenBLAS threads the 2 MiB products
+# of C and the hull radial, and on a busy host its threads make them crawl.
+# The variables are read when the BLAS loads, so they are set before numpy is
+# imported; a value set by the caller wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from flowerlab.spherecore import uniform_angle_grid  # noqa: E402
 
 
 @pytest.fixture(scope="session")

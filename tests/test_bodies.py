@@ -94,6 +94,12 @@ class TestPetalRadial:
         with pytest.raises(DegenerateInputError):
             petal_radial(np.zeros(2), E1)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x, r", [([1e-170, 0.0], 1e-170), ([1e200, 1e200], 1e200)], ids=["tiny", "huge"])
+    def test_extreme_points_are_petals(self, x, r):
+        # a zero test by the norm squared the point: 1e-170 read as zero and 1e200 overflowed
+        assert petal_radial(x, E1) == r
+
 
 class TestFlowerFromPetals:
     def test_single_petal(self, grid720):
@@ -790,16 +796,23 @@ def _fma_gram_plus(n):
     return np.maximum((d[i][:, None, :] @ d[j][:, :, None])[:, 0, 0].reshape(n, n), 0.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _blas_gram_plus(n):
+    """The clipped Gram of the uniform n-grid as one BLAS product."""
+    d = _uniform_grid(n).directions
+    return np.maximum(d @ d.T, 0.0)
+
+
 def _dense_c(g, w):
     """The dense max over the Gram: C's oracle.
 
-    C rounds every <theta_i, theta_j> like a BLAS dot with FMA.  gram_plus()
-    serves as the oracle where the BLAS rounds all its entries that way, which
-    OpenBLAS does for N mod 8 in {0, 1, 2, 3} (so bit equality there depends
-    on the BLAS); for N mod 8 in {4, ..., 7} it rounds some entries without
-    FMA, and the oracle is the Gram of batched products instead.
+    C rounds every <theta_i, theta_j> like a BLAS dot with FMA.  The BLAS
+    Gram serves as the oracle where the BLAS rounds all its entries that way,
+    which OpenBLAS does for N mod 8 in {0, 1, 2, 3} (so bit equality there
+    depends on the BLAS); for N mod 8 in {4, ..., 7} it rounds some entries
+    without FMA, and the oracle is the Gram of batched products instead.
     """
-    gram = g.gram_plus() if g.size % 8 < 4 else _fma_gram_plus(g.size)
+    gram = _blas_gram_plus(g.size) if g.size % 8 < 4 else _fma_gram_plus(g.size)
     return (np.asarray(w, dtype=float)[:, None] * gram).max(axis=0)
 
 
@@ -928,19 +941,19 @@ def _ulps(a, b):
 
 
 class TestBlockedSupport:
-    """C on every grid but the uniform 2D one is the dense max, a block of rays at a time."""
+    """C on every grid but the uniform 2D one is the dense max over the Gram, in O(N) memory."""
 
     @pytest.mark.parametrize("n, dim, ulps", [(2048, 3, 0), (2048, 8, 0), (4096, 3, 0), (100, 3, 4), (2052, 4, 4)])
     def test_equals_gram_max(self, n, dim, ulps):
-        """C and D against the dense max over gram_plus().
+        """C and D against the dense max over the whole clipped Gram.
 
-        The blocks and the cached Gram are BLAS products of the same rows, but
-        the BLAS may order or fuse their sums differently for each shape.  So
-        bit equality, which OpenBLAS gives at N = 2048 and 4096, depends on
-        the BLAS; at other sizes a few entries may move by a few ulp.
+        C's products and the Gram are BLAS products of the same rows, but the
+        BLAS may order or fuse their sums differently for each shape.  So bit
+        equality, which OpenBLAS gives at N = 2048 and 4096, depends on the
+        BLAS; at other sizes a few entries may move by a few ulp.
         """
         g = sampled_sphere_grid(dim, n, seed=n + dim)
-        gram = g.gram_plus()
+        gram = np.maximum(g.directions @ g.directions.T, 0.0)
         for w in np.exp(np.random.default_rng(n).normal(0.0, 0.5, (3, n))):
             c = support_of_cloud(g, w)
             assert _ulps(c, (w[:, None] * gram).max(axis=0)) <= ulps
@@ -993,9 +1006,13 @@ class TestPrunedSupport:
     """The cone-pruned C and facet support equal the dense max of _support_blocked bit for bit."""
 
     @pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "symmetric"])
-    @pytest.mark.parametrize("dim, n", [(dim, n) for n in (100, 886, 2048, 4096) for dim in (3, 4, 8)] + [(3, 8192)])
+    @pytest.mark.parametrize("dim, n", [(dim, n) for n in (100, 886, 2048, 2224, 4096) for dim in (3, 4, 8)]
+                             + [(3, 8192)])
     def test_c_equals_dense_max(self, n, dim, symmetric):
-        """Every cloud up to N = 2048, every third above; 8192 in 3D only, where caps prune most."""
+        """Every cloud up to N = 2048, every third above; 8192 in 3D only, where caps prune most.
+
+        At N = 2224 the dense kernel's blocks of 117 rays leave one ray over.
+        """
         g = sampled_sphere_grid(dim, n, seed=n + dim, symmetric=symmetric)
         d = g.directions
         for w in _pruned_test_clouds(g, np.random.default_rng(n * dim))[:: 1 if n <= 2048 else 3]:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowerlab.calculus as calculus
 from flowerlab.bodies import (
     ConvexBody,
     StarBody,
@@ -12,6 +13,7 @@ from flowerlab.bodies import (
     cof,
     convexify_support,
     flower_of,
+    is_support_consistent,
     polar,
     polytope_body,
     random_convex_body,
@@ -196,10 +198,11 @@ class TestPower:
             for lam in (2.0,):
                 assert volume(power(k, lam).body) >= np.pi ** (1 - lam) * volk ** lam - 1e-9
 
-    def test_convergence_failure_raises(self, grid720):
+    def test_convergence_failure_raises(self, grid720, monkeypatch):
+        monkeypatch.setattr(calculus, "POWER_M_CAP", 4)
         k = random_convex_body(grid720, 11, amp=0.7)
         with pytest.raises(ConvergenceError) as ei:
-            power(k, 0.2, tol=1e-14, m_cap=4)
+            power(k, 0.2, tol=1e-14)
         assert ei.value.increment > 1e-14
 
     def test_negative_lambda_rejected(self, grid720):
@@ -332,6 +335,20 @@ class TestBmProbe:
         k = square_body(grid720)
         rep = check_composition_bm(b, k, k, mode="compose")
         assert abs(rep.margin) < 1e-9
+
+    @pytest.mark.parametrize("mode, op", [("compose", compose), ("rcompose", radial_compose)])
+    def test_sum_body_is_certified(self, grid720, monkeypatch, mode, op):
+        # h1 + h2 of two certified bodies fails the certificate here by 3.5e-4;
+        # the probe composes with the largest certified body below it
+        seen = []
+        monkeypatch.setattr(calculus, "compose" if mode == "compose" else "radial_compose",
+                            lambda t, k: seen.append(k) or op(t, k))
+        k1, k2 = random_convex_body(grid720, 80), random_convex_body(grid720, 90)
+        check_composition_bm(unit_ball(grid720), k1, k2, mode=mode)
+        assert not is_support_consistent(grid720, k1.support + k2.support).ok
+        ksum = seen[0]
+        assert ksum.certified and is_support_consistent(grid720, ksum.support).ok
+        assert np.all(ksum.support <= (k1.support + k2.support) * (1.0 + 4e-16))  # below h1 + h2, to an ulp
 
     def test_near_ball_probe_runs(self, grid720):
         t = random_convex_body(grid720, 99, amp=0.05)

@@ -335,12 +335,13 @@ class TestIsInversionConvex:
             hits += 1
         assert hits >= 3
 
-    def test_degenerate_direct_cloud_is_domain_error(self):
+    def test_degenerate_direct_cloud_is_domain_error(self, monkeypatch):
         # two direct samples cannot span a hull; qhull's error surfaces as a domain error
+        monkeypatch.setattr(inversion, "DIRECT_SAMPLES", 2)
         t = 0.01
         slab = OffOriginPolytope([[-1, 1 - t], [1, 1 - t], [1, 1 + t], [-1, 1 + t]])
         with pytest.raises(DegenerateInputError):
-            is_inversion_convex(slab, direct_samples=2)
+            is_inversion_convex(slab)
 
     def test_sample_floor(self):
         with pytest.raises(ParameterError):
@@ -445,15 +446,12 @@ class TestDepthAgainstFullScan:
         (lambda: OffOriginBall([3.0, 0.0], np.inf), ParameterError),
         (lambda: OffOriginBall([3.0], 1.0), DegenerateInputError),
         (lambda: OffOriginBall([[3.0, 0.0], [0.0, 3.0]], 1.0), DegenerateInputError),
-        (lambda: is_inversion_convex(OffOriginBall([3.0, 0.0], 1.0), direct_samples=0), ParameterError),
-        (lambda: is_inversion_convex(OffOriginBall([3.0, 0.0], 1.0), direct_samples=-5), ParameterError),
         (lambda: is_inversion_convex(OffOriginBall([3.0, 0.0], 1.0), seed=-1), ParameterError),
         (lambda: is_inversion_convex(OffOriginBall([3.0, 0.0], 1.0), tol=-2.0), ParameterError),
         (lambda: is_inversion_convex(OffOriginBall([3.0, 0.0], 1.0), tol=np.nan), ParameterError),
     ],
     ids=["nan-vertex", "inf-vertex", "inf-center", "nan-radius", "inf-radius", "short-center",
-         "matrix-center", "zero-direct-samples", "negative-direct-samples", "negative-seed", "negative-tol",
-         "nan-tol"],
+         "matrix-center", "negative-seed", "negative-tol", "nan-tol"],
 )
 def test_bad_inversion_input_is_a_domain_error(build, error):
     with pytest.raises(error):
