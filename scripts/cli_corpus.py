@@ -61,6 +61,8 @@ def write_inputs(tmp):
     g3 = sampled_sphere_grid(3, 2048, 0)  # wide enough that C and the hull radial prune by caps
     k3 = convexify_support(StarBody(g3, np.exp(0.2 * np.random.default_rng(2).normal(size=2048))))
     put_set(BIG3D, k3, np.random.default_rng(3).normal(size=(12, 3)))
+    # two petals whose average's max / min leaves the floats
+    put(WIDE, BodyDocument(2, "petals", uniform_angle_grid(720), points=np.array([[1e300, 0.0], [-1e-10, 0.0]])))
     return files
 
 
@@ -76,12 +78,13 @@ PAIRED = [["compose"], ["rcompose"], ["logmean", "--lambda", "0.5"], ["mixedvol"
 HUGE = "huge3d-p"  # petals of length 1e160, run only through the subcommands that project, rotate or measure a flower
 BIG3D = "k3d2048"  # a 2048-direction 3D set, run only through the subcommands below, after every other case
 BIG3D_CMDS = [["flower"], ["core"], ["polar"], ["power", "--lambda", "2"], ["power", "--lambda", "0.5"]]
+WIDE = "wide2-p"  # petals of lengths 1e300 and 1e-10, run only through the last cases
 
 
 def cases(files):
     """Every case as an argv list of text, with {tmp} still to fill in."""
-    out = [[*cmd[:1], f, *cmd[1:]] for name, f in files.items() if name != HUGE and not name.startswith(BIG3D)
-           for cmd in UNARY]
+    out = [[*cmd[:1], f, *cmd[1:]] for name, f in files.items()
+           if name not in (HUGE, WIDE) and not name.startswith(BIG3D) for cmd in UNARY]
     for a, b in (("k720-0-s", "k720-1-s"), ("k2048-0-s", "k2048-1-s"), ("k720-0-s", "k720-0-r"), ("x720-s", "k720-0-s"),
                  ("k720-0-s", "x720-s"), ("t720-1e+06", "k720-0-s"), ("k3d-s", "k3d-s"), ("k720-0-s", "k2048-0-s")):
         out += [[cmd[0], files[a], files[b], *cmd[1:]] for cmd in PAIRED]
@@ -92,6 +95,7 @@ def cases(files):
     out += [["kashin", "--dim", "3"], ["kashin", "--dim", "4", "--petals", "6", "--grid", "64", "--seed", "2"]]
     out += [[cmd[0], files[HUGE], *cmd[1:]] for cmd in UNARY if cmd[0] in ("dvoretzky", "global-avg", "stability")]
     out += [[cmd[0], files[f"{BIG3D}-{rep}"], *cmd[1:]] for rep in "srp" for cmd in BIG3D_CMDS]
+    out += [["global-avg", files[WIDE], "--n-rot", "1"], ["power", files["k2048-0-s"], "--lambda", "3"]]
     return out
 
 

@@ -20,6 +20,9 @@ power-map iteration.  Points of an already-convex cloud pass through
 unchanged, which keeps fixed-point families (regime polygons) exact.  On
 uniform 2D grids it reads one hull pass (_hull_pass: power-of-two rescale,
 convex-position test, Graham scan, edge radial); other grids use qhull.
+The pass holds x and y as two contiguous rows; its scan pushes each convex
+run in one step and tests only the pockets point by point, with the same
+float tests throughout, so the hull is that of a point-by-point scan.
 
 On uniform 2D grids C indexes the hull of that same pass
 (_support_by_vertices), and hull_radial_and_support takes both from it.
@@ -54,6 +57,8 @@ need O(N + M) memory:
   whose squares would overflow stay exact.
 """
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -136,16 +141,22 @@ def certificate_violation(grid: DirectionGrid, g: np.ndarray) -> float:
     return float(np.abs(np.asarray(g, dtype=float) - closure(grid, g)).max())
 
 
-def _turns(pts: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """a_i = p_{i-s}, b_i = p_{i+s} of an angularly sorted 2D cloud, and turn_i >= 0 iff a_i, p_i, b_i turn left."""
-    a = np.roll(pts, s, axis=0)
-    b = np.roll(pts, -s, axis=0)
-    return a, b, (pts[:, 0] - a[:, 0]) * (b[:, 1] - pts[:, 1]) - (pts[:, 1] - a[:, 1]) * (b[:, 0] - pts[:, 0])
+def _turns(xy: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a_i = p_{i-s}, b_i = p_{i+s} of an angularly sorted 2D cloud, and turn_i >= 0 iff a_i, p_i, b_i turn left.
+
+    xy holds x and y as two rows; a and b are views into one padded copy of
+    the ring, and turn_i = (p_i - a_i) x (b_i - p_i) reads both differences
+    off one subtraction over it.
+    """
+    n = xy.shape[1]
+    ring = np.concatenate((xy[:, n - s:], xy, xy[:, :s]), axis=1)
+    d = ring[:, s:] - ring[:, :-s]  # d_i = p_i - p_{i-s}, then b_i - p_i = d_{i+s}
+    return ring[:, :n], ring[:, 2 * s:], d[0, :n] * d[1, s:] - d[1, :n] * d[0, s:]
 
 
 def is_convex_position(pts: np.ndarray) -> bool:
-    """True if the angularly sorted cloud is in convex position (all left turns)."""
-    return bool((_turns(pts, 1)[2] >= 0.0).all())
+    """True if the angularly sorted (N, 2) cloud is in convex position (all left turns)."""
+    return bool((_turns(pts.T, 1)[2] >= 0.0).all())
 
 
 def convex_hull(points: np.ndarray, what: str) -> ConvexHull:
@@ -182,13 +193,14 @@ def _hull_radial_qhull(grid: DirectionGrid, pts: np.ndarray) -> np.ndarray:
 
 
 def _hull_pass(grid: DirectionGrid, w: np.ndarray) -> tuple | None:
-    """(radial, ws, pts, keep, edge): the hull of the cloud on a uniform 2D grid, scanned on ws = w * 2**-k.
+    """(radial, ws, xy, keep, edge): the hull of the cloud on a uniform 2D grid, scanned on ws = w * 2**-k.
 
-    radial is the hull radial (w itself in convex position), pts the points
-    ws_i theta_i, keep the hull vertices and edge the rescaled edge radial
-    along every ray (both None in convex position).  k centres the cloud on 1
-    to keep its cross products in the normal floats.  None on other grids or
-    if w spans more than 2**MAX_SPAN_EXP.
+    radial is the hull radial (w itself in convex position), xy the (2, N)
+    coordinates ws_i cos(theta_i), ws_i sin(theta_i) of the points, keep the
+    hull vertices and edge the rescaled edge radial along every ray (both
+    None in convex position).  k centres the cloud on 1 to keep its cross
+    products in the normal floats.  None on other grids or if w spans more
+    than 2**MAX_SPAN_EXP.
     """
     if grid.dim != 2 or grid.uniform_n is None:
         return None
@@ -197,69 +209,105 @@ def _hull_pass(grid: DirectionGrid, w: np.ndarray) -> tuple | None:
         return None
     k = (hi + lo) // 2
     ws = np.ldexp(w, -k)
-    pts = ws[:, None] * grid.directions
-    keep = _graham_vertices(pts)
+    xy = np.empty((2, len(w)))
+    np.multiply(ws, grid.directions[:, 0], out=xy[0])
+    np.multiply(ws, grid.directions[:, 1], out=xy[1])
+    keep = _graham_vertices(xy)
     if keep is None:
-        return w, ws, pts, None, None
-    edge = _edge_radial(grid, pts, keep)
-    return np.maximum(np.ldexp(edge, k), w), ws, pts, keep, edge
+        return w, ws, xy, None, None
+    edge = _edge_radial(grid, xy, keep)
+    return np.maximum(np.ldexp(edge, k), w), ws, xy, keep, edge
 
 
-def _graham_vertices(pts: np.ndarray) -> np.ndarray | None:
+def _graham_vertices(xy: np.ndarray) -> np.ndarray | None:
     """Indices, in angular (CCW) order, of the hull vertices of an angularly sorted 2D cloud; None in convex position.
 
-    The origin must be interior.  Convex position is is_convex_position's
-    test, on the turns of s = 1.  Otherwise a point lying strictly inside
-    conv{0, p_{i-s}, p_{i+s}} is never a hull vertex (the test is valid
-    whenever the bracketing pair spans less than pi, which cross(a, b) > 0
-    certifies); one vectorized pass with s in {1, 2} drops most interior
-    points before the scan.  The scan starts from the farthest point, which is
-    always a vertex, and pops only on a strict right turn, so collinear
-    boundary points stay.
+    xy holds the x and y coordinates as two rows.  The origin must be
+    interior.  Convex position is is_convex_position's test, on the turns of
+    s = 1.  Otherwise a point lying strictly inside conv{0, p_{i-s}, p_{i+s}}
+    is never a hull vertex (the test is valid whenever the bracketing pair
+    spans less than pi, which cross(a, b) > 0 certifies); one vectorized pass
+    with s in {1, 2} drops most interior points before the scan.  The scan
+    starts from the farthest point, which is always a vertex, and pops only
+    on a strict right turn, so collinear boundary points stay.
+
+    While the stack's top two entries are consecutive candidates, the scan's
+    next test is the candidates' own s = 1 turn, computed once in numpy with
+    the same float expression; so a convex run is pushed in one step up to
+    the next right turn, and only the pockets behind it are scanned one
+    point at a time, until the top two are consecutive again.
     """
-    bad = np.zeros(len(pts), dtype=bool)
+    bad = np.zeros(xy.shape[1], dtype=bool)
     for s in (1, 2):
-        a, b, turn = _turns(pts, s)
+        a, b, turn = _turns(xy, s)
         if s == 1 and (turn >= 0.0).all():
             return None
-        span_ok = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] > 0.0
+        span_ok = a[0] * b[1] - a[1] * b[0] > 0.0
         bad |= span_ok & (turn < 0.0)
     cand = np.flatnonzero(~bad)
-    q = pts[cand]
-    s0 = int(np.argmax(q[:, 0] * q[:, 0] + q[:, 1] * q[:, 1]))
-    xs = q[:, 0].tolist()
-    ys = q[:, 1].tolist()
-    stack = [s0]
-    for i in [*range(s0 + 1, len(cand)), *range(s0 + 1)]:  # once around, back to s0
-        bx, by = xs[i], ys[i]
+    m = len(cand)
+    x, y = xy
+    qx, qy = x[cand], y[cand]
+    s0 = int(np.argmax(qx * qx + qy * qy))
+    q = xy.take(np.concatenate((cand[s0:], cand[:s0 + 1])), axis=1)  # position t is candidate (s0 + t) % m
+    right = [*np.flatnonzero(_turns(q[:, :m], 1)[2] < 0.0).tolist(), m]
+    xs, ys = q.tolist()
+    stack = [0]
+    gone = []  # the popped positions; the stack keeps the rest
+    t = 1  # once around, back to s0 at position m; the stack's top is always t - 1
+    while t <= m:
+        if len(stack) >= 2 and stack[-2] == t - 2:
+            # the next tests are the turns at t - 1, t, ...: push up to the first right turn
+            r = right[bisect.bisect_left(right, t - 1)]
+            stack.extend(range(t, r + 1))
+            t = r + 1
+            if t > m:
+                break
+            gone.append(stack.pop())  # the turn at r is right
+        bx, by = xs[t], ys[t]
+        px, py = xs[stack[-1]], ys[stack[-1]]
         while len(stack) >= 2:
-            k = stack[-1]
             j = stack[-2]
-            px, py = xs[k], ys[k]
-            if (px - xs[j]) * (by - py) - (py - ys[j]) * (bx - px) < 0.0:
-                stack.pop()
+            ax, ay = xs[j], ys[j]
+            if (px - ax) * (by - py) - (py - ay) * (bx - px) < 0.0:
+                gone.append(stack.pop())
+                px, py = ax, ay
             else:
                 break
-        stack.append(i)
-    return cand[np.sort(stack[:-1])]
+        stack.append(t)
+        t += 1
+    kept = np.ones(m, dtype=bool)
+    kept[(np.array(gone, dtype=np.intp) + s0) % m] = False
+    return cand[kept]
 
 
-def _edge_radial(grid: DirectionGrid, pts: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Each grid ray intersected with the hull edge keep[k] -> keep[k+1] that brackets it."""
-    p = pts[keep]
-    m = len(keep)
-    edge = (np.searchsorted(keep, np.arange(len(pts)), side="right") - 1) % m
-    pa = p[edge]
-    pb = p[(edge + 1) % m]
+def _edge_radial(grid: DirectionGrid, xy: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Each grid ray intersected with the hull edge keep[k] -> keep[k+1] that brackets it.
+
+    Edge vectors and numerators p_k x p_{k+1} are taken once per edge and
+    repeated over each edge's rays; the closing edge keep[-1] -> keep[0] is
+    taken at both ends, as its rays wrap past ray 0.  A ray with
+    |denominator| <= 1e-300 takes the distance to the edge's first vertex.
+    """
+    x, y = xy
+    n = len(x)
+    ends = np.concatenate(([0], keep, [n]))
+    count = ends[1:] - ends[:-1]
+    ring = np.concatenate((keep[-1:], keep, keep[:1]))
+    vx, vy = x[ring], y[ring]
+    ex = np.repeat(vx[1:] - vx[:-1], count)
+    ey = np.repeat(vy[1:] - vy[:-1], count)
+    num = np.repeat(vx[:-1] * vy[1:] - vy[:-1] * vx[1:], count)
     d = grid.directions
-    denom = d[:, 0] * (pb[:, 1] - pa[:, 1]) - d[:, 1] * (pb[:, 0] - pa[:, 0])
-    num = pa[:, 0] * pb[:, 1] - pa[:, 1] * pb[:, 0]
+    denom = d[:, 0] * ey - d[:, 1] * ex
+    if np.abs(denom).min() > 1e-300:  # nan fails it too, as the elementwise test would
+        return num / denom
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(np.abs(denom) > 1e-300, num / denom, np.hypot(pa[:, 0], pa[:, 1]))
-    return r
+        far = np.hypot(np.repeat(vx[:-1], count), np.repeat(vy[:-1], count))
+        return np.where(np.abs(denom) > 1e-300, num / denom, far)
 
 
-def _support_by_vertices(grid: DirectionGrid, w: np.ndarray, ws: np.ndarray, pts: np.ndarray,
+def _support_by_vertices(grid: DirectionGrid, w: np.ndarray, ws: np.ndarray, xy: np.ndarray,
                          keep: np.ndarray | None, edge: np.ndarray | None) -> np.ndarray:
     """C(w) on a uniform 2D grid from the hull pass: the dense max, bit for bit, over an FMA-rounded Gram.
 
@@ -279,8 +327,9 @@ def _support_by_vertices(grid: DirectionGrid, w: np.ndarray, ws: np.ndarray, pts
         is_near[keep] = True
         near = np.flatnonzero(is_near)
     m, nn = len(keep), len(near)
-    e = np.roll(pts[keep], -1, axis=0) - pts[keep]
-    nu = np.arctan2(-e[:, 0], e[:, 1])  # outward normal of edge k, from vertex k to k+1
+    v = xy.take(np.concatenate((keep, keep[:1])), axis=1)
+    ex, ey = v[:, 1:] - v[:, :-1]
+    nu = np.arctan2(-ex, ey)  # outward normal of edge k, from vertex k to k+1
     turn = np.maximum((np.diff(nu) + np.pi) % (2 * np.pi) - np.pi, 0.0)
     nu = nu[0] + np.concatenate(([0.0], np.cumsum(turn)))
     nu3 = np.concatenate((nu - 2 * np.pi, nu, nu + 2 * np.pi))

@@ -232,7 +232,8 @@ def global_average(f: Flower, n_rotations: int, seed: int) -> float:
     """Oscillation ratio max/min of the average of N rotated radial functions.
 
     Rotations are drawn from a per-index derived stream, so averages over
-    prefixes (N = 16 vs 256 with the same seed) share their rotations.
+    prefixes (N = 16 vs 256 with the same seed) share their rotations.  The
+    ratio is inf where the average vanishes or max/min leaves the floats.
     """
     if n_rotations < 1:
         raise ParameterError("need at least one rotation")
@@ -242,8 +243,8 @@ def global_average(f: Flower, n_rotations: int, seed: int) -> float:
         u = random_rotation(grid.dim, child_seed(seed, i)).matrix
         acc += _support_blocked(pts @ u.T, grid.directions)
     acc /= n_rotations
-    lo = acc.min()
-    return float("inf") if lo <= 0.0 else float(acc.max() / lo)
+    lo, hi = float(acc.min()), float(acc.max())
+    return float("inf") if lo <= 0.0 else hi / lo  # a Python float ratio past the floats is inf, with no warning
 
 
 def kashin_petals(n: int, seed: int, num_petals: int | None = None, grid: DirectionGrid | None = None) -> float:

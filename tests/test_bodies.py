@@ -935,6 +935,160 @@ class TestHullIndexedSupport:
         assert np.array_equal(k.radial(), hull_radial(g, w))
 
 
+def _reference_turns(pts, s):
+    """The turn test on (N, 2) points through np.roll copies, as the scalar scan read it."""
+    a = np.roll(pts, s, axis=0)
+    b = np.roll(pts, -s, axis=0)
+    return a, b, (pts[:, 0] - a[:, 0]) * (b[:, 1] - pts[:, 1]) - (pts[:, 1] - a[:, 1]) * (b[:, 0] - pts[:, 0])
+
+
+def _reference_graham_vertices(pts):
+    """The hull vertices by the scan the 2D hull pass replaced: every candidate takes one scalar turn test or more."""
+    bad = np.zeros(len(pts), dtype=bool)
+    for s in (1, 2):
+        a, b, turn = _reference_turns(pts, s)
+        if s == 1 and (turn >= 0.0).all():
+            return None
+        span_ok = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] > 0.0
+        bad |= span_ok & (turn < 0.0)
+    cand = np.flatnonzero(~bad)
+    q = pts[cand]
+    s0 = int(np.argmax(q[:, 0] * q[:, 0] + q[:, 1] * q[:, 1]))
+    xs = q[:, 0].tolist()
+    ys = q[:, 1].tolist()
+    stack = [s0]
+    for i in [*range(s0 + 1, len(cand)), *range(s0 + 1)]:  # once around, back to s0
+        bx, by = xs[i], ys[i]
+        while len(stack) >= 2:
+            k = stack[-1]
+            j = stack[-2]
+            px, py = xs[k], ys[k]
+            if (px - xs[j]) * (by - py) - (py - ys[j]) * (bx - px) < 0.0:
+                stack.pop()
+            else:
+                break
+        stack.append(i)
+    return cand[np.sort(stack[:-1])]
+
+
+def _reference_edge_radial(grid, pts, keep):
+    """The edge radial the 2D hull pass replaced: each ray gathers its edge's two (N, 2) vertex rows."""
+    p = pts[keep]
+    m = len(keep)
+    edge = (np.searchsorted(keep, np.arange(len(pts)), side="right") - 1) % m
+    pa = p[edge]
+    pb = p[(edge + 1) % m]
+    d = grid.directions
+    denom = d[:, 0] * (pb[:, 1] - pa[:, 1]) - d[:, 1] * (pb[:, 0] - pa[:, 0])
+    num = pa[:, 0] * pb[:, 1] - pa[:, 1] * pb[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(denom) > 1e-300, num / denom, np.hypot(pa[:, 0], pa[:, 1]))
+
+
+def _reference_hull_pass(g, w):
+    """(radial, keep, edge) of the scalar scan, on the cloud rescaled as _hull_pass rescales it."""
+    k = (int(np.frexp(w.max())[1]) + int(np.frexp(w.min())[1])) // 2
+    pts = np.ldexp(w, -k)[:, None] * g.directions
+    keep = _reference_graham_vertices(pts)
+    if keep is None:
+        return w, None, None
+    edge = _reference_edge_radial(g, pts, keep)
+    return np.maximum(np.ldexp(edge, k), w), keep, edge
+
+
+def _wrap_cloud(n, spike, dent, near):
+    """A circle with a spike at ray 0, a dent at ray n - 2 and ray n - 1 a little inside.
+
+    Ray 0 is the farthest point, where the scan starts.  Ray n - 1 passes the
+    prefilter, and its turn against its candidate neighbours n - 3 and 0 is
+    the only right one, so the scan pops it when it comes back round to ray 0.
+    """
+    w = np.ones(n)
+    w[0], w[n - 2], w[n - 1] = spike, dent, near
+    return uniform_angle_grid(n), w
+
+
+def _anchor_iterates():
+    """Every 16th cloud that the anchor K^3 (body 20000 at N = 2048) hands the hull pass at m = 256."""
+    g = uniform_angle_grid(2048)
+    w = random_convex_body(g, 20000, amp=0.3, kmax=5).radial()
+    s = 3.0 ** (1.0 / 256)
+    out = []
+    for i in range(256):
+        v = w ** s
+        if i % 16 == 0:
+            out.append(v)
+        w = hull_radial(g, v)
+    return g, out
+
+
+class TestHullPassAgainstScalarScan:
+    """The 2D hull pass against the one-candidate-at-a-time scan it replaced: keep, edge, radial and C bit for bit."""
+
+    @staticmethod
+    def _same_as_scalar_scan(g, w, check_c=True):
+        radial, ws, xy, keep, edge = sampleops._hull_pass(g, w)
+        ref_radial, ref_keep, ref_edge = _reference_hull_pass(g, w)
+        assert np.array_equal(radial, ref_radial)
+        assert np.array_equal(hull_radial(g, w), ref_radial)
+        if ref_keep is None:
+            assert keep is None and radial is w
+        else:
+            assert np.array_equal(keep, ref_keep)
+            assert np.array_equal(edge, ref_edge)
+        if check_c:
+            assert np.array_equal(sampleops._support_by_vertices(g, w, ws, xy, keep, edge), _dense_c(g, w))
+
+    @pytest.mark.parametrize("kind", ["lognormal", "body-power", "polygon", "floor"])
+    @pytest.mark.parametrize("n", [8, 9, 720, 2048])
+    def test_hull_test_clouds(self, kind, n):
+        for rs in range(6):
+            self._same_as_scalar_scan(*_hull_test_cloud(kind, n, rs))
+
+    @pytest.mark.parametrize("n", [720, 2048])
+    def test_body_radials_with_near_zero_right_turns(self, n):
+        # a body's own radial has hundreds of right turns of at most 4e-17
+        # among its collinear edge samples, so it never passes through
+        g = uniform_angle_grid(n)
+        for s in range(4):
+            w = random_convex_body(g, s).radial()
+            assert (sampleops._turns(w * g.directions.T, 1)[2] < 0.0).sum() > 100
+            self._same_as_scalar_scan(g, w)
+
+    def test_anchor_power_iterates(self):
+        g, clouds = _anchor_iterates()
+        for i, w in enumerate(clouds):
+            self._same_as_scalar_scan(g, w, check_c=i % 4 == 0)
+
+    @pytest.mark.parametrize("scale", [-560, 560])
+    def test_scaled_clouds(self, scale):
+        for kind in ("lognormal", "body-power", "floor"):
+            for n in (9, 720):
+                g, w = _hull_test_cloud(kind, n, 3)
+                with np.errstate(all="raise"):
+                    self._same_as_scalar_scan(g, np.ldexp(w, scale))
+
+    @pytest.mark.parametrize("n, spike, dent, near", [(16, 1.2, 0.2, 0.9), (720, 1 + 2e-4, 0.2, 1 - 1e-6),
+                                                      (2048, 1 + 2e-5, 0.25, 1 - 1e-9)])
+    def test_closing_point_popped_past_the_start(self, n, spike, dent, near):
+        g, w = _wrap_cloud(n, spike, dent, near)
+        xy = w * g.directions.T
+        assert sampleops._turns(xy, 1)[2][n - 1] >= 0.0 and sampleops._turns(xy, 2)[2][n - 1] >= 0.0
+        keep = sampleops._graham_vertices(xy)
+        assert keep[0] == 0 and n - 1 not in keep
+        self._same_as_scalar_scan(g, w)
+
+    def test_degenerate_edge_takes_the_vertex_distance(self):
+        # one vertex: every ray's edge has length 0, so every denominator is 0
+        g, w = _hull_test_cloud("lognormal", 720, 1)
+        xy = w * g.directions.T
+        keep = np.array([5])
+        with np.errstate(all="raise"):
+            out = sampleops._edge_radial(g, xy, keep)
+        assert np.array_equal(out, _reference_edge_radial(g, w[:, None] * g.directions, keep))
+        assert np.array_equal(out, np.full(720, np.hypot(*xy[:, 5])))
+
+
 def _ulps(a, b):
     """Largest distance between two positive float arrays in units in the last place."""
     return int(np.abs(a.view(np.int64) - b.view(np.int64)).max())

@@ -356,6 +356,12 @@ class TestGlobalAverage:
         assert r256 <= r16 * 1.05
         assert r256 < 1.3
 
+    @pytest.mark.filterwarnings("error")
+    def test_ratio_past_the_floats_is_inf(self):
+        # the average's max / min is about 1e310: the division used to warn of overflow
+        f = flower_from_petals(np.array([[1e300, 0.0], [-1e-10, 0.0]]), uniform_angle_grid(720))
+        assert global_average(f, 1, 0) == np.inf
+
 
 class TestKashin:
     def test_finite_ratio_2d(self):
