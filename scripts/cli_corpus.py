@@ -96,6 +96,8 @@ def cases(files):
     out += [[cmd[0], files[HUGE], *cmd[1:]] for cmd in UNARY if cmd[0] in ("dvoretzky", "global-avg", "stability")]
     out += [[cmd[0], files[f"{BIG3D}-{rep}"], *cmd[1:]] for rep in "srp" for cmd in BIG3D_CMDS]
     out += [["global-avg", files[WIDE], "--n-rot", "1"], ["power", files["k2048-0-s"], "--lambda", "3"]]
+    # a volume past the floats (refused), a volume on the wide 3D grid, and a Kashin average that vanishes (inf)
+    out += [["volume", files[HUGE]], ["volume", files[f"{BIG3D}-s"]], ["kashin", "--dim", "8", "--petals", "4", "--grid", "64"]]
     return out
 
 

@@ -27,8 +27,8 @@ float tests throughout, so the hull is that of a point-by-point scan.
 On uniform 2D grids C indexes the hull of that same pass
 (_support_by_vertices), and hull_radial_and_support takes both from it.
 Everywhere else C runs the cone-pruned kernel _support_pruned, and so does
-the ND hull radial (1 / C over the facets, whose normals join the cap of
-their nearest centre):
+the ND hull radial (1 / C over the facets, grouped under the cap centres by
+spherecore.group_rows, as the rays are):
 
 * The grid's rays fall into about sqrt(N) caps (DirectionGrid.caps), each
   a centre and an angular radius; for C the points are the rays, so the
@@ -64,7 +64,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegenerateInputError
-from .spherecore import DENSE_BLOCK, Caps, DirectionGrid, angle_between, nearest_centre
+from .spherecore import DENSE_BLOCK, Caps, DirectionGrid, group_rows
 
 # the Graham kernel below is plain numpy/Python; the flag stays because the
 # benchmark harness reads it to label the 2D hull kernel
@@ -113,7 +113,7 @@ def support_of_cloud(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:
     hull = _hull_pass(grid, w)
     if hull is None:
         caps = grid.caps()
-        return _support_pruned(caps, grid.directions, grid.directions, w, caps.order, caps.starts, caps.radius)
+        return _support_pruned(caps, grid.directions, grid.directions, w, (caps.order, caps.starts, caps.radius))
     return _support_by_vertices(grid, w, *hull[1:])
 
 
@@ -154,11 +154,6 @@ def _turns(xy: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ring[:, :n], ring[:, 2 * s:], d[0, :n] * d[1, s:] - d[1, :n] * d[0, s:]
 
 
-def is_convex_position(pts: np.ndarray) -> bool:
-    """True if the angularly sorted (N, 2) cloud is in convex position (all left turns)."""
-    return bool((_turns(pts.T, 1)[2] >= 0.0).all())
-
-
 def convex_hull(points: np.ndarray, what: str) -> ConvexHull:
     """The package's one qhull call; a failure raises DegenerateInputError("what: qhull's reason"), no run id."""
     try:
@@ -170,12 +165,12 @@ def convex_hull(points: np.ndarray, what: str) -> ConvexHull:
 def _hull_radial_qhull(grid: DirectionGrid, pts: np.ndarray) -> np.ndarray:
     """Radial of conv(pts) along the grid rays: D over the hull facets <a_k, x> <= -b_k, as 1 / C(-1/b).
 
-    The facet normals join the cap of their nearest centre, so the facet
-    support runs through the pruned kernel.  A cloud whose largest coordinate
-    lies beyond 2**QHULL_MAX_EXP or below 2**-QHULL_MAX_EXP is scaled by
-    2**-k to a largest coordinate in [0.5, 1) first: b scales by 2**-k and a
-    does not, so the radial scales back exactly.  Other clouds reach qhull as
-    they are, since qhull itself is not exact under scaling.
+    The facet normals are grouped under the cap centres, as the rays are, so
+    the facet support runs through the pruned kernel.  A cloud whose largest
+    coordinate lies beyond 2**QHULL_MAX_EXP or below 2**-QHULL_MAX_EXP is
+    scaled by 2**-k to a largest coordinate in [0.5, 1) first: b scales by
+    2**-k and a does not, so the radial scales back exactly.  Other clouds
+    reach qhull as they are, since qhull itself is not exact under scaling.
     """
     k = int(np.frexp(np.abs(pts).max())[1])
     k = k if abs(k) > QHULL_MAX_EXP else 0
@@ -184,12 +179,7 @@ def _hull_radial_qhull(grid: DirectionGrid, pts: np.ndarray) -> np.ndarray:
     if not (b < 0.0).all():
         raise DegenerateInputError("the hull of the cloud does not hold the origin strictly inside")
     caps = grid.caps()
-    label = nearest_centre(a, caps.centres)
-    order = np.argsort(label, kind="stable")
-    starts = np.searchsorted(label[order], np.arange(len(caps.radius) + 1))
-    radius = np.zeros(len(caps.radius))
-    np.maximum.at(radius, label, angle_between(a, caps.centres[label]))
-    return np.ldexp(1.0 / _support_pruned(caps, grid.directions, a, -1.0 / b, order, starts, radius), k)
+    return np.ldexp(1.0 / _support_pruned(caps, grid.directions, a, -1.0 / b, group_rows(a, caps.centres)), k)
 
 
 def _hull_pass(grid: DirectionGrid, w: np.ndarray) -> tuple | None:
@@ -223,8 +213,8 @@ def _graham_vertices(xy: np.ndarray) -> np.ndarray | None:
     """Indices, in angular (CCW) order, of the hull vertices of an angularly sorted 2D cloud; None in convex position.
 
     xy holds the x and y coordinates as two rows.  The origin must be
-    interior.  Convex position is is_convex_position's test, on the turns of
-    s = 1.  Otherwise a point lying strictly inside conv{0, p_{i-s}, p_{i+s}}
+    interior.  Convex position is all left turns at s = 1 (_turns).
+    Otherwise a point lying strictly inside conv{0, p_{i-s}, p_{i+s}}
     is never a hull vertex (the test is valid whenever the bracketing pair
     spans less than pi, which cross(a, b) > 0 certifies); one vectorized pass
     with s in {1, 2} drops most interior points before the scan.  The scan
@@ -355,11 +345,12 @@ def _support_by_vertices(grid: DirectionGrid, w: np.ndarray, ws: np.ndarray, xy:
 
 
 def _support_pruned(caps: Caps, dirs: np.ndarray, pts: np.ndarray, w: np.ndarray,
-                    order: np.ndarray, starts: np.ndarray, radius: np.ndarray) -> np.ndarray:
+                    groups: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
     """max_i w_i <p_i, theta_j>_+ over the point rows p_i for each grid ray theta_j, skipping far point groups.
 
-    Point group g holds the rows order[starts[g]:starts[g + 1]], each within
-    radius[g] of the cap centre g; for C they are the caps themselves.  Ray
+    groups = (order, starts, radius) is group_rows of the point rows: group g
+    holds the rows order[starts[g]:starts[g + 1]], each within radius[g] of
+    centre g; for C they are the caps themselves.  Ray
     cap c first takes its own group's products: the least of their per-ray
     maxima is the floor L_c.  No point of group g makes more on a ray of cap c
     than max_g w * cos(max(0, spread - radius_c - radius_g)), so a group whose
@@ -377,6 +368,7 @@ def _support_pruned(caps: Caps, dirs: np.ndarray, pts: np.ndarray, w: np.ndarray
     """
     if not 2 <= DENSE_BLOCK // len(pts) <= RAY_BLOCK:
         return _support_blocked(pts, dirs, w)
+    order, starts, radius = groups
     sizes = np.diff(starts)
     top = np.zeros(len(sizes))
     filled = sizes > 0

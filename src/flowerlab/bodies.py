@@ -121,9 +121,6 @@ class ConvexBody:
             self._radial = r
         return self._radial
 
-    def as_star(self) -> StarBody:
-        return StarBody(self.grid, self.radial())
-
 
 @dataclass(eq=False)
 class Flower(StarBody):
@@ -242,16 +239,12 @@ def _ball_mean(grid: DirectionGrid, values: np.ndarray) -> float:
 def volume(a: StarBody | ConvexBody) -> float:
     """kappa_n times the spherical average of r^n (polar-coordinates formula).
 
-    Where r^n leaves the floats, r is scaled by a power of two first, so
-    in-range volumes are unchanged bit for bit; a volume that itself leaves
-    the floats is refused.
+    r is always scaled by a power of two to a largest sample in [0.5, 1), so
+    r^n stays in the floats; the scaling is exact, so in-range volumes are the
+    plain formula's bit for bit.  A volume that leaves the floats is refused.
     """
     r = a.radial() if isinstance(a, ConvexBody) else a.radial
     n = a.grid.dim
-    with np.errstate(over="ignore"):
-        v = _ball_mean(a.grid, r ** n)
-    if 0.0 < v < math.inf:
-        return v
     k = int(np.frexp(r.max())[1])
     try:
         v = math.ldexp(_ball_mean(a.grid, np.ldexp(r, -k) ** n), n * k)
@@ -366,10 +359,12 @@ def scale_star(a: StarBody, t: float) -> StarBody:
 
 
 def rotate_star_2d(a: StarBody, rotation: Rotation | float) -> StarBody:
-    """Rotate a 2D star body by resampling the radial profile (linear in angle)."""
+    """Rotate a 2D star body by resampling the radial profile (linear in angle); a Rotation must be 2D."""
     if a.grid.dim != 2:
         raise UnsupportedDimensionError("rotate_star_2d needs a 2D grid")
     if isinstance(rotation, Rotation):
+        if rotation.dim != 2:
+            raise ParameterError(f"rotate_star_2d needs a 2D rotation, got dimension {rotation.dim}")
         angle = math.atan2(rotation.matrix[1, 0], rotation.matrix[0, 0])
     else:
         angle = float(rotation)

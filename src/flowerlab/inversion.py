@@ -73,6 +73,8 @@ def arc_points(x: np.ndarray, y: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise ParameterError(f"arc endpoints must have one shape, got {x.shape} and {y.shape}")
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if np.array_equal(x, y):
         return np.tile(x, (len(ts), 1))
@@ -217,6 +219,8 @@ def cone_membership(shape: Shape, z: np.ndarray, which: str, tol: float = 1e-9) 
     A point whose ray misses the shape is in neither cone, whatever the tol."""
     z = np.asarray(z, dtype=float)
     rows = np.atleast_2d(z)
+    if rows.shape[-1] != shape.dim:
+        raise ParameterError(f"points must have length {shape.dim}, got {rows.shape[-1]}")
     t = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
     if (t == 0.0).any():
         raise SingularPointError("cones are defined away from the origin")

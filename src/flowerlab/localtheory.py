@@ -250,8 +250,8 @@ def global_average(f: Flower, n_rotations: int, seed: int) -> float:
 def kashin_petals(n: int, seed: int, num_petals: int | None = None, grid: DirectionGrid | None = None) -> float:
     """Oscillation ratio of the average of randomly rotated unit petals in R^n.
 
-    Defaults to 2n petals (the Kashin count); returns inf when the average
-    vanishes somewhere (too few petals to surround the sphere).
+    Defaults to 2n petals (the Kashin count); inf where the average vanishes
+    (too few petals to surround the sphere) or the ratio leaves the floats.
     """
     if n < 2:
         raise ParameterError("need dimension n >= 2")
@@ -264,7 +264,5 @@ def kashin_petals(n: int, seed: int, num_petals: int | None = None, grid: Direct
     dirs = rng.normal(size=(m, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     acc = np.maximum(grid.directions @ dirs.T, 0.0).sum(axis=1) / m
-    lo = acc.min()
-    if lo <= 0.0:
-        return float("inf")
-    return float(acc.max() / lo)
+    lo, hi = float(acc.min()), float(acc.max())
+    return float("inf") if lo <= 0.0 else hi / lo  # as in global_average

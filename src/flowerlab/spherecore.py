@@ -112,9 +112,9 @@ class DirectionGrid:
 class Caps(NamedTuple):
     """A partition of the grid's rays into K angular caps, for the cone-pruned support kernel.
 
-    Cap c holds the rays order[starts[c]:starts[c + 1]] (ascending), each
-    within radius[c] radians of the unit centre centres[c]; spread[c, c'] is
-    the angle between two centres.  Every cap holds at least one ray.
+    order, starts and radius are group_rows of the rays under the unit centres;
+    spread[c, c'] is the angle between two centres.  Every cap holds at least
+    one ray.
     """
 
     order: np.ndarray  # (N,) ray indices, cap by cap
@@ -138,6 +138,21 @@ def nearest_centre(rows: np.ndarray, centres: np.ndarray) -> np.ndarray:
     return out
 
 
+def group_rows(rows: np.ndarray, centres: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, starts, radius): the unit rows grouped under their nearest centre, for the rays (Caps) and the facets.
+
+    Group c holds the rows order[starts[c]:starts[c + 1]] (ascending), each
+    within radius[c] radians of centres[c] (0 if empty): the true bound that
+    the cone bound of the pruned support kernel rests on.
+    """
+    label = nearest_centre(rows, centres)
+    order = np.argsort(label, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(label, minlength=len(centres)))))
+    radius = np.zeros(len(centres))
+    np.maximum.at(radius, label, angle_between(rows, centres[label]))
+    return order, starts, radius
+
+
 def _build_caps(d: np.ndarray) -> Caps:
     """Caps of the unit rows d: spherical k-means with K = round(sqrt(N)), seeded by evenly spaced rows.
 
@@ -152,14 +167,11 @@ def _build_caps(d: np.ndarray) -> Caps:
         norms = np.linalg.norm(sums, axis=1)
         moved = norms > 0.0
         centres[moved] = sums[moved] / norms[moved, None]
-    label = nearest_centre(d, centres)
-    used, label = np.unique(label, return_inverse=True)
+    order, starts, radius = group_rows(d, centres)
+    used = np.diff(starts) > 0
     centres = centres[used]
-    order = np.argsort(label, kind="stable")
-    starts = np.concatenate(([0], np.cumsum(np.bincount(label))))
-    radius = np.maximum.reduceat(angle_between(d[order], centres[label[order]]), starts[:-1])
     spread = angle_between(centres[:, None, :], centres[None, :, :])
-    caps = Caps(order, starts, centres, radius, spread)
+    caps = Caps(order, np.unique(starts), centres, radius[used], spread)
     for a in caps:
         a.flags.writeable = False
     return caps
@@ -230,16 +242,12 @@ def sampled_sphere_grid(dim: int, n: int, seed: int, symmetric: bool = False) ->
         raise InvalidGridError("sampled grids are for dim >= 3; use uniform_angle_grid in 2D")
     if n < 32:
         raise InvalidGridError(f"sampled sphere grid needs n >= 32, got {n}")
-    rng = np.random.default_rng(seed)
+    if symmetric and n % 2:
+        raise InvalidGridError("symmetric grid needs even n")
+    dirs = np.random.default_rng(seed).normal(size=(n // 2 if symmetric else n, dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     if symmetric:
-        if n % 2:
-            raise InvalidGridError("symmetric grid needs even n")
-        g = rng.normal(size=(n // 2, dim))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        dirs = np.vstack([g, -g])
-    else:
-        g = rng.normal(size=(n, dim))
-        dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
+        dirs = np.vstack([dirs, -dirs])
     return DirectionGrid(dim, dirs, np.full(n, 1.0 / n))
 
 

@@ -291,7 +291,7 @@ class TestCompositions:
         t = random_convex_body(grid720, 17)
         k = random_convex_body(grid720, 18)
         lhs = compose(t, k)
-        rhs = convexify_support(radial_product(flower_of(t), k.as_star()))
+        rhs = convexify_support(radial_product(flower_of(t), StarBody(k.grid, k.radial())))
         assert np.abs(lhs.support - rhs.support).max() < 1e-12
 
 

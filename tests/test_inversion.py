@@ -289,6 +289,23 @@ class TestConeMembership:
             cone_membership(self.poly, np.array([1.0, 0.0]), "sideways")
 
 
+_TRI = [[2.0, 0.0], [3.0, 0.0], [2.0, 1.0]]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cone_membership(OffOriginPolytope(_TRI), [1.0, 2.0, 3.0], "in"),
+    lambda: cone_membership(OffOriginPolytope(_TRI), np.ones((4, 3)), "out"),
+    lambda: cone_membership(TruncatedOutCone(OffOriginPolytope(_TRI)), [1.0], "in"),
+    lambda: cone_membership(OffOriginBall([0.0, 0.0, 2.5], 1.0), [1.0, 2.0], "in"),
+    lambda: arc_points([1.0, 2.0], [1.0, 2.0, 3.0], [0.5]),
+    lambda: arc_points(np.ones(3), np.ones((1, 3)), [0.5]),
+], ids=["point-3-in-2d", "rows-3-in-2d", "point-1-in-2d-cone", "point-2-in-3d-ball", "arc-2-and-3", "arc-3-and-1x3"])
+def test_wrong_length_points_are_parameter_errors(call):
+    """A point whose length is not the shape's dimension, or arc endpoints of two shapes, are refused by name."""
+    with pytest.raises(ParameterError):
+        call()
+
+
 class TestIsInversionConvex:
     def test_ball_is_convex(self):
         v = is_inversion_convex(OffOriginBall([3.0, 0.0], 1.0), samples=200, seed=0)

@@ -53,7 +53,7 @@ class TestDistance:
         assert rep.value == 1.0
 
     def test_square(self, grid720):
-        rep = distance_to_ball(square_body(grid720).as_star())
+        rep = distance_to_ball(StarBody(grid720, square_body(grid720).radial()))
         assert rep.value == pytest.approx(np.sqrt(2.0), abs=1e-9)
         # witnesses: max at a diagonal, min on an axis
         assert abs(abs(rep.argmax_direction[0]) - np.sqrt(0.5)) < 1e-2

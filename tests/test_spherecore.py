@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from flowerlab.bodies import ConvexBody, Flower, StarBody, rotate_star_2d, unit_ball
 from flowerlab.calculus import Partition
@@ -14,6 +15,7 @@ from flowerlab.spherecore import (
     DirectionGrid,
     angle_between,
     child_seed,
+    group_rows,
     quadrature_mean,
     random_rotation,
     random_subspace,
@@ -127,6 +129,13 @@ class TestRandomRotation:
         back = rotate_star_2d(rotate_star_2d(a, rot), rot.inverse())
         assert np.abs(back.radial - a.radial).max() < 5e-4  # two linear interpolations
 
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_rotate_star_2d_refuses_other_dimensions(self, grid720, dim):
+        """A rotation of R^3 or R^4 has no one angle; its top-left block would move the body with no error."""
+        a = StarBody(grid720, np.exp(0.3 * np.cos(grid720.angles())))
+        with pytest.raises(ParameterError, match="2D rotation"):
+            rotate_star_2d(a, random_rotation(dim, 1))
+
 
 class TestRandomSubspace:
     def test_full_dimensional(self):
@@ -224,6 +233,33 @@ class TestArrayOwnership:
         assert (angle_between(grid.directions[caps.order], caps.centres[label]) <= caps.radius[label]).all()
         twin = DirectionGrid(dim, grid.directions.copy(), grid.weights)  # caps are a pure function of the directions
         assert all(np.array_equal(a, b) for a, b in zip(twin.caps(), caps))
+
+    def test_caps_drop_empty_groups(self):
+        """65 rays on 5 directions: of the 8 seeded centres only 5 keep rays, and only those are caps."""
+        base = sampled_sphere_grid(3, 32, 0).directions[:5]
+        caps = DirectionGrid(3, np.repeat(base, 13, axis=0), np.full(65, 1 / 65)).caps()
+        assert len(caps.centres) == len(caps.radius) == len(caps.spread) == 5
+        assert np.array_equal(caps.starts, 13 * np.arange(6)) and np.array_equal(caps.order, np.arange(65))
+        assert (caps.radius < 1e-15).all()
+
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "symmetric"])
+    @pytest.mark.parametrize("dim, n", [(3, 512), (3, 4096), (4, 2048), (8, 2048)])
+    def test_group_rows_makes_the_caps_and_bounds_the_facets(self, dim, n, symmetric):
+        """The rays grouped under the cap centres are the caps; every facet normal of an ellipsoid's hull lies within its group's radius."""
+        grid = sampled_sphere_grid(dim, n, n + dim, symmetric=symmetric)
+        caps = grid.caps()
+        order, starts, radius = group_rows(grid.directions, caps.centres)
+        assert np.array_equal(order, caps.order) and np.array_equal(starts, caps.starts)
+        assert np.array_equal(radius, caps.radius)
+        d = grid.directions[:n if dim < 8 else 48]  # an 8D hull of every ray would have millions of facets
+        a = ConvexHull(d / np.linalg.norm(d / np.linspace(1.0, 2.0, dim), axis=1)[:, None]).equations[:, :-1]
+        order, starts, radius = group_rows(a, caps.centres)
+        assert starts[0] == 0 and starts[-1] == len(a) and (np.diff(starts) >= 0).all()
+        assert np.array_equal(np.sort(order), np.arange(len(a)))
+        label = np.repeat(np.arange(len(caps.centres)), np.diff(starts))
+        assert np.array_equal(label, (a[order] @ caps.centres.T).argmax(axis=1))
+        assert (angle_between(a[order], caps.centres[label]) <= radius[label]).all()
+        assert (radius[np.diff(starts) == 0] == 0.0).all()
 
     def test_caps_build_in_small_memory(self):
         grid = sampled_sphere_grid(3, 8192, 4)
