@@ -63,6 +63,10 @@ def write_inputs(tmp):
     put_set(BIG3D, k3, np.random.default_rng(3).normal(size=(12, 3)))
     # two petals whose average's max / min leaves the floats
     put(WIDE, BodyDocument(2, "petals", uniform_angle_grid(720), points=np.array([[1e300, 0.0], [-1e-10, 0.0]])))
+    g4 = sampled_sphere_grid(4, 2048, 0)  # 4D caps are wide, so C and the hull radial prune row by row
+    k4 = convexify_support(StarBody(g4, np.exp(0.2 * np.random.default_rng(4).normal(size=2048))))
+    put(f"{BIG4D}-s", document_for_convex(k4, {"name": BIG4D}))
+    put(f"{BIG4D}-r", document_for_star(flower_of(k4)))
     return files
 
 
@@ -79,12 +83,14 @@ HUGE = "huge3d-p"  # petals of length 1e160, run only through the subcommands th
 BIG3D = "k3d2048"  # a 2048-direction 3D set, run only through the subcommands below, after every other case
 BIG3D_CMDS = [["flower"], ["core"], ["polar"], ["power", "--lambda", "2"], ["power", "--lambda", "0.5"]]
 WIDE = "wide2-p"  # petals of lengths 1e300 and 1e-10, run only through the last cases
+BIG4D = "k4d2048"  # a 2048-direction 4D support/radial set, run only through the subcommands below, at the very end
+BIG4D_CMDS = [["flower"], ["core"], ["polar"], ["power", "--lambda", "2"]]
 
 
 def cases(files):
     """Every case as an argv list of text, with {tmp} still to fill in."""
     out = [[*cmd[:1], f, *cmd[1:]] for name, f in files.items()
-           if name not in (HUGE, WIDE) and not name.startswith(BIG3D) for cmd in UNARY]
+           if name not in (HUGE, WIDE) and not name.startswith((BIG3D, BIG4D)) for cmd in UNARY]
     for a, b in (("k720-0-s", "k720-1-s"), ("k2048-0-s", "k2048-1-s"), ("k720-0-s", "k720-0-r"), ("x720-s", "k720-0-s"),
                  ("k720-0-s", "x720-s"), ("t720-1e+06", "k720-0-s"), ("k3d-s", "k3d-s"), ("k720-0-s", "k2048-0-s")):
         out += [[cmd[0], files[a], files[b], *cmd[1:]] for cmd in PAIRED]
@@ -98,6 +104,7 @@ def cases(files):
     out += [["global-avg", files[WIDE], "--n-rot", "1"], ["power", files["k2048-0-s"], "--lambda", "3"]]
     # a volume past the floats (refused), a volume on the wide 3D grid, and a Kashin average that vanishes (inf)
     out += [["volume", files[HUGE]], ["volume", files[f"{BIG3D}-s"]], ["kashin", "--dim", "8", "--petals", "4", "--grid", "64"]]
+    out += [[cmd[0], files[f"{BIG4D}-{rep}"], *cmd[1:]] for rep in "sr" for cmd in BIG4D_CMDS]
     return out
 
 

@@ -34,11 +34,13 @@ spherecore.group_rows, as the rays are):
   a centre and an angular radius; for C the points are the rays, so the
   caps group them too.
 * Each ray cap takes its own group's products first; the least of their
-  per-ray maxima is a floor below every answer in the cap.  A point group
-  whose cone bound, max w * cos(angle between centres - both radii), stays
-  below the floor is skipped; the rest are gathered.
-* A cap that keeps more than half the rows takes them all without
-  gathering: the dense max, where caps are wide (4D, 8D).
+  per-ray maxima is a floor below every answer in the cap.  Each other
+  point row has a cone bound on the cap, w_i cos(max(0, angle between p_i
+  and the centre - the cap's radius)), from spherecore.cap_cosines (for C
+  a field of the caps, built with them).  A row whose bound stays below
+  the floor is skipped; the rest are gathered.
+* A cap that would gather more than half the rows takes them all without
+  gathering: the dense max, where the floor is low.
 * No product has one row or one ray (the BLAS would take gemv and round
   otherwise; a lone row or ray is repeated) or more than RAY_BLOCK rays,
   and point sets too small for caps to pay take the dense kernel whole.
@@ -64,7 +66,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegenerateInputError
-from .spherecore import DENSE_BLOCK, Caps, DirectionGrid, group_rows
+from .spherecore import DENSE_BLOCK, Caps, DirectionGrid, cap_cosines, group_rows
 
 # the Graham kernel below is plain numpy/Python; the flag stays because the
 # benchmark harness reads it to label the 2D hull kernel
@@ -99,11 +101,6 @@ QHULL_MAX_EXP = 64
 # and at least 2 rows round every entry as the dense blocks at N >= 2048 do
 RAY_BLOCK = 128
 
-# absolute slack on the cosine bound of the pruned kernel: it covers the unit
-# norms (to UNIT_NORM_TOL), the rounding of the angles and of the products,
-# so a dropped point group never holds a product that reaches the own-cap floor
-PRUNE_SLACK = 1e-9
-
 
 def support_of_cloud(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:
     """C(w): support samples of conv({w_i theta_i} + {0})."""
@@ -113,7 +110,7 @@ def support_of_cloud(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:
     hull = _hull_pass(grid, w)
     if hull is None:
         caps = grid.caps()
-        return _support_pruned(caps, grid.directions, grid.directions, w, (caps.order, caps.starts, caps.radius))
+        return _support_pruned(caps, grid.directions, grid.directions, w, (caps.order, caps.starts, caps.cosines))
     return _support_by_vertices(grid, w, *hull[1:])
 
 
@@ -178,8 +175,7 @@ def _hull_radial_qhull(grid: DirectionGrid, pts: np.ndarray) -> np.ndarray:
     a, b = hull.equations[:, :-1], hull.equations[:, -1]
     if not (b < 0.0).all():
         raise DegenerateInputError("the hull of the cloud does not hold the origin strictly inside")
-    caps = grid.caps()
-    return np.ldexp(1.0 / _support_pruned(caps, grid.directions, a, -1.0 / b, group_rows(a, caps.centres)), k)
+    return np.ldexp(1.0 / _support_pruned(grid.caps(), grid.directions, a, -1.0 / b), k)
 
 
 def _hull_pass(grid: DirectionGrid, w: np.ndarray) -> tuple | None:
@@ -345,19 +341,21 @@ def _support_by_vertices(grid: DirectionGrid, w: np.ndarray, ws: np.ndarray, xy:
 
 
 def _support_pruned(caps: Caps, dirs: np.ndarray, pts: np.ndarray, w: np.ndarray,
-                    groups: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """max_i w_i <p_i, theta_j>_+ over the point rows p_i for each grid ray theta_j, skipping far point groups.
+                    groups: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """max_i w_i <p_i, theta_j>_+ over the point rows p_i for each grid ray theta_j, skipping rows far from each cap.
 
-    groups = (order, starts, radius) is group_rows of the point rows: group g
-    holds the rows order[starts[g]:starts[g + 1]], each within radius[g] of
-    centre g; for C they are the caps themselves.  Ray
-    cap c first takes its own group's products: the least of their per-ray
-    maxima is the floor L_c.  No point of group g makes more on a ray of cap c
-    than max_g w * cos(max(0, spread - radius_c - radius_g)), so a group whose
-    bound (plus PRUNE_SLACK) stays below L_c cannot change any max and is
-    skipped.  A cap that keeps more than half the rows takes them all without
-    gathering, in one pass with the other such caps at the end: the dense
-    max, where caps are wide (high dimensions).
+    groups = (order, starts, cosines) of the point rows: group c holds the
+    rows order[starts[c]:starts[c + 1]] nearest centre c (group_rows), and
+    cosines yields the rows of cap_cosines of the points, cap by cap; for C
+    they are the caps' own.  None groups the points here (the facets) once
+    they prune, and takes their cosines DENSE_BLOCK at a time.  Ray cap c
+    first takes its own group's products: the least of their per-ray maxima
+    is the floor L_c.  No product of row i on a ray of cap c exceeds its
+    bound b_i = w_i cosines[c, i], so a row with b_i < L_c cannot change any
+    max and is skipped; the others are gathered.  A cap whose rows with b_i
+    at least its own group's largest w are over half of them, or whose
+    gathered rows are, takes every row without gathering, in one pass with
+    the other such caps at the end: the dense max, where the floor is low.
     Every product is an entry of the dense expression of _support_blocked,
     rounded alike (see RAY_BLOCK), and the max is exact, so the result equals
     the dense one bit for bit.  Point sets whose dense blocks would hold more
@@ -368,32 +366,33 @@ def _support_pruned(caps: Caps, dirs: np.ndarray, pts: np.ndarray, w: np.ndarray
     """
     if not 2 <= DENSE_BLOCK // len(pts) <= RAY_BLOCK:
         return _support_blocked(pts, dirs, w)
-    order, starts, radius = groups
-    sizes = np.diff(starts)
-    top = np.zeros(len(sizes))
-    filled = sizes > 0
-    top[filled] = np.maximum.reduceat(w[order], starts[:-1][filled])
-    gap = np.maximum(caps.spread - caps.radius[:, None] - radius[None, :], 0.0)
-    reach = top * (np.cos(gap) + PRUNE_SLACK)
+    if groups is None:
+        step = max(1, DENSE_BLOCK // len(pts))
+        groups = (*group_rows(pts, caps.centres)[:2],
+                  (row for c in range(0, len(caps.radius), step)
+                   for row in cap_cosines(caps.centres[c:c + step], caps.radius[c:c + step], pts)))
+    order, starts, cosines = groups
     half = len(pts) // 2
     buf = np.empty(max(DENSE_BLOCK, 4 * len(pts)))
     out = np.empty(len(dirs))
     dense = []  # rays of the caps that take every row, taken together at the end
-    for c in range(len(caps.radius)):
+    for c, cos_c in enumerate(cosines):
         rays = caps.order[caps.starts[c]:caps.starts[c + 1]]
-        if sizes[reach[c] >= top[c]].sum() > half:  # L_c is at most about top_c: even that floor keeps most rows
+        own = order[starts[c]:starts[c + 1]]
+        bound = cos_c * w
+        top = w[own].max() if len(own) else 0.0
+        if np.count_nonzero(bound >= top) > half:  # L_c is at most about top: even that floor keeps most rows
             dense.append(rays)
             continue
         theta = dirs[rays]
-        own = order[starts[c]:starts[c + 1]]
         best = _block_max(pts[own], theta, w[own], buf) if len(own) else np.zeros(len(rays))
-        keep = reach[c] >= best.min()
-        keep[c] = False
-        if sizes[keep].sum() > half:
+        keep = bound >= best.min()
+        keep[own] = False
+        rows = np.flatnonzero(keep)
+        if len(rows) > half:
             dense.append(rays)
             continue
-        if keep.any():
-            rows = order[np.repeat(keep, sizes)]
+        if len(rows):
             best = np.maximum(best, _block_max(pts[rows], theta, w[rows], buf))
         out[rays] = best
     if dense:
@@ -407,6 +406,8 @@ def _block_max(pts: np.ndarray, dirs: np.ndarray, w: np.ndarray, buf: np.ndarray
 
     A single row or ray is repeated, which leaves every max unchanged.  The
     products are written into buf, so a kernel call allocates its block once.
+    Each ray's max is clipped at 0 once, not each product: as w > 0, the max
+    of w_i x_ij clipped equals the max of w_i max(x_ij, 0).
     """
     if len(pts) == 1:
         pts, w = np.repeat(pts, 2, axis=0), np.repeat(w, 2)
@@ -420,9 +421,9 @@ def _block_max(pts: np.ndarray, dirs: np.ndarray, w: np.ndarray, buf: np.ndarray
     for j, k in zip(cuts[:-1], cuts[1:]):
         block = buf[:len(pts) * (k - j)].reshape(len(pts), k - j)
         np.matmul(pts, dirs[j:k].T, out=block)
-        np.maximum(block, 0.0, out=block)
         block *= w[:, None]
-        out[j:k] = block.max(axis=0)
+        block.max(axis=0, out=out[j:k])
+    np.maximum(out, 0.0, out=out)
     return out[:n]
 
 

@@ -29,6 +29,9 @@ CAP_ROUNDS = 4
 # every point, so memory stays O(N + M) at any grid size and point count
 DENSE_BLOCK = 2 ** 18
 
+# absolute slack on the cone bound of the pruned support kernel; see cap_cosines
+PRUNE_SLACK = 1e-9
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     """Read-only float copy of caller data; arrays the package builds itself are frozen in place instead."""
@@ -113,15 +116,15 @@ class Caps(NamedTuple):
     """A partition of the grid's rays into K angular caps, for the cone-pruned support kernel.
 
     order, starts and radius are group_rows of the rays under the unit centres;
-    spread[c, c'] is the angle between two centres.  Every cap holds at least
-    one ray.
+    cosines is cap_cosines of the rays, the cone bound of each ray on each cap
+    when the rays are the points of C.  Every cap holds at least one ray.
     """
 
     order: np.ndarray  # (N,) ray indices, cap by cap
     starts: np.ndarray  # (K + 1,) offsets into order
     centres: np.ndarray  # (K, dim)
     radius: np.ndarray  # (K,)
-    spread: np.ndarray  # (K, K)
+    cosines: np.ndarray  # (K, N)
 
 
 def angle_between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -153,6 +156,42 @@ def group_rows(rows: np.ndarray, centres: np.ndarray) -> tuple[np.ndarray, np.nd
     return order, starts, radius
 
 
+def cap_cosines(centres: np.ndarray, radius: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(K, M) cone bounds: cos(max(0, angle(u_c, p_i) - radius[c])) + PRUNE_SLACK for each centre u_c and row p_i.
+
+    A ray within radius[c] of u_c lies at least angle(u_c, p_i) - radius[c]
+    from p_i, so <p_i, theta_j> stays below the bound on every ray theta_j of
+    cap c, and w_i times it bounds row i's products there.  It is read off
+    x = <u_c, p_i>, DENSE_BLOCK products at a time, with no arccos: 1 if
+    x >= cos r, else cos(angle - r) = x cos r + sqrt(1 - x^2) sin r.
+
+    Float error: rows and rays are unit to UNIT_NORM_TOL, so x is within
+    about 1e-12 of the cosine of the angle, and the radius and each product
+    <p_i, theta_j> are off by as much.  The bound grows with x, so x is raised
+    by 2 UNIT_NORM_TOL first: that keeps it above the exact bound at every
+    angle, also near x = -1 where sqrt(1 - x^2) is steep, and keeps 1 - x^2
+    at least about 2e-12 there, so its rounding moves the root by under
+    1e-10.  PRUNE_SLACK covers the rest (about 1e-12 each) many times over.
+    """
+    out = np.empty((len(centres), len(rows)))
+    cos_r, sin_r = np.cos(radius)[:, None], np.sin(radius)[:, None]
+    step = max(1, DENSE_BLOCK // len(rows))
+    for c in range(0, len(centres), step):
+        x = np.matmul(centres[c:c + step], rows.T, out=out[c:c + step])
+        x += 2 * UNIT_NORM_TOL
+        inside = x >= cos_r[c:c + step]
+        root = np.multiply(x, x)
+        np.subtract(1.0, root, out=root)
+        np.maximum(root, 0.0, out=root)
+        np.sqrt(root, out=root)
+        root *= sin_r[c:c + step]
+        x *= cos_r[c:c + step]
+        x += root
+        x[inside] = 1.0
+    out += PRUNE_SLACK
+    return out
+
+
 def _build_caps(d: np.ndarray) -> Caps:
     """Caps of the unit rows d: spherical k-means with K = round(sqrt(N)), seeded by evenly spaced rows.
 
@@ -169,9 +208,8 @@ def _build_caps(d: np.ndarray) -> Caps:
         centres[moved] = sums[moved] / norms[moved, None]
     order, starts, radius = group_rows(d, centres)
     used = np.diff(starts) > 0
-    centres = centres[used]
-    spread = angle_between(centres[:, None, :], centres[None, :, :])
-    caps = Caps(order, np.unique(starts), centres, radius[used], spread)
+    centres, radius = centres[used], radius[used]
+    caps = Caps(order, np.unique(starts), centres, radius, cap_cosines(centres, radius, d))
     for a in caps:
         a.flags.writeable = False
     return caps

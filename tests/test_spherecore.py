@@ -12,8 +12,10 @@ from flowerlab.errors import GridMismatchError, InvalidGridError, ParameterError
 from flowerlab.inversion import OffOriginBall, OffOriginPolytope
 from flowerlab.mixedvol import FlowerCombination
 from flowerlab.spherecore import (
+    UNIT_NORM_TOL,
     DirectionGrid,
     angle_between,
+    cap_cosines,
     child_seed,
     group_rows,
     quadrature_mean,
@@ -238,7 +240,7 @@ class TestArrayOwnership:
         """65 rays on 5 directions: of the 8 seeded centres only 5 keep rays, and only those are caps."""
         base = sampled_sphere_grid(3, 32, 0).directions[:5]
         caps = DirectionGrid(3, np.repeat(base, 13, axis=0), np.full(65, 1 / 65)).caps()
-        assert len(caps.centres) == len(caps.radius) == len(caps.spread) == 5
+        assert len(caps.centres) == len(caps.radius) == len(caps.cosines) == 5
         assert np.array_equal(caps.starts, 13 * np.arange(6)) and np.array_equal(caps.order, np.arange(65))
         assert (caps.radius < 1e-15).all()
 
@@ -270,3 +272,59 @@ class TestArrayOwnership:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+
+def _assert_cone_bound(order, starts, rays, rows, w, cosines):
+    """b_ci = w_i cosines[c, i] >= w_i <p_i, theta_j> for every cap c, every row p_i and every ray theta_j of the cap.
+
+    The products are not clipped at 0: the pruned kernel's floors are at
+    least 0, so a row whose bound is negative is skipped rightly too.
+    """
+    assert cosines.shape == (len(starts) - 1, len(rows))
+    for c in range(len(starts) - 1):
+        prod = w[:, None] * (rows @ rays[order[starts[c]:starts[c + 1]]].T)
+        assert (prod <= (w * cosines[c])[:, None]).all(), c
+
+
+class TestConeBound:
+    """The cone bound of cap_cosines holds for every product, exhaustively."""
+
+    @staticmethod
+    def _weights(n, seed):
+        w = np.exp(np.random.default_rng(seed).normal(0.0, 0.5, n))
+        w[seed % n] = 1e6
+        return w
+
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "symmetric"])
+    @pytest.mark.parametrize("dim, n", [(dim, n) for n in (512, 2048) for dim in (3, 4, 8)])
+    def test_caps_bound_the_rays(self, dim, n, symmetric):
+        grid = sampled_sphere_grid(dim, n, 3 * n + dim, symmetric=symmetric)
+        caps = grid.caps()
+        _assert_cone_bound(caps.order, caps.starts, grid.directions, grid.directions, self._weights(n, dim), caps.cosines)
+
+    @pytest.mark.parametrize("dim", [3, 4, 8])
+    def test_rows_off_unit_norm(self, dim):
+        """Rays at norms 1 +- UNIT_NORM_TOL, the most a grid takes: the slack covers their products with themselves."""
+        d = sampled_sphere_grid(dim, 2048, dim).directions
+        d = d * (1.0 + np.where(np.arange(2048) % 2, 0.999, -0.999) * UNIT_NORM_TOL)[:, None]
+        grid = DirectionGrid(dim, d, np.full(2048, 1 / 2048))
+        caps = grid.caps()
+        assert np.abs(np.linalg.norm(grid.directions, axis=1) - 1.0).min() > 0.99 * UNIT_NORM_TOL
+        _assert_cone_bound(caps.order, caps.starts, grid.directions, grid.directions, self._weights(2048, 7), caps.cosines)
+
+    @pytest.mark.parametrize("dim", [3, 4, 8])
+    def test_one_ray_caps(self, dim):
+        """Caps of radius 0, each the single ray at its centre."""
+        d = sampled_sphere_grid(dim, 512, dim).directions
+        centres = d[::8]
+        cosines = cap_cosines(centres, np.zeros(len(centres)), d)
+        _assert_cone_bound(np.arange(len(centres)), np.arange(len(centres) + 1), centres, d, self._weights(512, 5), cosines)
+
+    @pytest.mark.parametrize("dim, n", [(3, 512), (3, 2048), (4, 2048), (8, 2048)])
+    def test_caps_bound_an_ellipsoids_facet_normals(self, dim, n):
+        grid = sampled_sphere_grid(dim, n, n + dim)
+        caps = grid.caps()
+        d = grid.directions[:n if dim < 8 else 48]  # an 8D hull of every ray would have millions of facets
+        a = ConvexHull(d / np.linalg.norm(d / np.linspace(1.0, 2.0, dim), axis=1)[:, None]).equations[:, :-1]
+        cosines = cap_cosines(caps.centres, caps.radius, a)
+        _assert_cone_bound(caps.order, caps.starts, grid.directions, a, self._weights(len(a), 11), cosines)
