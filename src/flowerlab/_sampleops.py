@@ -40,19 +40,17 @@ spherecore.group_rows, as the rays are):
   a field of the caps, built with them).  A row whose bound stays below
   the floor is skipped; the rest are gathered.
 * A cap that would gather more than half the rows takes them all without
-  gathering: the dense max, where the floor is low.
-* No product has one row or one ray (the BLAS would take gemv and round
-  otherwise; a lone row or ray is repeated) or more than RAY_BLOCK rays,
-  and point sets too small for caps to pay take the dense kernel whole.
-  So the result equals the dense max bit for bit.
+  gathering: the dense max, where the floor is low.  Point sets too small
+  for caps to pay take the dense max whole, and build no caps.
 
-The two shared dense kernels hold DENSE_BLOCK products at a time and so
-need O(N + M) memory:
+The dense kernels cut their products by one rule (RAY_BLOCK), so every
+entry rounds alike at any shape, and hold DENSE_BLOCK products at a time
+where the rows allow it, so they need O(N + M) memory:
 
-* _support_blocked, max_i w_i <p_i, theta_j>_+: the small point sets of the
-  pruned kernel and, with w = 1, the support of conv(points + {0}), which
-  is the radial of their petal flower (flower_from_petals, polytope_body,
-  section_radial, global_average).
+* _block_max, max_i w_i <p_i, theta_j>_+: every max of the pruned kernel,
+  which so equals the dense max bit for bit, and, with w = 1, the support
+  of conv(points + {0}), the radial of their petal flower
+  (flower_from_petals, polytope_body, section_radial, global_average).
 * _ball_union_radial, the radial of a union of balls that hold the origin
   (projected_radial, minkowski_sum_2d).  It and _row_norms, which gives
   those callers their petal lengths, rescale by a power of two, so petals
@@ -61,12 +59,13 @@ need O(N + M) memory:
 from __future__ import annotations
 
 import bisect
+from itertools import pairwise
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegenerateInputError
-from .spherecore import DENSE_BLOCK, Caps, DirectionGrid, cap_cosines, group_rows
+from .spherecore import DENSE_BLOCK, DirectionGrid, cap_cosines, group_rows
 
 # the Graham kernel below is plain numpy/Python; the flag stays because the
 # benchmark harness reads it to label the 2D hull kernel
@@ -94,11 +93,11 @@ MAX_SPAN_EXP = 800
 # determinants, stay in the floats
 QHULL_MAX_EXP = 64
 
-# widest block of rays in one product of the pruned kernel.  The BLAS may
-# round the last few columns of a wider product with another kernel (OpenBLAS
-# does past 192 columns), and a product with one row or one column goes
-# through gemv, which rounds differently again; blocks of 2 .. RAY_BLOCK rays
-# and at least 2 rows round every entry as the dense blocks at N >= 2048 do
+# the unit of ray blocks in the dense kernels (_ray_cuts).  The BLAS may round
+# the last columns of a product with another kernel (OpenBLAS does past 192
+# columns, unless the width is a multiple of 128) and a product with one row
+# or ray by gemv; with at least 2 rows and 2 .. RAY_BLOCK rays or a multiple
+# of RAY_BLOCK rays, every entry rounds as in a 2 x 2 product
 RAY_BLOCK = 128
 
 
@@ -109,8 +108,7 @@ def support_of_cloud(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:
         raise DegenerateInputError("cloud values must be finite and positive")
     hull = _hull_pass(grid, w)
     if hull is None:
-        caps = grid.caps()
-        return _support_pruned(caps, grid.directions, grid.directions, w, (caps.order, caps.starts, caps.cosines))
+        return _support_pruned(grid, grid.directions, w)
     return _support_by_vertices(grid, w, *hull[1:])
 
 
@@ -175,7 +173,7 @@ def _hull_radial_qhull(grid: DirectionGrid, pts: np.ndarray) -> np.ndarray:
     a, b = hull.equations[:, :-1], hull.equations[:, -1]
     if not (b < 0.0).all():
         raise DegenerateInputError("the hull of the cloud does not hold the origin strictly inside")
-    return np.ldexp(1.0 / _support_pruned(grid.caps(), grid.directions, a, -1.0 / b), k)
+    return np.ldexp(1.0 / _support_pruned(grid, a, -1.0 / b), k)
 
 
 def _hull_pass(grid: DirectionGrid, w: np.ndarray) -> tuple | None:
@@ -340,38 +338,33 @@ def _support_by_vertices(grid: DirectionGrid, w: np.ndarray, ws: np.ndarray, xy:
     return np.maximum.reduceat(w[cand] * np.maximum(dots, 0.0), starts)
 
 
-def _support_pruned(caps: Caps, dirs: np.ndarray, pts: np.ndarray, w: np.ndarray,
-                    groups: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+def _support_pruned(grid: DirectionGrid, pts: np.ndarray, w: np.ndarray) -> np.ndarray:
     """max_i w_i <p_i, theta_j>_+ over the point rows p_i for each grid ray theta_j, skipping rows far from each cap.
 
-    groups = (order, starts, cosines) of the point rows: group c holds the
-    rows order[starts[c]:starts[c + 1]] nearest centre c (group_rows), and
-    cosines yields the rows of cap_cosines of the points, cap by cap; for C
-    they are the caps' own.  None groups the points here (the facets) once
-    they prune, and takes their cosines DENSE_BLOCK at a time.  Ray cap c
-    first takes its own group's products: the least of their per-ray maxima
-    is the floor L_c.  No product of row i on a ray of cap c exceeds its
-    bound b_i = w_i cosines[c, i], so a row with b_i < L_c cannot change any
-    max and is skipped; the others are gathered.  A cap whose rows with b_i
-    at least its own group's largest w are over half of them, or whose
-    gathered rows are, takes every row without gathering, in one pass with
-    the other such caps at the end: the dense max, where the floor is low.
-    Every product is an entry of the dense expression of _support_blocked,
-    rounded alike (see RAY_BLOCK), and the max is exact, so the result equals
-    the dense one bit for bit.  Point sets whose dense blocks would hold more
-    than RAY_BLOCK rays or a single ray, which the BLAS rounds otherwise, take
-    the dense kernel whole, and so keep its bits: below DENSE_BLOCK /
-    RAY_BLOCK rows the whole product is small, and above DENSE_BLOCK / 2 rows
-    they are the facets of high-dimensional hulls, whose qhull run dominates.
+    Below DENSE_BLOCK / RAY_BLOCK rows the whole product is small: the dense
+    max.  Other rows are grouped under the cap centres; for C (pts is the
+    grid's own rays) the groups and cosines are the caps' own, and facets
+    take theirs DENSE_BLOCK at a time.  Ray cap c first takes its own
+    group's products: the least of their per-ray maxima is the floor L_c.
+    No product of row i on a ray of cap c exceeds its bound b_i = w_i
+    cosines[c, i], so a row with b_i < L_c is skipped; the others are
+    gathered.  A cap whose rows with b_i at least its own group's largest w
+    are over half of them, or whose gathered rows are, takes every row in
+    one pass with the other such caps at the end.  _block_max's bits do not
+    depend on the rows or rays it is given, so the result equals the dense
+    max bit for bit.
     """
-    if not 2 <= DENSE_BLOCK // len(pts) <= RAY_BLOCK:
-        return _support_blocked(pts, dirs, w)
-    if groups is None:
+    dirs = grid.directions
+    if len(pts) < DENSE_BLOCK // RAY_BLOCK:
+        return _block_max(pts, dirs, w)
+    caps = grid.caps()
+    if pts is dirs:
+        order, starts, cosines = caps.order, caps.starts, caps.cosines
+    else:
         step = max(1, DENSE_BLOCK // len(pts))
-        groups = (*group_rows(pts, caps.centres)[:2],
-                  (row for c in range(0, len(caps.radius), step)
-                   for row in cap_cosines(caps.centres[c:c + step], caps.radius[c:c + step], pts)))
-    order, starts, cosines = groups
+        order, starts = group_rows(pts, caps.centres)
+        cosines = (row for c in range(0, len(caps.radius), step)
+                   for row in cap_cosines(caps.centres[c:c + step], caps.radius[c:c + step], pts))
     half = len(pts) // 2
     buf = np.empty(max(DENSE_BLOCK, 4 * len(pts)))
     out = np.empty(len(dirs))
@@ -401,45 +394,52 @@ def _support_pruned(caps: Caps, dirs: np.ndarray, pts: np.ndarray, w: np.ndarray
     return out
 
 
-def _block_max(pts: np.ndarray, dirs: np.ndarray, w: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """max_i w_i <p_i, theta_j>_+ by the expression of _support_blocked, in products of 2 .. RAY_BLOCK rays and >= 2 rows.
+def _pair(a: np.ndarray) -> np.ndarray:
+    """a with a lone row repeated: a product with one row or one ray goes through gemv, which rounds otherwise."""
+    return np.repeat(a, 2, axis=0) if len(a) == 1 else a
 
-    A single row or ray is repeated, which leaves every max unchanged.  The
-    products are written into buf, so a kernel call allocates its block once.
-    Each ray's max is clipped at 0 once, not each product: as w > 0, the max
-    of w_i x_ij clipped equals the max of w_i max(x_ij, 0).
+
+def _ray_cuts(m: int, n: int) -> list[int]:
+    """Cuts of n >= 2 rays into the blocks of a product with m >= 2 rows, by the rule of RAY_BLOCK.
+
+    Blocks of a multiple of RAY_BLOCK rays come first, then parts of 2 ..
+    RAY_BLOCK rays; a block holds at most max(DENSE_BLOCK, 4 m) products.
     """
-    if len(pts) == 1:
-        pts, w = np.repeat(pts, 2, axis=0), np.repeat(w, 2)
+    fit = DENSE_BLOCK // m
+    step = max(4, min(RAY_BLOCK, fit))
+    if n <= step or (n % RAY_BLOCK == 0 and n <= fit):
+        return [0, n]
+    wide = max(RAY_BLOCK, fit - fit % RAY_BLOCK)
+    head = (n - 2) // RAY_BLOCK * RAY_BLOCK if fit >= RAY_BLOCK else 0  # leaves 2 .. RAY_BLOCK + 1 rays over
+    parts = -(-(n - head) // step)  # parts of >= 2 rays, as step >= 4
+    return [*range(0, head, wide), *(head + i * (n - head) // parts for i in range(parts)), n]
+
+
+def _block_max(pts: np.ndarray, dirs: np.ndarray, w: np.ndarray | None = None, buf: np.ndarray | None = None) -> np.ndarray:
+    """max_i w_i <p_i, theta_j>_+ over the point rows p_i for each ray row theta_j (w = 1 if None): the one dense max.
+
+    The rays go in the blocks of _ray_cuts, a lone row or ray is repeated
+    and rays that share memory with the rows (C's own rays) are copied, so
+    every product rounds as in a 2 x 2 product, whatever the call's shape.
+    The products go into buf if given (max(DENSE_BLOCK, 4 len(pts)) floats),
+    so the pruned kernel allocates its block once.  Each ray's max is
+    clipped at 0 once, not each product: as w > 0, the max of w_i x_ij
+    clipped equals the max of w_i max(x_ij, 0).
+    """
     n = len(dirs)
-    if n == 1:
-        dirs = np.repeat(dirs, 2, axis=0)
-    step = max(4, min(RAY_BLOCK, DENSE_BLOCK // len(pts)))
-    parts = -(-len(dirs) // step)
-    cuts = [i * len(dirs) // parts for i in range(parts + 1)]  # parts of >= 2 rays, as step >= 4
+    if np.may_share_memory(pts, dirs):
+        dirs = dirs.copy()  # numpy takes syrk for a product of rows with their own transpose, which rounds otherwise
+    pts, dirs = _pair(pts), _pair(dirs)
+    w = None if w is None else _pair(w)[:, None]
     out = np.empty(len(dirs))
-    for j, k in zip(cuts[:-1], cuts[1:]):
-        block = buf[:len(pts) * (k - j)].reshape(len(pts), k - j)
-        np.matmul(pts, dirs[j:k].T, out=block)
-        block *= w[:, None]
+    for j, k in pairwise(_ray_cuts(len(pts), len(dirs))):
+        block = None if buf is None else buf[:len(pts) * (k - j)].reshape(len(pts), k - j)
+        block = np.matmul(pts, dirs[j:k].T, out=block)
+        if w is not None:
+            block *= w
         block.max(axis=0, out=out[j:k])
     np.maximum(out, 0.0, out=out)
     return out[:n]
-
-
-def _support_blocked(pts: np.ndarray, dirs: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-    """max_i w_i <p_i, theta_j>_+ over the point rows p_i for each ray row theta_j (w = 1 if None)."""
-    out = np.empty(len(dirs))
-    step = max(1, DENSE_BLOCK // len(pts))
-    cuts = [*range(0, len(dirs), step), len(dirs)]
-    if step > 1 and len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
-        del cuts[-2]  # a lone last ray joins the block before: the BLAS takes gemv for one ray and rounds otherwise
-    for j, k in zip(cuts[:-1], cuts[1:]):
-        block = np.maximum(pts @ dirs[j:k].T, 0.0)
-        if w is not None:
-            block *= w[:, None]
-        out[j:k] = block.max(axis=0)
-    return out
 
 
 def _row_norms(pts: np.ndarray) -> np.ndarray:
@@ -451,19 +451,20 @@ def _row_norms(pts: np.ndarray) -> np.ndarray:
 def _ball_union_radial(centers: np.ndarray, radii: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """max_i <c_i, theta_j> + sqrt(rho_i^2 - |c_i|^2 + <c_i, theta_j>^2): the union of balls B(c_i, rho_i) holding 0.
 
-    The balls are scaled by 2**-k, with k centring the radii on 1 as in
+    The balls are scaled by 2**-s, with s centring the radii on 1 as in
     _hull_pass, so the squares stay in the floats at any scale; the scaling
-    is exact, so in-range results are unchanged bit for bit.
+    is exact, so in-range results are unchanged bit for bit.  Its products
+    are cut and padded as _block_max's, so its bits are shape-free too.
     """
-    k = (int(np.frexp(radii.max())[1]) + int(np.frexp(radii.min())[1])) // 2
-    centers, radii = np.ldexp(centers, -k), np.ldexp(radii, -k)
+    s = (int(np.frexp(radii.max())[1]) + int(np.frexp(radii.min())[1])) // 2
+    n = len(dirs)
+    centers, radii, dirs = _pair(np.ldexp(centers, -s)), _pair(np.ldexp(radii, -s)), _pair(dirs)
     base = radii ** 2 - (centers ** 2).sum(axis=1)
     out = np.empty(len(dirs))
-    step = max(1, DENSE_BLOCK // len(centers))
-    for j in range(0, len(dirs), step):
-        ip = centers @ dirs[j:j + step].T
-        out[j:j + step] = (ip + np.sqrt(np.maximum(base[:, None] + ip ** 2, 0.0))).max(axis=0)
-    return np.ldexp(out, k)
+    for j, k in pairwise(_ray_cuts(len(centers), len(dirs))):
+        ip = centers @ dirs[j:k].T
+        out[j:k] = (ip + np.sqrt(np.maximum(base[:, None] + ip ** 2, 0.0))).max(axis=0)
+    return np.ldexp(out[:n], s)
 
 
 def hull_radial(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:

@@ -26,8 +26,8 @@ import numpy as np
 from ._sampleops import (
     EPS_FLOOR,
     _ball_union_radial,
+    _block_max,
     _row_norms,
-    _support_blocked,
     certificate_violation,
     closure,
     hull_radial,
@@ -178,7 +178,7 @@ def flower_from_petals(points: np.ndarray, grid: DirectionGrid) -> Flower:
     if not nonzero.any():
         raise DegenerateInputError("all petal points are zero")
     pts = pts[nonzero]
-    return Flower(grid, np.maximum(_support_blocked(pts, grid.directions), EPS_FLOOR), pts)
+    return Flower(grid, np.maximum(_block_max(pts, grid.directions), EPS_FLOOR), pts)
 
 
 def flower_of(k: ConvexBody) -> Flower:
@@ -322,7 +322,7 @@ def polytope_body(grid: DirectionGrid, vertices: np.ndarray) -> ConvexBody:
     v = np.atleast_2d(np.asarray(vertices, dtype=float))
     if v.shape[1] != grid.dim or not len(v):
         raise ParameterError("vertices must be one or more points of the grid's dimension")
-    return _certified_if_consistent(grid, np.maximum(_support_blocked(v, grid.directions), EPS_FLOOR))
+    return _certified_if_consistent(grid, np.maximum(_block_max(v, grid.directions), EPS_FLOOR))
 
 
 def regular_polygon_vertices(m: int, circumradius: float = 1.0, phase: float = 0.0) -> np.ndarray:

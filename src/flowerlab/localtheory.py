@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._sampleops import EPS_FLOOR, _ball_union_radial, _row_norms, _support_blocked, radial_of_halfspaces
+from ._sampleops import EPS_FLOOR, _ball_union_radial, _block_max, _row_norms, radial_of_halfspaces
 from .bodies import Flower, StarBody, convex_hull_radial, flower_from_petals
 from .errors import ParameterError, SymmetryError, UnboundedBodyError, UnsupportedDimensionError
 from .spherecore import (
@@ -123,7 +123,7 @@ def section_radial(f: Flower, e: SubspaceBasis, directions_k: np.ndarray) -> np.
     a few ulp of its samples at its grid nodes.
     """
     dk = np.atleast_2d(np.asarray(directions_k, dtype=float))
-    return np.maximum(_support_blocked(canonical_petals(f), dk @ e.frame), EPS_FLOOR)
+    return np.maximum(_block_max(canonical_petals(f), dk @ e.frame), EPS_FLOOR)
 
 
 def section_flower(f: Flower, e: SubspaceBasis, grid: DirectionGrid | None = None) -> Flower:
@@ -241,7 +241,7 @@ def global_average(f: Flower, n_rotations: int, seed: int) -> float:
     acc = np.zeros(grid.size)
     for i in range(n_rotations):
         u = random_rotation(grid.dim, child_seed(seed, i)).matrix
-        acc += _support_blocked(pts @ u.T, grid.directions)
+        acc += _block_max(pts @ u.T, grid.directions)
     acc /= n_rotations
     lo, hi = float(acc.min()), float(acc.max())
     return float("inf") if lo <= 0.0 else hi / lo  # a Python float ratio past the floats is inf, with no warning

@@ -115,9 +115,9 @@ class DirectionGrid:
 class Caps(NamedTuple):
     """A partition of the grid's rays into K angular caps, for the cone-pruned support kernel.
 
-    order, starts and radius are group_rows of the rays under the unit centres;
-    cosines is cap_cosines of the rays, the cone bound of each ray on each cap
-    when the rays are the points of C.  Every cap holds at least one ray.
+    order and starts are group_rows of the rays under the unit centres, and
+    radius the angle of each cap's farthest ray; cosines is cap_cosines of
+    the rays, their cone bounds on each cap.  Every cap holds a ray.
     """
 
     order: np.ndarray  # (N,) ray indices, cap by cap
@@ -141,19 +141,14 @@ def nearest_centre(rows: np.ndarray, centres: np.ndarray) -> np.ndarray:
     return out
 
 
-def group_rows(rows: np.ndarray, centres: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(order, starts, radius): the unit rows grouped under their nearest centre, for the rays (Caps) and the facets.
+def group_rows(rows: np.ndarray, centres: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts): the unit rows grouped under their nearest centre, for the rays (Caps) and the facets.
 
-    Group c holds the rows order[starts[c]:starts[c + 1]] (ascending), each
-    within radius[c] radians of centres[c] (0 if empty): the true bound that
-    the cone bound of the pruned support kernel rests on.
+    Group c holds the rows order[starts[c]:starts[c + 1]] (ascending).
     """
     label = nearest_centre(rows, centres)
     order = np.argsort(label, kind="stable")
-    starts = np.concatenate(([0], np.cumsum(np.bincount(label, minlength=len(centres)))))
-    radius = np.zeros(len(centres))
-    np.maximum.at(radius, label, angle_between(rows, centres[label]))
-    return order, starts, radius
+    return order, np.concatenate(([0], np.cumsum(np.bincount(label, minlength=len(centres)))))
 
 
 def cap_cosines(centres: np.ndarray, radius: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -206,10 +201,11 @@ def _build_caps(d: np.ndarray) -> Caps:
         norms = np.linalg.norm(sums, axis=1)
         moved = norms > 0.0
         centres[moved] = sums[moved] / norms[moved, None]
-    order, starts, radius = group_rows(d, centres)
-    used = np.diff(starts) > 0
-    centres, radius = centres[used], radius[used]
-    caps = Caps(order, np.unique(starts), centres, radius, cap_cosines(centres, radius, d))
+    order, starts = group_rows(d, centres)
+    centres, starts = centres[np.diff(starts) > 0], np.unique(starts)
+    label = np.repeat(np.arange(len(centres)), np.diff(starts))
+    radius = np.maximum.reduceat(angle_between(d[order], centres[label]), starts[:-1])
+    caps = Caps(order, starts, centres, radius, cap_cosines(centres, radius, d))
     for a in caps:
         a.flags.writeable = False
     return caps

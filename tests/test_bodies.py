@@ -14,8 +14,8 @@ from flowerlab._sampleops import (
     EPS_FLOOR,
     MAX_SPAN_EXP,
     _ball_union_radial,
+    _block_max,
     _hull_radial_qhull,
-    _support_blocked,
     _support_pruned,
     certificate_violation,
     closure,
@@ -474,7 +474,7 @@ class TestSums:
             s = minkowski_sum_2d(flower_from_petals(p1, g), flower_from_petals(p2, g))
             cx = (p1[:, None, :] + p2[None, :, :]).reshape(-1, 2) / 2.0
             rho = np.add.outer(np.linalg.norm(p1, axis=1), np.linalg.norm(p2, axis=1)).reshape(-1) / 2.0
-            assert s.radial.tobytes() == np.maximum(_dense_ball_union(cx, rho, g.directions), EPS_FLOOR).tobytes()
+            assert s.radial.tobytes() == np.maximum(_pair_ball_union(cx, rho, g.directions), EPS_FLOOR).tobytes()
 
     def test_grids_differing_only_in_weights_mismatch(self):
         g = uniform_angle_grid(8)
@@ -1108,6 +1108,47 @@ def _ulps(a, b):
     return int(np.abs(a.view(np.int64) - b.view(np.int64)).max())
 
 
+def _pair_reference(pts, dirs, value, tol):
+    """max over the rows i of value(i, x_ij) for each ray j, each x_ij = <p_i, theta_j> taken from a 2 x 2 BLAS product.
+
+    The shape-free reference of the dense kernels: x_ij is the [0, 0] entry of
+    the product of the pair (p_i, p_i) with the transposed pair (theta_j,
+    theta_j), as the kernels lay out their operands (the BLAS may round an
+    untransposed one otherwise), and no product is a gemv.  Wide products
+    screen the rows first: value moves by far less than tol between any two
+    roundings of x_ij, so a row more than 2 tol below a ray's max there
+    cannot attain it, and only the rows within that are taken again.
+    """
+    step = max(1, 2 ** 20 // len(dirs))
+
+    def blocks():  # (rows, values) over wide products, about 2**20 at a time
+        for k in range(0, len(pts), step):
+            rows = np.arange(k, min(k + step, len(pts)))
+            yield rows, value(rows[:, None], pts[rows] @ dirs.T)
+
+    top = np.max([v.max(axis=0) for _, v in blocks()], axis=0)
+    near = [(rows[r], j) for rows, v in blocks() for r, j in [np.nonzero(v >= top - 2 * tol)]]
+    i, j = (np.concatenate(a) for a in zip(*near))
+    pairs = np.repeat(pts[i][:, None], 2, axis=1), np.repeat(dirs[j][:, None], 2, axis=1).transpose(0, 2, 1)
+    x = np.matmul(*pairs)[:, 0, 0]
+    out = np.full(len(dirs), -np.inf)
+    np.maximum.at(out, j, value(i, x))
+    return out
+
+
+def _pair_max(pts, dirs, w=None):
+    """max_i w_i <p_i, theta_j>_+ (w = 1 if None) by _pair_reference."""
+    w = np.ones(len(pts)) if w is None else w
+    tol = 1e-12 * (w * np.linalg.norm(pts, axis=1)).max()
+    return np.maximum(_pair_reference(pts, dirs, lambda i, x: w[i] * x, tol), 0.0)
+
+
+def _pair_ball_union(cx, rho, dirs):
+    """The radial of _ball_union_radial by _pair_reference."""
+    base = rho ** 2 - (cx ** 2).sum(axis=1)
+    return _pair_reference(cx, dirs, lambda i, x: x + np.sqrt(np.maximum(base[i] + x ** 2, 0.0)), 1e-12 * rho.max())
+
+
 class TestBlockedSupport:
     """C on every grid but the uniform 2D one is the dense max over the Gram, in O(N) memory."""
 
@@ -1171,7 +1212,7 @@ def _split_first_cap(g):
 
 
 class TestPrunedSupport:
-    """The cone-pruned C and facet support equal the dense max of _support_blocked bit for bit."""
+    """The cone-pruned C and facet support equal the shape-free dense max of _pair_max bit for bit."""
 
     @pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "symmetric"])
     @pytest.mark.parametrize("dim, n", [(dim, n) for n in (100, 886, 2048, 2224, 4096) for dim in (3, 4, 8)]
@@ -1179,12 +1220,13 @@ class TestPrunedSupport:
     def test_c_equals_dense_max(self, n, dim, symmetric):
         """Every cloud up to N = 2048, every third above; 8192 in 3D only, where caps prune most.
 
-        At N = 2224 the dense kernel's blocks of 117 rays leave one ray over.
+        Below N = 2048 C takes the dense max whole; at N = 2224 a cap's 117
+        rays leave one ray over in a block of 128.
         """
         g = sampled_sphere_grid(dim, n, seed=n + dim, symmetric=symmetric)
         d = g.directions
         for w in _pruned_test_clouds(g, np.random.default_rng(n * dim))[:: 1 if n <= 2048 else 3]:
-            assert _ulps(support_of_cloud(g, w), _support_blocked(d, d, w)) == 0
+            assert _ulps(support_of_cloud(g, w), _pair_max(d, d, w)) == 0
 
     @pytest.mark.parametrize("dim, n", [(3, 2048), (3, 4096), (4, 2048), (8, 2048)])
     def test_d_and_certificate_follow_the_dense_path(self, dim, n):
@@ -1192,10 +1234,10 @@ class TestPrunedSupport:
         g = sampled_sphere_grid(dim, n, seed=7 * n + dim)
         d = g.directions
         w = np.exp(np.random.default_rng(n).normal(0.0, 0.5, n))
-        h = _support_blocked(d, d, w)
-        r = 1.0 / _support_blocked(d, d, 1.0 / h)
+        h = _pair_max(d, d, w)
+        r = 1.0 / _pair_max(d, d, 1.0 / h)
         assert _ulps(radial_of_halfspaces(g, support_of_cloud(g, w)), r) == 0
-        assert certificate_violation(g, h) == float(np.abs(h - _support_blocked(d, d, r)).max())
+        assert certificate_violation(g, h) == float(np.abs(h - _pair_max(d, d, r)).max())
 
     @pytest.mark.parametrize("dim, n, kind", [(3, 2048, "ellipsoid"), (3, 4096, "ellipsoid"), (4, 2048, "ellipsoid"),
                                               (3, 2048, "hull"), (4, 2048, "hull")])
@@ -1209,13 +1251,15 @@ class TestPrunedSupport:
         pts = r[:, None] * g.directions
         hull = ConvexHull(pts)
         a, b = hull.equations[:, :-1], hull.equations[:, -1]
-        assert _ulps(_hull_radial_qhull(g, pts), 1.0 / _support_blocked(a, g.directions, -1.0 / b)) == 0
+        assert _ulps(_hull_radial_qhull(g, pts), 1.0 / _pair_max(a, g.directions, -1.0 / b)) == 0
 
     def test_one_ray_caps_and_one_row_groups(self, monkeypatch):
         """Caps of one ray and groups of one row give the dense bits, and no product has a side of 1."""
         g = sampled_sphere_grid(3, 2048, seed=5)
         d = g.directions
-        caps = _split_first_cap(g)
+        clouds = _pruned_test_clouds(g, np.random.default_rng(5))[:4]
+        dense = [_pair_max(d, d, w) for w in clouds]
+        monkeypatch.setattr(g, "_caps", _split_first_cap(g))
         shapes = []
         real = np.matmul
 
@@ -1224,10 +1268,29 @@ class TestPrunedSupport:
             return real(a, b, **kw)
 
         monkeypatch.setattr(np, "matmul", spy)
-        for w in _pruned_test_clouds(g, np.random.default_rng(5))[:4]:
-            out = _support_pruned(caps, d, d, w, (caps.order, caps.starts, caps.cosines))
-            assert _ulps(out, _support_blocked(d, d, w)) == 0
+        for w, ref in zip(clouds, dense):
+            assert _ulps(_support_pruned(g, d, w), ref) == 0
         assert shapes and min(min(a[0], b[1]) for a, b in shapes) >= 2
+
+    def test_rows_past_half_a_dense_block(self):
+        """140 000 rows, more than the facets of any hull here: the pruned kernel, and the dense max in products of 2 .. 4 rays."""
+        g = sampled_sphere_grid(3, 64, seed=9)
+        rng = np.random.default_rng(9)
+        pts = rng.normal(size=(140_000, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        w = np.exp(rng.normal(0.0, 0.3, len(pts)))
+        dense = _pair_max(pts, g.directions, w)
+        assert _ulps(_support_pruned(g, pts, w), dense) == 0
+        assert g._caps is not None
+        assert _ulps(_block_max(pts, g.directions, w), dense) == 0
+
+    def test_small_grid_builds_no_caps(self):
+        """Below DENSE_BLOCK / RAY_BLOCK points C and the facet support take the dense max, which reads no caps."""
+        g = sampled_sphere_grid(3, 1024, seed=4)
+        h = support_of_cloud(g, np.exp(np.random.default_rng(4).normal(0.0, 0.3, 1024)))
+        certificate_violation(g, h)
+        hull_radial(g, radial_of_halfspaces(g, h))
+        assert g._caps is None
 
     def test_c_takes_few_products(self, monkeypatch):
         """C of a hull body in 3D at N = 4096 takes at most 12 % of the N^2 products (a bound per point group took over 20 %)."""
@@ -1268,22 +1331,11 @@ class TestQhullScale:
         assert seen[0] is pts
 
 
-# the dense M x N expressions that flower_from_petals, polytope_body,
-# section_radial, global_average, minkowski_sum_2d and projected_radial held
-# before they shared the blocked kernels.  _dense_point_max and
-# _dense_ball_union multiply points by rays, as the kernels do; the two
-# others multiply rays by points, as global_average and projected_radial did
-def _dense_point_max(pts, dirs):
-    return np.maximum(pts @ dirs.T, 0.0).max(axis=0)
-
-
+# the dense M x N expressions that global_average and projected_radial held
+# before they shared the blocked kernels; they multiply rays by points, the
+# kernels points by rays
 def _dense_rotated_point_max(pts, dirs):
     return np.maximum(dirs @ pts.T, 0.0).max(axis=1)
-
-
-def _dense_ball_union(cx, rho, dirs):
-    ip = cx @ dirs.T
-    return (ip + np.sqrt(np.maximum(rho[:, None] ** 2 - (cx ** 2).sum(axis=1)[:, None] + ip ** 2, 0.0))).max(axis=0)
 
 
 def _dense_projected_ball_union(cents, rho, dk):
@@ -1301,32 +1353,23 @@ def _kernel_case(rng, dim, m, n):
 
 
 class TestPetalKernels:
-    """The petal radial and the ball-union radial against the dense expressions they replaced."""
+    """The petal radial and the ball-union radial against the shape-free reference and the dense expressions they replaced."""
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
     def test_equals_dense_expressions(self, dim):
-        """Bit-equal to the points x rays expressions when the product fits in one block.
+        """Bit-equal to the 2 x 2 products of _pair_products at every shape, one petal and two or three rays included.
 
-        Blocks split once m * n exceeds DENSE_BLOCK, and a block is a BLAS
-        product of other shapes than the whole matrix; the BLAS may order or
-        fuse its sums differently for each shape, so there entries may move by
-        a few ulp.  The rays x points expressions of global_average and
-        projected_radial compute each product with the operands swapped, so
-        they may move by a few ulp at any size; with OpenBLAS 0.3.31 they
-        move by at most 2.  Bit equality also depends on the BLAS.
+        The wide expressions the kernels replaced round a lone petal by gemv
+        and the last columns of a wide product by another BLAS kernel, so
+        they differ from these in a few entries.  Bit equality depends on the
+        BLAS.
         """
         rng = np.random.default_rng(dim)
         for m in (1, 7, 32, 96, 500, 3000):
-            for n in (720, 2052, 4100):
-                if m * n > 3 * 2 ** 20:  # the dense oracles hold a few m x n temporaries of up to 24 MiB each
-                    continue
+            for n in (2, 3, 720, 886, 2052, 4100):
                 dirs, pts, rho = _kernel_case(rng, dim, m, n)
-                same = 0 if DENSE_BLOCK // m >= n else 4
-                point, ball = _support_blocked(pts, dirs), _ball_union_radial(pts, rho, dirs)
-                assert _ulps(point, _dense_point_max(pts, dirs)) <= same, (m, n)
-                assert _ulps(ball, _dense_ball_union(pts, rho, dirs)) <= same, (m, n)
-                assert _ulps(point, _dense_rotated_point_max(pts, dirs)) <= 4, (m, n)
-                assert _ulps(ball, _dense_projected_ball_union(pts, rho, dirs)) <= 4, (m, n)
+                assert _ulps(_block_max(pts, dirs), _pair_max(pts, dirs)) == 0, (m, n)
+                assert _ulps(_ball_union_radial(pts, rho, dirs), _pair_ball_union(pts, rho, dirs)) == 0, (m, n)
 
     @pytest.mark.parametrize("dim, m, n", [(4, 4, 2048), (8, 32, 2048)])
     def test_benchmark_shapes_bit_equal_in_both_orientations(self, dim, m, n):
@@ -1338,7 +1381,7 @@ class TestPetalKernels:
         rng = np.random.default_rng(m + n)
         for _ in range(20):
             dirs, pts, rho = _kernel_case(rng, dim, m, n)
-            assert _ulps(_support_blocked(pts, dirs), _dense_rotated_point_max(pts, dirs)) == 0
+            assert _ulps(_block_max(pts, dirs), _dense_rotated_point_max(pts, dirs)) == 0
             assert _ulps(_ball_union_radial(pts, rho, dirs), _dense_projected_ball_union(pts, rho, dirs)) == 0
 
     @pytest.mark.parametrize("dim, n", [(2, 720), (2, 4100), (3, 2052), (8, 2048)])
@@ -1350,7 +1393,7 @@ class TestPetalKernels:
             a = rng.normal(size=(m, dim))
             h = polytope_body(g, a).support
             assert h.tobytes() == flower_from_petals(a, g).radial.tobytes()
-            assert _ulps(h, np.maximum((a @ g.directions.T).max(axis=0), EPS_FLOOR)) <= (0 if m * n <= DENSE_BLOCK else 4)
+            assert _ulps(h, np.maximum(_pair_max(a, g.directions), EPS_FLOOR)) == 0
 
     @pytest.mark.parametrize("vertices", [np.empty((0, 2)), [[1.0, 0.0, 0.0]]], ids=["no-vertex", "wrong-dim"])
     def test_bad_polytope_vertices_are_a_parameter_error(self, vertices):

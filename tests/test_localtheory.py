@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flowerlab._sampleops import EPS_FLOOR, _ball_union_radial, _support_blocked, support_of_cloud
+from flowerlab._sampleops import EPS_FLOOR, _ball_union_radial, _block_max, support_of_cloud
 from flowerlab.bodies import (
     Flower,
     StarBody,
@@ -221,7 +221,7 @@ class TestPetalFlowerKernels:
 
     @staticmethod
     def _section(pts, e, dk):
-        return np.maximum(_support_blocked(pts, dk @ e.frame), EPS_FLOOR)
+        return np.maximum(_block_max(pts, dk @ e.frame), EPS_FLOOR)
 
     def test_projection_and_section(self, b1):
         dk = sampled_sphere_grid(8, 512, seed=1, symmetric=True).directions
@@ -248,7 +248,7 @@ class TestPetalFlowerKernels:
         f = flower_from_petals(np.vstack([x, -x]), grid)
         acc = np.zeros(grid.size)
         for i in range(16):
-            acc += _support_blocked(f.petals @ random_rotation(4, child_seed(12, i)).matrix.T, grid.directions)
+            acc += _block_max(f.petals @ random_rotation(4, child_seed(12, i)).matrix.T, grid.directions)
         acc /= 16
         assert global_average(f, 16, seed=12) == float(acc.max() / acc.min())
 
