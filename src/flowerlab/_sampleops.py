@@ -454,7 +454,8 @@ def _ball_union_radial(centers: np.ndarray, radii: np.ndarray, dirs: np.ndarray)
     The balls are scaled by 2**-s, with s centring the radii on 1 as in
     _hull_pass, so the squares stay in the floats at any scale; the scaling
     is exact, so in-range results are unchanged bit for bit.  Its products
-    are cut and padded as _block_max's, so its bits are shape-free too.
+    are cut and padded as _block_max's, so its bits are shape-free too; each
+    block's square root is taken in place, in one temporary.
     """
     s = (int(np.frexp(radii.max())[1]) + int(np.frexp(radii.min())[1])) // 2
     n = len(dirs)
@@ -463,7 +464,12 @@ def _ball_union_radial(centers: np.ndarray, radii: np.ndarray, dirs: np.ndarray)
     out = np.empty(len(dirs))
     for j, k in pairwise(_ray_cuts(len(centers), len(dirs))):
         ip = centers @ dirs[j:k].T
-        out[j:k] = (ip + np.sqrt(np.maximum(base[:, None] + ip ** 2, 0.0))).max(axis=0)
+        reach = np.multiply(ip, ip)
+        reach += base[:, None]
+        np.maximum(reach, 0.0, out=reach)
+        np.sqrt(reach, out=reach)
+        reach += ip
+        reach.max(axis=0, out=out[j:k])
     return np.ldexp(out[:n], s)
 
 

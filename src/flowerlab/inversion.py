@@ -12,7 +12,12 @@ plus a truncation scale used only for sampling, while membership tests use the
 ideal cone semantics (the in-cone of out(P) is the full cone over P).
 
 Membership is array-valued: each shape's ray_intervals takes rows of unit
-directions, and cone_membership tests all arc points of a sampled pair at once.
+directions, arc_points takes rows of endpoint pairs, and cone_membership
+tests rows of points.  The verdict draws its pairs one by one from its one
+generator, in the order a pair-by-pair loop would, and tests a chunk of
+pairs at once: their endpoints, arcs and memberships are computed row by
+row with the arithmetic of one pair, so the verdict has the bits of the
+pair-by-pair loop.
 """
 from __future__ import annotations
 
@@ -45,8 +50,9 @@ def invert_point(x: np.ndarray) -> np.ndarray:
 
 
 def invert_points(pts: np.ndarray) -> np.ndarray:
+    """invert_point of each point along the last axis."""
     pts = np.asarray(pts, dtype=float)
-    n2 = (pts ** 2).sum(axis=1, keepdims=True)
+    n2 = (pts ** 2).sum(axis=-1, keepdims=True)
     if (n2 == 0).any():
         raise SingularPointError("spherical inversion is singular at the origin")
     return pts / n2
@@ -63,29 +69,48 @@ def invert_ball(center: np.ndarray, rho: float) -> tuple[np.ndarray, float]:
     return c / k, rho / k
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_i, b_i> for each row pair, each rounded as one vector dot product."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _chords(pairs: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The chords (1-t) phi(x) + t phi(y), (P, T, dim), of (P, 2, dim) endpoint pairs (x, y), and which arcs pass through infinity.
+
+    An arc does when phi(x) and phi(y) lie on opposite rays or a chord
+    point is at the origin.
+    """
+    f = invert_points(pairs)
+    fx, fy = f[:, 0], f[:, 1]
+    rows = f.reshape(-1, f.shape[-1])
+    norms = np.sqrt(_dots(rows, rows)).reshape(-1, 2)
+    cosang = _dots(fx, fy) / (norms[:, 0] * norms[:, 1])
+    chord = (1 - ts)[:, None] * fx[:, None, :] + ts[:, None] * fy[:, None, :]
+    return chord, (cosang < -1.0 + 1e-14) | (np.sqrt((chord * chord).sum(axis=-1)) < 1e-14).any(axis=1)
+
+
 def arc_points(x: np.ndarray, y: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Points on the inversion arc (x, y): phi((1-t) phi(x) + t phi(y)).
 
-    The arc is the piece of the circle through 0, x, y avoiding 0; for x, y, 0
-    collinear with 0 outside [x, y] it degenerates to the segment, and (x, x)
-    is the singleton {x}.  A chord through the origin (x, y on opposite rays)
-    has no bounded arc.
+    x and y are two points, giving (T, dim), or two (P, dim) rows of
+    endpoints, giving (P, T, dim).  The arc is the piece of the circle
+    through 0, x, y avoiding 0; for x, y, 0 collinear with 0 outside [x, y]
+    it degenerates to the segment, and (x, x) is the singleton {x}.  A chord
+    through the origin (x, y on opposite rays) has no bounded arc.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ParameterError(f"arc endpoints must have one shape, got {x.shape} and {y.shape}")
+    if x.shape != y.shape or x.ndim not in (1, 2):
+        raise ParameterError(f"arc endpoints must be two points or two rows of one shape, got {x.shape} and {y.shape}")
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if np.array_equal(x, y):
-        return np.tile(x, (len(ts), 1))
-    fx, fy = invert_point(x), invert_point(y)
-    cosang = float(fx @ fy) / (np.linalg.norm(fx) * np.linalg.norm(fy))
-    if cosang < -1.0 + 1e-14:
-        raise ArcThroughInfinityError("x and y lie on opposite rays: arc passes through infinity")
-    chord = (1 - ts)[:, None] * fx[None, :] + ts[:, None] * fy[None, :]
-    if (np.linalg.norm(chord, axis=1) < 1e-14).any():
-        raise ArcThroughInfinityError("chord of inverted endpoints passes through the origin")
-    return invert_points(chord)
+    pairs = np.stack((np.atleast_2d(x), np.atleast_2d(y)), axis=1)
+    out = np.repeat(pairs[:, :1], len(ts), axis=1)
+    apart = ~(pairs[:, 0] == pairs[:, 1]).all(axis=1)
+    chord, through = _chords(pairs[apart], ts)
+    if through.any():
+        raise ArcThroughInfinityError("arc passes through infinity: x and y lie on opposite rays")
+    out[apart] = invert_points(chord)
+    return out if x.ndim == 2 else out[0]
 
 
 @dataclass(eq=False)
@@ -132,10 +157,13 @@ class OffOriginPolytope:
         return np.where(miss, np.inf, lo), np.where(miss, -np.inf, hi)
 
     def boundary_sample(self, rng: np.random.Generator, nsamp: int) -> np.ndarray:
-        simp = self._hull.simplices
-        f = rng.integers(0, len(simp), size=nsamp)
-        wts = rng.dirichlet(np.ones(self.dim), size=nsamp)
-        return np.einsum("nk,nkd->nd", wts, self.vertices[simp[f]])
+        return self._boundary_points(*self._boundary_draws(rng, nsamp))
+
+    def _boundary_draws(self, rng: np.random.Generator, nsamp: int) -> tuple[np.ndarray, ...]:
+        return rng.integers(0, len(self._hull.simplices), size=nsamp), rng.dirichlet(np.ones(self.dim), size=nsamp)
+
+    def _boundary_points(self, f: np.ndarray, wts: np.ndarray) -> np.ndarray:
+        return np.einsum("nk,nkd->nd", wts, self.vertices[self._hull.simplices[f]])
 
 
 @dataclass(eq=False)
@@ -166,7 +194,12 @@ class OffOriginBall:
         return np.where(miss, np.inf, ct - root), np.where(miss, -np.inf, ct + root)
 
     def boundary_sample(self, rng: np.random.Generator, nsamp: int) -> np.ndarray:
-        u = rng.normal(size=(nsamp, self.dim))
+        return self._boundary_points(*self._boundary_draws(rng, nsamp))
+
+    def _boundary_draws(self, rng: np.random.Generator, nsamp: int) -> tuple[np.ndarray, ...]:
+        return (rng.normal(size=(nsamp, self.dim)),)
+
+    def _boundary_points(self, u: np.ndarray) -> np.ndarray:
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         return self.center[None, :] + self.radius * u
 
@@ -199,15 +232,22 @@ class TruncatedOutCone:
 
     def boundary_sample(self, rng: np.random.Generator, nsamp: int) -> np.ndarray:
         """Entry-surface points r_min(theta) * theta over random cone directions."""
+        pts = self._boundary_points(*self._boundary_draws(rng, nsamp))
+        return pts[~np.isnan(pts[:, 0])]
+
+    def _boundary_draws(self, rng: np.random.Generator, nsamp: int) -> tuple[np.ndarray, ...]:
         verts = self.base.vertices
-        k = min(len(verts), self.dim + 2)
-        wts = rng.dirichlet(np.ones(k), size=nsamp)
-        cols = np.argsort(rng.random((nsamp, len(verts))), axis=1)[:, :k]
-        pts = np.einsum("nk,nkd->nd", wts, verts[cols])
+        wts = rng.dirichlet(np.ones(min(len(verts), self.dim + 2)), size=nsamp)
+        return wts, rng.random((nsamp, len(verts)))
+
+    def _boundary_points(self, wts: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """The points of boundary_sample's draws; a direction whose ray misses the base gives a NaN row."""
+        cols = np.argsort(keys, axis=1)[:, :wts.shape[1]]
+        pts = np.einsum("nk,nkd->nd", wts, self.base.vertices[cols])
         thetas = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         lo, _ = self.base.ray_intervals(thetas)
-        hit = lo < np.inf
-        return lo[hit, None] * thetas[hit]
+        lo[lo == np.inf] = np.nan
+        return lo[:, None] * thetas
 
 
 Shape = OffOriginPolytope | OffOriginBall | TruncatedOutCone
@@ -221,7 +261,7 @@ def cone_membership(shape: Shape, z: np.ndarray, which: str, tol: float = 1e-9) 
     rows = np.atleast_2d(z)
     if rows.shape[-1] != shape.dim:
         raise ParameterError(f"points must have length {shape.dim}, got {rows.shape[-1]}")
-    t = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+    t = np.sqrt(_dots(rows, rows))
     if (t == 0.0).any():
         raise SingularPointError("cones are defined away from the origin")
     if which not in ("in", "out"):
@@ -243,13 +283,47 @@ class InversionVerdict:
     samples: int
 
 
-def _sample_in_cone_pair(shape: Shape, rng: np.random.Generator) -> np.ndarray:
-    bp = shape.boundary_sample(rng, 2)
-    lam = np.where(rng.random(2) < 0.5, 1.0, rng.random(2))
+def _draw_pair(shape: Shape, rng: np.random.Generator) -> list[np.ndarray]:
+    """The draws of one sampled in-cone pair, in the order they are drawn: two boundary points, then their scales."""
+    draws = [*shape._boundary_draws(rng, 2), rng.random(2), rng.random(2)]
     if isinstance(shape, TruncatedOutCone):
         # in-cone of out(P) is the whole cone: allow scales up to the truncation
-        lam = lam * np.exp(rng.uniform(0, np.log(shape.scale), size=2))
-    return bp * lam[:, None]
+        draws.append(rng.uniform(0, np.log(shape.scale), size=2))
+    return draws
+
+
+def _pair_points(shape: Shape, pairs: list[list[np.ndarray]]) -> np.ndarray:
+    """(P, 2, dim): the endpoints of the pairs drawn by _draw_pair, computed at once.
+
+    A scale is 1 or uniform in [0, 1), each with probability 1/2; an
+    out-cone's is further multiplied by up to its truncation scale.  An
+    out-cone direction whose ray misses the base gives no boundary point,
+    so its pair scales the other point twice.
+    """
+    draws = [np.concatenate(d) for d in zip(*pairs)]
+    scales = 3 if isinstance(shape, TruncatedOutCone) else 2
+    bp = shape._boundary_points(*draws[:-scales])
+    coin, frac, *grow = draws[-scales:]
+    lam = np.where(coin < 0.5, 1.0, frac)
+    if grow:
+        lam = lam * np.exp(grow[0])
+    missed = np.flatnonzero(np.isnan(bp[:, 0]))
+    if len(missed):
+        bp[missed] = bp[missed ^ 1]
+        if np.isnan(bp[:, 0]).any():
+            raise DegenerateInputError("both directions of a sampled pair miss the out-cone's base")
+    return (bp * lam[:, None]).reshape(-1, 2, shape.dim)
+
+
+def _pair_floats(shape: Shape) -> int:
+    """Floats one sampled pair holds at most in one array of the chunked arc test.
+
+    Its arc points against every facet (ray_intervals), its draws over every
+    vertex, or its arc points' coordinates.
+    """
+    poly = shape.base if isinstance(shape, TruncatedOutCone) else shape
+    width = len(poly._hull.equations) + len(poly.vertices) if isinstance(poly, OffOriginPolytope) else 0
+    return ARC_POINTS_PER_PAIR * (width + shape.dim)
 
 
 def _direct_image_cloud(shape: Shape, rng: np.random.Generator, nsamp: int) -> np.ndarray:
@@ -288,10 +362,14 @@ def is_inversion_convex(
     """Convexity test for phi(shape) by the arc criterion, cross-checked directly.
 
     The criterion samples pairs x, y from the in-cone and tests arc interior
-    points for in-cone membership; a violating (x, y, t) is returned as the
-    witness.  The direct method inverts DIRECT_SAMPLES boundary points and
-    measures the convex-position depth of the image cloud.  Disagreement raises
-    MethodDisagreementError.
+    points for in-cone membership; the first violating (x, y, t) is returned
+    as the witness, and pairs whose arc passes through infinity are skipped.
+    Pairs are drawn one by one and tested in chunks of 1, 2, 4, ... pairs,
+    each at most DENSE_BLOCK floats wide (_pair_floats); after a witness the
+    generator is wound back to just past its pair, so the verdict equals a
+    pair-by-pair loop's bit for bit.  The direct method inverts
+    DIRECT_SAMPLES boundary points and measures the convex-position depth of
+    the image cloud.  Disagreement raises MethodDisagreementError.
     """
     if samples < 100:
         raise ParameterError("need at least 100 sample pairs")
@@ -301,17 +379,25 @@ def is_inversion_convex(
         raise ParameterError("tol must be non-negative")
     rng = np.random.default_rng(seed)
     ts = np.linspace(0.0, 1.0, ARC_POINTS_PER_PAIR + 2)[1:-1]
-    witness = None
-    for _ in range(samples):
-        x, y = _sample_in_cone_pair(shape, rng)
-        try:
-            zs = arc_points(x, y, ts)
-        except ArcThroughInfinityError:
-            continue
-        inside = cone_membership(shape, zs, "in", tol=tol)
-        if not inside.all():
-            witness = (x, y, float(ts[np.argmin(inside)]))
-            break
+    cap = max(1, DENSE_BLOCK // _pair_floats(shape))
+    witness, done, size = None, 0, 1
+    while witness is None and done < samples:
+        size = min(size, cap, samples - done)
+        state = rng.bit_generator.state
+        xy = _pair_points(shape, [_draw_pair(shape, rng) for _ in range(size)])
+        kept = np.flatnonzero(~_chords(xy, ts)[1])
+        zs = arc_points(xy[kept, 0], xy[kept, 1], ts)
+        inside = cone_membership(shape, zs.reshape(-1, shape.dim), "in", tol=tol).reshape(len(kept), len(ts))
+        bad = np.flatnonzero(~inside.all(axis=1))
+        if len(bad):
+            i = kept[bad[0]]
+            witness = (xy[i, 0].copy(), xy[i, 1].copy(), float(ts[np.argmin(inside[bad[0]])]))
+            if i < size - 1:  # the direct test draws on from the witness pair, as a pair-by-pair loop would
+                rng.bit_generator.state = state
+                for _ in range(i + 1):
+                    _draw_pair(shape, rng)
+        done += size
+        size *= 2
     depth = _convex_position_depth(_direct_image_cloud(shape, rng, DIRECT_SAMPLES))
     criterion_convex = witness is None
     direct_convex = depth <= tol

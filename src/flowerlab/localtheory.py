@@ -18,11 +18,12 @@ from ._sampleops import EPS_FLOOR, _ball_union_radial, _block_max, _row_norms, r
 from .bodies import Flower, StarBody, convex_hull_radial, flower_from_petals
 from .errors import ParameterError, SymmetryError, UnboundedBodyError, UnsupportedDimensionError
 from .spherecore import (
+    DENSE_BLOCK,
     DirectionGrid,
     SubspaceBasis,
     child_seed,
-    random_rotation,
-    random_subspace,
+    random_rotations,
+    random_subspaces,
     sampled_sphere_grid,
     uniform_angle_grid,
 )
@@ -175,6 +176,13 @@ def random_symmetric_flower(
     return flower_from_petals(np.vstack([x, -x]), grid)
 
 
+def _seed_stacks(seed: int, trials: int, floats: int):
+    """child_seed(seed, i) for i < trials, in lists of at most DENSE_BLOCK // floats: one stack of frames of that many floats each."""
+    step = max(1, DENSE_BLOCK // floats)
+    for start in range(0, trials, step):
+        yield [child_seed(seed, i) for i in range(start, min(start + step, trials))]
+
+
 @dataclass(eq=False)
 class DvoretzkyResult:
     k: int
@@ -199,7 +207,11 @@ def dvoretzky_search(
     """Search random k-subspaces for the roundest projection of the flower.
 
     Distances are measured on a common working grid inside the subspace, so
-    projection and section values are directly comparable per trial.
+    projection and section values are directly comparable per trial.  Trial
+    i's subspace draws from its own stream, child_seed(seed, i); the frames
+    are built a stack at a time (_seed_stacks), and projected_radial and
+    section_radial run per trial, so every output has the bits of building
+    and measuring the subspaces one by one.
     """
     if trials < 1:
         raise ParameterError("need at least one trial")
@@ -212,11 +224,13 @@ def dvoretzky_search(
         kdirs = subgrid.directions
     else:
         kdirs = np.array([[1.0], [-1.0]])
+    dim = f.grid.dim
     dists = np.empty(trials)
     sects = np.empty(trials) if include_sections else None
     best = (np.inf, None)
-    for i in range(trials):
-        e = random_subspace(f.grid.dim, k, child_seed(seed, i))
+    frames = (frame for seeds in _seed_stacks(seed, trials, dim * k) for frame in random_subspaces(dim, k, seeds))
+    for i, frame in enumerate(frames):
+        e = SubspaceBasis(dim, k, frame)
         rp = projected_radial(f, e, kdirs)
         d = float(rp.max() / rp.min())
         dists[i] = d
@@ -231,17 +245,20 @@ def dvoretzky_search(
 def global_average(f: Flower, n_rotations: int, seed: int) -> float:
     """Oscillation ratio max/min of the average of N rotated radial functions.
 
-    Rotations are drawn from a per-index derived stream, so averages over
-    prefixes (N = 16 vs 256 with the same seed) share their rotations.  The
-    ratio is inf where the average vanishes or max/min leaves the floats.
+    Rotation i draws from its own stream, child_seed(seed, i), so averages
+    over prefixes (N = 16 vs 256 with the same seed) share their rotations.
+    The rotations are built a stack at a time (_seed_stacks) and the rotated
+    radials summed in index order, so the ratio has the bits of drawing and
+    adding the rotations one by one.  It is inf where the average vanishes
+    or max/min leaves the floats.
     """
     if n_rotations < 1:
         raise ParameterError("need at least one rotation")
     grid, pts = f.grid, canonical_petals(f)
     acc = np.zeros(grid.size)
-    for i in range(n_rotations):
-        u = random_rotation(grid.dim, child_seed(seed, i)).matrix
-        acc += _block_max(pts @ u.T, grid.directions)
+    for seeds in _seed_stacks(seed, n_rotations, grid.dim ** 2):
+        for u in random_rotations(grid.dim, seeds):
+            acc += _block_max(pts @ u.T, grid.directions)
     acc /= n_rotations
     lo, hi = float(acc.min()), float(acc.max())
     return float("inf") if lo <= 0.0 else hi / lo  # a Python float ratio past the floats is inf, with no warning

@@ -8,10 +8,13 @@ spherical average of f.  Two regimes are used throughout the package:
   exact for trigonometric polynomials of degree < N),
 * dim >= 3: seeded Monte Carlo grids of normalized Gaussian directions.
 
-All random constructors are pure functions of (parameters, seed).
+All random constructors are pure functions of (parameters, seed).  The frame
+builders take a list of seeds: each frame draws from its own seed's stream,
+and the QR of the whole stack gives every frame the bits of a QR of it alone.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -211,6 +214,14 @@ def _build_caps(d: np.ndarray) -> Caps:
     return caps
 
 
+def _refuse_unless_orthonormal(frames: np.ndarray, message: str) -> None:
+    """ParameterError(message) unless the rows of the frame, or of every frame in a stack, are orthonormal to ORTHO_TOL."""
+    gram = frames @ np.swapaxes(frames, -1, -2)
+    gram -= np.eye(gram.shape[-1])
+    if np.abs(gram, out=gram).max() > ORTHO_TOL:
+        raise ParameterError(message)
+
+
 @dataclass(eq=False)
 class Rotation:
     """Proper rotation of R^dim (orthogonal, det +1)."""
@@ -222,8 +233,7 @@ class Rotation:
         m = self.matrix
         if m.shape[0] != m.shape[1]:
             raise ParameterError("rotation matrix must be square")
-        if np.abs(m.T @ m - np.eye(m.shape[0])).max() > ORTHO_TOL:
-            raise ParameterError("rotation matrix is not orthogonal")
+        _refuse_unless_orthonormal(m.T, "rotation matrix is not orthogonal")
 
     @property
     def dim(self) -> int:
@@ -247,9 +257,7 @@ class SubspaceBasis:
             raise ParameterError(f"k={self.k} out of range for ambient dim {self.ambient_dim}")
         if self.frame.shape != (self.k, self.ambient_dim):
             raise ParameterError("frame shape mismatch")
-        gram = self.frame @ self.frame.T
-        if np.abs(gram - np.eye(self.k)).max() > ORTHO_TOL:
-            raise ParameterError("frame is not orthonormal")
+        _refuse_unless_orthonormal(self.frame, "frame is not orthonormal")
 
     def projector(self) -> np.ndarray:
         """Orthogonal projector onto the subspace, as an ambient matrix."""
@@ -293,25 +301,42 @@ def quadrature_mean(grid: DirectionGrid, values: np.ndarray) -> float:
     return float(grid.weights @ values)
 
 
-def random_rotation(dim: int, seed: int) -> Rotation:
-    """Haar rotation: QR of a seeded Gaussian matrix, sign-fixed, det +1."""
+def _gaussians(seeds: Sequence[int], shape: tuple[int, ...]) -> np.ndarray:
+    """One standard normal draw of the given shape per seed, each from default_rng(seed), stacked."""
+    out = np.empty((len(seeds), *shape))
+    for i, seed in enumerate(seeds):
+        out[i] = np.random.default_rng(seed).normal(size=shape)
+    return out
+
+
+def random_rotations(dim: int, seeds: Sequence[int]) -> np.ndarray:
+    """(S, dim, dim) Haar rotations, one per seed: QR of the seed's Gaussian matrix, sign-fixed, det +1."""
     if dim < 2:
         raise ParameterError("rotation needs dim >= 2")
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, -1] *= -1.0
-    return Rotation(q)
+    q, r = np.linalg.qr(_gaussians(seeds, (dim, dim)))
+    q *= np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+    q[np.linalg.det(q) < 0, :, -1] *= -1.0
+    _refuse_unless_orthonormal(np.swapaxes(q, -1, -2), "rotation matrix is not orthogonal")
+    return q
+
+
+def random_subspaces(dim: int, k: int, seeds: Sequence[int]) -> np.ndarray:
+    """(S, k, dim) orthonormal frames of uniformly random k-subspaces, one per seed (orthonormalized Gaussians)."""
+    if not 1 <= k <= dim:
+        raise ParameterError(f"k={k} out of range 1..{dim}")
+    frames = np.swapaxes(np.linalg.qr(_gaussians(seeds, (dim, k)))[0], -1, -2)
+    _refuse_unless_orthonormal(frames, "frame is not orthonormal")
+    return frames
+
+
+def random_rotation(dim: int, seed: int) -> Rotation:
+    """The Haar rotation of one seed, as random_rotations draws it."""
+    return Rotation(random_rotations(dim, [seed])[0])
 
 
 def random_subspace(dim: int, k: int, seed: int) -> SubspaceBasis:
-    """Uniformly random k-dimensional subspace (orthonormalized Gaussians)."""
-    if not 1 <= k <= dim:
-        raise ParameterError(f"k={k} out of range 1..{dim}")
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.normal(size=(dim, k)))
-    return SubspaceBasis(dim, k, q.T)
+    """The random k-subspace of one seed, as random_subspaces draws it."""
+    return SubspaceBasis(dim, k, random_subspaces(dim, k, [seed])[0])
 
 
 def child_seed(master: int, index: int) -> int:

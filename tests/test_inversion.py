@@ -10,10 +10,12 @@ import flowerlab.inversion as inversion
 from flowerlab.errors import (
     ArcThroughInfinityError,
     DegenerateInputError,
+    MethodDisagreementError,
     ParameterError,
     SingularPointError,
 )
 from flowerlab.inversion import (
+    ARC_POINTS_PER_PAIR,
     CONVEX_POSITION_TOL,
     OffOriginBall,
     OffOriginPolytope,
@@ -117,6 +119,22 @@ class TestArcPoints:
     def test_opposite_rays_rejected(self):
         with pytest.raises(ArcThroughInfinityError):
             arc_points(np.array([1.0, 0.0]), np.array([-2.0, 0.0]), np.array([0.5]))
+
+    def test_rows_equal_one_pair_at_a_time(self, rng):
+        # equal endpoints, collinear pairs and generic pairs, in 2D and 3D
+        for dim in (2, 3):
+            x, y = rng.normal(size=(2, 12, dim))
+            y[:3] = x[:3]
+            y[3:6] = x[3:6] * rng.uniform(1.5, 3.0, size=(3, 1))
+            ts = np.linspace(0.1, 0.9, 5)
+            rows = arc_points(x, y, ts)
+            assert rows.shape == (12, 5, dim)
+            assert rows.tobytes() == np.stack([_pair_arc(a, b, ts) for a, b in zip(x, y)]).tobytes()
+
+    def test_rows_through_infinity_rejected(self):
+        x = np.array([[1.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(ArcThroughInfinityError):
+            arc_points(x, np.array([[2.0, 0.0], [-1.0, -1.0]]), np.array([0.5]))
 
     def test_arc_lies_on_circle_through_origin(self, rng):
         for _ in range(20):
@@ -299,7 +317,9 @@ _TRI = [[2.0, 0.0], [3.0, 0.0], [2.0, 1.0]]
     lambda: cone_membership(OffOriginBall([0.0, 0.0, 2.5], 1.0), [1.0, 2.0], "in"),
     lambda: arc_points([1.0, 2.0], [1.0, 2.0, 3.0], [0.5]),
     lambda: arc_points(np.ones(3), np.ones((1, 3)), [0.5]),
-], ids=["point-3-in-2d", "rows-3-in-2d", "point-1-in-2d-cone", "point-2-in-3d-ball", "arc-2-and-3", "arc-3-and-1x3"])
+    lambda: arc_points(np.ones((1, 2, 3)), np.ones((1, 2, 3)), [0.5]),
+], ids=["point-3-in-2d", "rows-3-in-2d", "point-1-in-2d-cone", "point-2-in-3d-ball", "arc-2-and-3", "arc-3-and-1x3",
+        "arc-stacked-rows"])
 def test_wrong_length_points_are_parameter_errors(call):
     """A point whose length is not the shape's dimension, or arc endpoints of two shapes, are refused by name."""
     with pytest.raises(ParameterError):
@@ -451,6 +471,182 @@ class TestDepthAgainstFullScan:
                 assert v.direct_depth == ref.direct_depth
             else:
                 assert 0.0 <= v.direct_depth <= max(ref.direct_depth, 0.0)
+
+
+# The pair-by-pair verdict as it was before pairs were tested in chunks: one
+# boundary sample, one arc and one membership test per pair, in draw order.
+
+def _pair_boundary_sample(shape, rng, nsamp):
+    if isinstance(shape, OffOriginBall):
+        u = rng.normal(size=(nsamp, shape.dim))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        return shape.center[None, :] + shape.radius * u
+    if isinstance(shape, OffOriginPolytope):
+        simp = shape._hull.simplices
+        f = rng.integers(0, len(simp), size=nsamp)
+        wts = rng.dirichlet(np.ones(shape.dim), size=nsamp)
+        return np.einsum("nk,nkd->nd", wts, shape.vertices[simp[f]])
+    verts = shape.base.vertices
+    k = min(len(verts), shape.dim + 2)
+    wts = rng.dirichlet(np.ones(k), size=nsamp)
+    cols = np.argsort(rng.random((nsamp, len(verts))), axis=1)[:, :k]
+    pts = np.einsum("nk,nkd->nd", wts, verts[cols])
+    thetas = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    lo, _ = shape.base.ray_intervals(thetas)
+    hit = lo < np.inf
+    return lo[hit, None] * thetas[hit]
+
+
+def _pair_arc(x, y, ts):
+    if np.array_equal(x, y):
+        return np.tile(x, (len(ts), 1))
+    fx, fy = invert_point(x), invert_point(y)
+    cosang = float(fx @ fy) / (np.linalg.norm(fx) * np.linalg.norm(fy))
+    if cosang < -1.0 + 1e-14:
+        raise ArcThroughInfinityError("opposite rays")
+    chord = (1 - ts)[:, None] * fx[None, :] + ts[:, None] * fy[None, :]
+    if (np.linalg.norm(chord, axis=1) < 1e-14).any():
+        raise ArcThroughInfinityError("chord through the origin")
+    return invert_points(chord)
+
+
+def _verdict_by_pair(shape, samples, seed, tol):
+    """(convex, witness, direct depth, index of the witness pair, indices of the skipped pairs)."""
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(0.0, 1.0, ARC_POINTS_PER_PAIR + 2)[1:-1]
+    witness, at, skipped = None, None, []
+    for i in range(samples):
+        bp = _pair_boundary_sample(shape, rng, 2)
+        lam = np.where(rng.random(2) < 0.5, 1.0, rng.random(2))
+        if isinstance(shape, TruncatedOutCone):
+            lam = lam * np.exp(rng.uniform(0, np.log(shape.scale), size=2))
+        x, y = bp * lam[:, None]
+        try:
+            zs = _pair_arc(x, y, ts)
+        except ArcThroughInfinityError:
+            skipped.append(i)
+            continue
+        inside = cone_membership(shape, zs, "in", tol=tol)
+        if not inside.all():
+            witness, at = (x, y, float(ts[np.argmin(inside)])), i
+            break
+    img = invert_points(_pair_boundary_sample(shape, rng, inversion.DIRECT_SAMPLES))
+    if isinstance(shape, TruncatedOutCone):
+        img = np.vstack([img, np.zeros((1, shape.dim))])
+    depth = _convex_position_depth(img)
+    if (witness is None) != (depth <= tol):
+        raise MethodDisagreementError(f"arc criterion says {'convex' if witness is None else 'non-convex'} "
+                                      f"but direct depth is {depth:.3e}")
+    return witness is None, witness, depth, at, skipped
+
+
+def _far_polytope(dim, seed):
+    rng = np.random.default_rng(seed)
+    return OffOriginPolytope(rng.normal(size=(dim + 4, dim)) * 0.6 + 4.0 * np.eye(dim)[0])
+
+
+_SLAB_2D = [[-1, 0.99], [1, 0.99], [1, 1.01], [-1, 1.01]]
+_WIDE_SLAB = [[-1, 1e-9], [1, 1e-9], [1, 0.02], [-1, 0.02]]  # its bottom points on opposite sides make arcs through infinity
+_BOX_3D = np.array(np.meshgrid([-1.0, 1.0], [-1.0, 1.0], [0.95, 1.05])).reshape(3, -1).T
+_CHUNK_CASES = [  # (name, shape, samples, seed)
+    ("outcone-2d", lambda: TruncatedOutCone(_seeded_polytope(2, 0), 6.0), 150, 3),
+    ("outcone-3d", lambda: TruncatedOutCone(_seeded_polytope(3, 1), 6.0), 150, 4),
+    ("polytope-2d", lambda: _seeded_polytope(2, 100), 400, 0),
+    ("polytope-3d", lambda: _far_polytope(3, 1), 400, 0),
+    ("slab-2d", lambda: OffOriginPolytope(_SLAB_2D), 400, 2),
+    ("slab-3d", lambda: OffOriginPolytope(_BOX_3D), 400, 5),
+    ("wide-slab-65", lambda: OffOriginPolytope(_WIDE_SLAB), 400, 65),
+    ("wide-slab-119", lambda: OffOriginPolytope(_WIDE_SLAB), 400, 119),
+    ("ball-2d", lambda: OffOriginBall([3.0, 0.0], 1.0), 200, 0),
+    ("ball-3d", lambda: OffOriginBall([0.0, 0.0, 2.5], 1.0), 150, 1),
+]
+
+
+def _chunk_of(pair):
+    """Index of the chunk of 1, 2, 4, ... pairs that holds the pair."""
+    return int(np.log2(pair + 1))
+
+
+class TestChunkedVerdict:
+    """is_inversion_convex against the pair-by-pair loop: the same verdict, witness and depth bit for bit, or the same error."""
+
+    @pytest.mark.parametrize("tol", [CONVEX_POSITION_TOL, 1e-3, 0.0], ids=["default", "1e-3", "0"])
+    @pytest.mark.parametrize("name, build, samples, seed", _CHUNK_CASES, ids=[c[0] for c in _CHUNK_CASES])
+    def test_equals_pair_by_pair_loop(self, name, build, samples, seed, tol):
+        shape = build()
+        try:
+            ref = _verdict_by_pair(shape, samples, seed, tol)
+        except MethodDisagreementError as e:
+            with pytest.raises(MethodDisagreementError, match=str(e)):
+                is_inversion_convex(shape, samples=samples, seed=seed, tol=tol)
+            return
+        v = is_inversion_convex(shape, samples=samples, seed=seed, tol=tol)
+        assert v.convex == ref[0]
+        assert (v.witness is None) == (ref[1] is None)
+        if ref[1] is not None:
+            assert [a.tobytes() for a in v.witness[:2]] == [a.tobytes() for a in ref[1][:2]]
+            assert v.witness[2] == ref[1][2]
+        assert np.float64(v.direct_depth).tobytes() == np.float64(ref[2]).tobytes()
+
+    def test_cases_reach_every_kind_of_chunk(self):
+        # witnesses in the first, a middle and the last chunk of 400 samples, and
+        # arcs through infinity skipped, one of them the whole first chunk
+        seen = {}
+        for name, build, samples, seed in _CHUNK_CASES:
+            seen[name] = _verdict_by_pair(build(), samples, seed, 1e-3 if name == "polytope-3d" else CONVEX_POSITION_TOL)
+        chunks = {_chunk_of(ref[3]) for ref in seen.values() if ref[3] is not None}
+        last = _chunk_of(399)
+        assert 0 in chunks and last in chunks and chunks - {0, last}
+        assert seen["wide-slab-65"][4] == [0] and seen["wide-slab-119"][4] == [2]
+        assert seen["wide-slab-119"][3] == 3  # skipped pair 2 shares a chunk with pair 1, the witness is in the next
+
+    def test_direct_test_draws_from_just_past_the_witness_pair(self, monkeypatch):
+        # a witness early in a chunk of 8: the pairs drawn after it must not shift the direct sample
+        shape = OffOriginPolytope(_SLAB_2D)
+        ref = _verdict_by_pair(shape, 400, 2, CONVEX_POSITION_TOL)
+        assert _chunk_of(ref[3]) > 0
+        v = is_inversion_convex(shape, samples=400, seed=2)
+        assert np.float64(v.direct_depth).tobytes() == np.float64(ref[2]).tobytes()
+
+    def test_missed_directions_as_in_the_pair_loop(self):
+        # sampling rays near the cone's axis (6.6 % of them) miss the base, while
+        # membership still sees the whole cone: a pair with one missed direction
+        # scales its other point twice; one with two, which the pair loop could
+        # not broadcast, is a domain error
+        cone = TruncatedOutCone(_seeded_polytope(2, 0), 6.0)
+        whole, axis = cone.base.ray_intervals, _unit(cone.base.vertices.mean(axis=0))
+
+        def missing(thetas):
+            lo, hi = whole(thetas)
+            miss = thetas @ axis > 1 - 2e-5
+            return np.where(miss, np.inf, lo), np.where(miss, -np.inf, hi)
+
+        cone.base.ray_intervals = missing
+        cone.ray_intervals = lambda thetas: (lambda lo: (lo, np.where(lo < np.inf, np.inf, -np.inf)))(whole(thetas)[0])
+        ref = _verdict_by_pair(cone, 150, 0, CONVEX_POSITION_TOL)
+        v = is_inversion_convex(cone, samples=150, seed=0)
+        assert v.convex and ref[0] and v.direct_depth == ref[2]
+        with pytest.raises(ValueError, match="broadcast"):
+            _verdict_by_pair(cone, 150, 3, CONVEX_POSITION_TOL)
+        with pytest.raises(DegenerateInputError, match="miss"):
+            is_inversion_convex(cone, samples=150, seed=3)
+
+    def test_pair_chunks_bound_memory(self, monkeypatch):
+        # 1000 base vertices: 4096 pairs' draws in one piece hold 4096 x 2 x 1000
+        # floats (62.5 MiB); a chunk is at most DENSE_BLOCK floats wide
+        monkeypatch.setattr(inversion, "DIRECT_SAMPLES", 200)
+        rng = np.random.default_rng(3)
+        disk = rng.normal(size=(1000, 2))
+        disk /= np.linalg.norm(disk, axis=1, keepdims=True) / np.sqrt(rng.random((1000, 1)))
+        cone = TruncatedOutCone(OffOriginPolytope(disk * 0.5 + [3.0, 0.0]), 6.0)
+        tracemalloc.start()
+        try:
+            v = is_inversion_convex(cone, samples=4096, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.convex
+        assert peak < 16 * 2 ** 20
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
 import tracemalloc
+from itertools import pairwise
 
 import numpy as np
 import pytest
 
-from flowerlab._sampleops import EPS_FLOOR, _ball_union_radial, _block_max, support_of_cloud
+import flowerlab.localtheory as localtheory
+from flowerlab._sampleops import EPS_FLOOR, _ball_union_radial, _block_max, _pair, _ray_cuts, _row_norms, support_of_cloud
 from flowerlab.bodies import (
     Flower,
     StarBody,
@@ -251,6 +253,130 @@ class TestPetalFlowerKernels:
             acc += _block_max(f.petals @ random_rotation(4, child_seed(12, i)).matrix.T, grid.directions)
         acc /= 16
         assert global_average(f, 16, seed=12) == float(acc.max() / acc.min())
+
+
+# The trial loops as they were before the frames were stacked: each trial
+# builds its own frame from its own seed, and the ball union takes its root
+# in five temporaries.
+
+def _rotation_by_seed(dim, seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, -1] *= -1.0
+    return q
+
+
+def _subspace_by_seed(dim, k, seed):
+    rng = np.random.default_rng(seed)
+    return np.ascontiguousarray(np.linalg.qr(rng.normal(size=(dim, k)))[0].T)
+
+
+def _ball_union_by_expression(centers, radii, dirs):
+    s = (int(np.frexp(radii.max())[1]) + int(np.frexp(radii.min())[1])) // 2
+    n = len(dirs)
+    centers, radii, dirs = _pair(np.ldexp(centers, -s)), _pair(np.ldexp(radii, -s)), _pair(dirs)
+    base = radii ** 2 - (centers ** 2).sum(axis=1)
+    out = np.empty(len(dirs))
+    for j, k in pairwise(_ray_cuts(len(centers), len(dirs))):
+        ip = centers @ dirs[j:k].T
+        out[j:k] = (ip + np.sqrt(np.maximum(base[:, None] + ip ** 2, 0.0))).max(axis=0)
+    return np.ldexp(out[:n], s)
+
+
+def _dvoretzky_by_trial(f, k, trials, seed, subgrid, include_sections):
+    """(distances, section distances or None, best frame)."""
+    pts = canonical_petals(f)
+    if k >= 2:
+        kdirs = (subgrid or default_subgrid(k, seed=child_seed(seed, 2 ** 20))).directions
+    else:
+        kdirs = np.array([[1.0], [-1.0]])
+    dists, sects, best = [], [], (np.inf, None)
+    for i in range(trials):
+        frame = _subspace_by_seed(f.grid.dim, k, child_seed(seed, i))
+        rp = np.maximum(_ball_union_by_expression((pts @ frame.T) / 2.0, _row_norms(pts) / 2.0, kdirs), EPS_FLOOR)
+        dists.append(float(rp.max() / rp.min()))
+        if include_sections:
+            rs = np.maximum(_block_max(pts, kdirs @ frame), EPS_FLOOR)
+            sects.append(float(rs.max() / rs.min()))
+        if dists[-1] < best[0]:
+            best = (dists[-1], frame)
+    return np.array(dists), np.array(sects) if include_sections else None, best[1]
+
+
+def _global_average_by_rotation(f, n_rotations, seed):
+    grid, pts = f.grid, canonical_petals(f)
+    acc = np.zeros(grid.size)
+    for i in range(n_rotations):
+        acc += _block_max(pts @ _rotation_by_seed(grid.dim, child_seed(seed, i)).T, grid.directions)
+    acc /= n_rotations
+    lo, hi = float(acc.min()), float(acc.max())
+    return float("inf") if lo <= 0.0 else hi / lo
+
+
+def _two_petals(dim, n, seed):
+    grid = uniform_angle_grid(n) if dim == 2 else sampled_sphere_grid(dim, n, seed=seed, symmetric=True)
+    x = np.random.default_rng(seed).normal(size=(2, dim))
+    return flower_from_petals(np.vstack([x, -x]), grid)
+
+
+class TestStackedTrials:
+    """dvoretzky_search and global_average against their trial-by-trial loops, bit for bit.
+
+    "small" builds one frame per stack, "default" every frame of these sizes in one.
+    """
+
+    @pytest.fixture(params=["default", "small"])
+    def stacks(self, request, monkeypatch):
+        if request.param == "small":
+            monkeypatch.setattr(localtheory, "DENSE_BLOCK", 1)
+        return request.param
+
+    @pytest.fixture(scope="class")
+    def b1(self):
+        n = 16
+        return flower_from_petals(np.vstack([np.eye(n), -np.eye(n)]), sampled_sphere_grid(n, 64, seed=0, symmetric=True))
+
+    @pytest.mark.parametrize("sections", [False, True], ids=["projections", "sections"])
+    @pytest.mark.parametrize("k, subgrid", [(1, None), (2, None), (2, "uniform128"), (8, "sampled512")])
+    def test_dvoretzky(self, b1, stacks, k, subgrid, sections):
+        sub = {None: None, "uniform128": uniform_angle_grid(128),
+               "sampled512": sampled_sphere_grid(8, 512, seed=3, symmetric=True)}[subgrid]
+        res = dvoretzky_search(b1, k, trials=7, seed=11, subgrid=sub, include_sections=sections)
+        dists, sects, best = _dvoretzky_by_trial(b1, k, 7, 11, sub, sections)
+        assert res.distances.tobytes() == dists.tobytes()
+        assert (res.section_distances is None) == (sects is None)
+        if sections:
+            assert res.section_distances.tobytes() == sects.tobytes()
+        assert res.best_subspace.frame.tobytes() == best.tobytes()
+        assert res.best_distance == dists.min()
+
+    @pytest.mark.parametrize("dim, n", [(2, 256), (3, 512), (4, 512), (8, 256)])
+    @pytest.mark.parametrize("n_rot", [1, 7])
+    def test_global_average(self, stacks, dim, n, n_rot):
+        f = _two_petals(dim, n, seed=dim)
+        assert global_average(f, n_rot, seed=12) == _global_average_by_rotation(f, n_rot, 12)
+
+    def test_global_average_past_the_floats(self, stacks):
+        # the corpus's wide2-p petals: lengths 1e300 and 1e-10, so one rotation's ratio is inf
+        f = flower_from_petals(np.array([[1e300, 0.0], [-1e-10, 0.0]]), uniform_angle_grid(720))
+        assert global_average(f, 1, seed=0) == _global_average_by_rotation(f, 1, 0) == np.inf
+
+    @pytest.mark.parametrize("sweep", ["global_average", "dvoretzky_search"])
+    def test_memory_bounded_by_stack_not_by_trials(self, sweep):
+        # 2048 frames in 64-D: one stack of rotations holds 64 MiB, of 32-subspaces 32 MiB
+        f = _two_petals(64, 64, seed=1)
+        sub = sampled_sphere_grid(32, 64, seed=2, symmetric=True)
+        run = {"global_average": lambda: global_average(f, 2048, seed=3),
+               "dvoretzky_search": lambda: dvoretzky_search(f, 32, 2048, seed=4, subgrid=sub, include_sections=True)}
+        tracemalloc.start()
+        try:
+            run[sweep]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestHugePetals:

@@ -14,13 +14,17 @@ from flowerlab.mixedvol import FlowerCombination
 from flowerlab.spherecore import (
     UNIT_NORM_TOL,
     DirectionGrid,
+    Rotation,
+    SubspaceBasis,
     angle_between,
     cap_cosines,
     child_seed,
     group_rows,
     quadrature_mean,
     random_rotation,
+    random_rotations,
     random_subspace,
+    random_subspaces,
     sampled_sphere_grid,
     uniform_angle_grid,
 )
@@ -158,6 +162,65 @@ class TestRandomSubspace:
     def test_k_out_of_range(self):
         with pytest.raises(ParameterError):
             random_subspace(4, 5, seed=0)
+
+
+def _rotation_by_seed(dim, seed):
+    """A Haar rotation built alone, as before the frames were stacked."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, -1] *= -1.0
+    return q
+
+
+def _subspace_by_seed(dim, k, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, k)))
+    return q.T
+
+
+class TestStackedFrames:
+    """The stacked builders against frames built one seed at a time, bit for bit.
+
+    Equality takes a LAPACK whose QR and LU of a matrix do not depend on the
+    other matrices of the stack, as numpy's loop over the stack gives.
+    """
+
+    SEEDS = [child_seed(3, i) for i in range(5)]
+
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_rotations_equal_one_seed_at_a_time(self, dim):
+        stack = random_rotations(dim, self.SEEDS)
+        assert stack.shape == (5, dim, dim)
+        for u, seed in zip(stack, self.SEEDS):
+            assert u.tobytes() == _rotation_by_seed(dim, seed).tobytes()
+        assert random_rotation(dim, self.SEEDS[0]).matrix.tobytes() == stack[0].tobytes()
+
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_subspaces_equal_one_seed_at_a_time(self, dim):
+        for k in sorted({1, 2, dim // 2, dim}):
+            stack = random_subspaces(dim, k, self.SEEDS)
+            assert stack.shape == (5, k, dim)
+            for frame, seed in zip(stack, self.SEEDS):
+                assert np.ascontiguousarray(frame).tobytes() == np.ascontiguousarray(_subspace_by_seed(dim, k, seed)).tobytes()
+            assert random_subspace(dim, k, self.SEEDS[0]).frame.tobytes() == np.ascontiguousarray(stack[0]).tobytes()
+
+    @pytest.mark.parametrize("build", [
+        lambda: random_rotation(4, 1), lambda: random_rotations(4, [1, 2]),
+        lambda: random_subspace(6, 3, 1), lambda: random_subspaces(6, 3, [1, 2]),
+    ], ids=["rotation", "rotations", "subspace", "subspaces"])
+    def test_scaled_qr_refused(self, monkeypatch, build):
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a: (lambda q, r: (q * (1 + 1e-9), r))(*qr(a)))
+        with pytest.raises(ParameterError, match="orthogonal|orthonormal"):
+            build()
+
+    def test_frame_classes_check_their_own_input(self):
+        with pytest.raises(ParameterError, match="not orthogonal"):
+            Rotation(2.0 * np.eye(3))
+        with pytest.raises(ParameterError, match="not orthonormal"):
+            SubspaceBasis(3, 2, [[1.0, 0.0, 0.0], [1.0, 1e-3, 0.0]])
 
 
 def test_child_seeds_distinct():
