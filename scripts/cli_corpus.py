@@ -23,8 +23,9 @@ import warnings
 
 import numpy as np
 
-from flowerlab import ConvexBody, StarBody, cli, convexify_support, flower_of, random_convex_body
+from flowerlab import ConvexBody, StarBody, alexandrov, cli, convexify_support, flower_of, polytope_body, random_convex_body
 from flowerlab import sampled_sphere_grid, square_body, uniform_angle_grid
+from flowerlab.bodies import regular_polygon_vertices
 from flowerlab.bodyfile import BodyDocument, document_for_convex, document_for_star, serialize_body
 
 
@@ -67,6 +68,11 @@ def write_inputs(tmp):
     k4 = convexify_support(StarBody(g4, np.exp(0.2 * np.random.default_rng(4).normal(size=2048))))
     put(f"{BIG4D}-s", document_for_convex(k4, {"name": BIG4D}))
     put(f"{BIG4D}-r", document_for_star(flower_of(k4)))
+    g = uniform_angle_grid(8192)  # the grid cap: a pentagon and a random body, with long collinear runs of samples
+    pentagon = alexandrov(polytope_body(g, regular_polygon_vertices(5, 1.5, 0.3)).support, g)
+    for name, k in (("kgon", pentagon), ("body", random_convex_body(g, 5))):
+        put(f"{CAP}-{name}-s", document_for_convex(k, {"name": name}))
+        put(f"{CAP}-{name}-r", document_for_star(flower_of(k)))
     return files
 
 
@@ -85,12 +91,14 @@ BIG3D_CMDS = [["flower"], ["core"], ["polar"], ["power", "--lambda", "2"], ["pow
 WIDE = "wide2-p"  # petals of lengths 1e300 and 1e-10, run only through the last cases
 BIG4D = "k4d2048"  # a 2048-direction 4D support/radial set, run only through the subcommands below, at the very end
 BIG4D_CMDS = [["flower"], ["core"], ["polar"], ["power", "--lambda", "2"]]
+CAP = "cap8192"  # support/radial sets on the 8192-direction grid, run only through the subcommands below, after all else
+CAP_CMDS = [["flower"], ["polar"], ["volume"]]
 
 
 def cases(files):
     """Every case as an argv list of text, with {tmp} still to fill in."""
     out = [[*cmd[:1], f, *cmd[1:]] for name, f in files.items()
-           if name not in (HUGE, WIDE) and not name.startswith((BIG3D, BIG4D)) for cmd in UNARY]
+           if name not in (HUGE, WIDE) and not name.startswith((BIG3D, BIG4D, CAP)) for cmd in UNARY]
     for a, b in (("k720-0-s", "k720-1-s"), ("k2048-0-s", "k2048-1-s"), ("k720-0-s", "k720-0-r"), ("x720-s", "k720-0-s"),
                  ("k720-0-s", "x720-s"), ("t720-1e+06", "k720-0-s"), ("k3d-s", "k3d-s"), ("k720-0-s", "k2048-0-s")):
         out += [[cmd[0], files[a], files[b], *cmd[1:]] for cmd in PAIRED]
@@ -105,6 +113,7 @@ def cases(files):
     # a volume past the floats (refused), a volume on the wide 3D grid, and a Kashin average that vanishes (inf)
     out += [["volume", files[HUGE]], ["volume", files[f"{BIG3D}-s"]], ["kashin", "--dim", "8", "--petals", "4", "--grid", "64"]]
     out += [[cmd[0], files[f"{BIG4D}-{rep}"], *cmd[1:]] for rep in "sr" for cmd in BIG4D_CMDS]
+    out += [[*cmd, files[f"{CAP}-{name}-{rep}"]] for name in ("kgon", "body") for rep in "sr" for cmd in CAP_CMDS]
     return out
 
 

@@ -24,11 +24,21 @@ The pass holds x and y as two contiguous rows; its scan pushes each convex
 run in one step and tests only the pockets point by point, with the same
 float tests throughout, so the hull is that of a point-by-point scan.
 
-On uniform 2D grids C indexes the hull of that same pass
-(_support_by_vertices), and hull_radial_and_support takes both from it.
-Everywhere else C runs the cone-pruned kernel _support_pruned, and so does
-the ND hull radial (1 / C over the facets, grouped under the cap centres by
-spherecore.group_rows, as the rays are):
+On uniform 2D grids C takes each ray's candidates from a window of edge
+normals (_support_by_vertices): the running max (np.maximum.accumulate) of
+the unwrapped outward-normal angles, searched within NORMAL_ANGLE_TOL of the
+ray.  Its result is the dense max over the window, so any window that holds
+every maximiser gives the same bits.  C first takes every point of the
+rescaled cloud as a vertex (_normal_envelope): a cloud that is convex up to
+float noise, such as a body's radial with its right turns of about 4e-17
+among collinear samples, has a backswing (the most a normal falls below the
+running max) far below NORMAL_ANGLE_TOL / 2, and then every maximiser lies
+in its window, as _support_by_vertices proves.  Only a cloud that turns back
+further takes the Graham scan, and its window runs over the hull vertices
+and the near-hull points between them.  hull_radial_and_support takes both
+from the one scan.  Everywhere else C runs the cone-pruned kernel
+_support_pruned, and so does the ND hull radial (1 / C over the facets,
+grouped under the cap centres by spherecore.group_rows, as the rays are):
 
 * The grid's rays fall into about sqrt(N) caps (DirectionGrid.caps), each
   a centre and an angular radius; for C the points are the rays, so the
@@ -75,11 +85,12 @@ _HAVE_NUMBA = False
 # reciprocals finite while staying far below every certificate tolerance
 EPS_FLOOR = 1e-9
 
-# slack of the hull-indexed C on uniform 2D grids, absorbing float ties: a
+# slack of C's candidate windows on uniform 2D grids, absorbing float ties: a
 # ray takes every vertex whose normal cone it meets within NORMAL_ANGLE_TOL
-# radians (long flat sides have many), and a point within relative
-# NEAR_HULL_TOL of the hull radial at its own ray stays a candidate although
-# the scan dropped it
+# radians (long flat sides have many).  Half of it bounds the backswing of a
+# cloud whose every point C takes as a vertex, without a scan; in a scanned
+# cloud, a point within relative NEAR_HULL_TOL of the hull radial at its own
+# ray stays a candidate although the scan dropped it
 NORMAL_ANGLE_TOL = 1e-9
 NEAR_HULL_TOL = 1e-12
 
@@ -106,10 +117,14 @@ def support_of_cloud(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if not (np.isfinite(w).all() and (w > 0).all()):
         raise DegenerateInputError("cloud values must be finite and positive")
-    hull = _hull_pass(grid, w)
-    if hull is None:
+    cloud = _scaled_cloud(grid, w)
+    if cloud is None:
         return _support_pruned(grid, grid.directions, w)
-    return _support_by_vertices(grid, w, *hull[1:])
+    _, ws, xy = cloud
+    normals = _normal_envelope(xy)
+    if normals[2] > NORMAL_ANGLE_TOL / 2:  # the cloud turns back: take the candidates from its hull
+        return _support_by_vertices(grid, w, *_hull_pass(grid, w)[1:])
+    return _support_by_vertices(grid, w, ws, xy, None, None, normals)
 
 
 def hull_radial_and_support(grid: DirectionGrid, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,15 +191,12 @@ def _hull_radial_qhull(grid: DirectionGrid, pts: np.ndarray) -> np.ndarray:
     return np.ldexp(1.0 / _support_pruned(grid, a, -1.0 / b), k)
 
 
-def _hull_pass(grid: DirectionGrid, w: np.ndarray) -> tuple | None:
-    """(radial, ws, xy, keep, edge): the hull of the cloud on a uniform 2D grid, scanned on ws = w * 2**-k.
+def _scaled_cloud(grid: DirectionGrid, w: np.ndarray) -> tuple | None:
+    """(k, ws, xy): the cloud of w on a uniform 2D grid, rescaled to ws = w * 2**-k, with xy its (2, N) coordinates.
 
-    radial is the hull radial (w itself in convex position), xy the (2, N)
-    coordinates ws_i cos(theta_i), ws_i sin(theta_i) of the points, keep the
-    hull vertices and edge the rescaled edge radial along every ray (both
-    None in convex position).  k centres the cloud on 1 to keep its cross
-    products in the normal floats.  None on other grids or if w spans more
-    than 2**MAX_SPAN_EXP.
+    xy holds ws_i cos(theta_i) and ws_i sin(theta_i) as two contiguous rows.
+    k centres the cloud on 1 to keep its cross products in the normal floats.
+    None on other grids or if w spans more than 2**MAX_SPAN_EXP.
     """
     if grid.dim != 2 or grid.uniform_n is None:
         return None
@@ -196,6 +208,20 @@ def _hull_pass(grid: DirectionGrid, w: np.ndarray) -> tuple | None:
     xy = np.empty((2, len(w)))
     np.multiply(ws, grid.directions[:, 0], out=xy[0])
     np.multiply(ws, grid.directions[:, 1], out=xy[1])
+    return k, ws, xy
+
+
+def _hull_pass(grid: DirectionGrid, w: np.ndarray) -> tuple | None:
+    """(radial, ws, xy, keep, edge): the hull of the cloud (k, ws, xy) = _scaled_cloud(grid, w), scanned on ws.
+
+    radial is the hull radial (w itself in convex position), keep the hull
+    vertices and edge the rescaled edge radial along every ray (both None in
+    convex position).  None where _scaled_cloud is.
+    """
+    cloud = _scaled_cloud(grid, w)
+    if cloud is None:
+        return None
+    k, ws, xy = cloud
     keep = _graham_vertices(xy)
     if keep is None:
         return w, ws, xy, None, None
@@ -291,50 +317,94 @@ def _edge_radial(grid: DirectionGrid, xy: np.ndarray, keep: np.ndarray) -> np.nd
         return np.where(np.abs(denom) > 1e-300, num / denom, far)
 
 
-def _support_by_vertices(grid: DirectionGrid, w: np.ndarray, ws: np.ndarray, xy: np.ndarray,
-                         keep: np.ndarray | None, edge: np.ndarray | None) -> np.ndarray:
-    """C(w) on a uniform 2D grid from the hull pass: the dense max, bit for bit, over an FMA-rounded Gram.
+def _normal_envelope(v: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(nu, total, backswing) of the closed polygon whose vertices are the columns of v (x and y as two rows), in order.
 
-    Each ray's supporting vertex is found by searchsorted over the edges'
-    outward-normal angles.  The max of w_i <theta_i, theta_j>_+ then runs over
-    the near-hull points between the first and the last vertex whose normal
-    cone holds the ray within NORMAL_ANGLE_TOL.  The dot products are batched
+    Edge k runs from vertex k to k + 1, the last one back to vertex 0.  Its
+    outward-normal angles nu' are unwrapped turn by turn, each turn taken
+    in [-pi, pi); total is the turning once round, the closing turn at
+    vertex 0 included (2 pi for a polygon that winds once round the
+    origin).  Over two cycles, (nu' - total, nu'), nu is the running max of
+    the second and backswing the most that any normal falls below it: 0 for
+    a convex polygon up to float noise, at least the largest right turn
+    otherwise.  The running max of the first cycle ends at max(nu') -
+    total, so the second one starts from there.
+    """
+    e = np.diff(v, axis=1, append=v[:, :1])
+    raw = np.arctan2(-e[0], e[1])
+    turn = np.diff(raw, append=raw[:1])
+    turn[turn < -np.pi] += 2 * np.pi
+    turn[turn >= np.pi] -= 2 * np.pi
+    turned = np.cumsum(turn)
+    total = float(turned[-1])
+    normal = raw[0] + np.concatenate(([0.0], turned[:-1]))
+    nu = normal.copy()
+    nu[0] = max(nu[0], nu.max() - total)
+    np.maximum.accumulate(nu, out=nu)
+    return nu, total, float((nu - normal).max())
+
+
+def _support_by_vertices(grid: DirectionGrid, w: np.ndarray, ws: np.ndarray, xy: np.ndarray,
+                         keep: np.ndarray | None, edge: np.ndarray | None,
+                         normals: tuple | None = None) -> np.ndarray:
+    """C(w) on a uniform 2D grid from candidate windows: the dense max, bit for bit, over an FMA-rounded Gram.
+
+    The vertices are the hull's (keep, from the hull pass) or, with keep
+    None, every point of the cloud; normals is their _normal_envelope if the
+    caller has it.  Each ray phi's window is the vertices lo .. hi whose
+    envelope cone [nu_{k-1}, nu_k] meets [phi - NORMAL_ANGLE_TOL, phi +
+    NORMAL_ANGLE_TOL], found by searchsorted over the envelope repeated
+    once either side (shifted by the total turning).  The max of w_i
+    <theta_i, theta_j>_+ then runs over the window; with keep, also over
+    the near-hull points between its ends.  The dot products are batched
     1x2 @ 2x1 matmuls, which round with FMA like the BLAS Gram entries;
     elementwise products would not.
+
+    Why the window holds every maximiser: a point k* that maximises
+    <p, theta(phi)> has both its edges turned away from the ray, so its
+    unwrapped normals satisfy nu'_{k*-1} <= phi <= nu'_{k*}.  The envelope
+    is at least nu', so nu_{k*} >= phi and lo <= k*.  If no normal falls
+    more than NORMAL_ANGLE_TOL / 2 below the running max (the backswing,
+    float noise on hull vertices), nu_{k*-1} <= nu'_{k*-1} + tol / 2 <=
+    phi + tol / 2, so k* <= hi.  The other half of the tolerance absorbs
+    float ties: any point outside the window lies at least |v| sin(2 pi /
+    N) from the supporting vertex v, along an edge turned more than tol / 2
+    off the ray's normal, so its value falls short by about 1e-12 |v| at
+    N = 8192, far beyond the float error of w_i <theta_i, theta_j>, which
+    is a few ulp of |v| at any aspect ratio.  So C takes every point of a
+    cloud whose backswing is at most tol / 2 as a vertex and scans only the
+    clouds that turn back further.
     """
     d = grid.directions
     n = len(w)
-    if keep is None:
-        keep = near = np.arange(n)
+    if normals is None:
+        normals = _normal_envelope(xy if keep is None else xy.take(keep, axis=1))
+    nu, total, _ = normals
+    m = len(nu)
+    nu3 = np.concatenate((nu - total, nu, nu + total))
+    phi = nu[0] + (grid.angles() - nu[0]) % (2 * np.pi)
+    lo = np.searchsorted(nu3, phi - NORMAL_ANGLE_TOL, side="left")
+    hi = np.searchsorted(nu3, phi + NORMAL_ANGLE_TOL, side="right")
+    if keep is None:  # every point is a vertex
+        near, nn = None, n
+        first = lo % n
+        count = hi - lo + 1
     else:
         is_near = ws >= edge * (1.0 - NEAR_HULL_TOL)
         is_near[keep] = True
         near = np.flatnonzero(is_near)
-    m, nn = len(keep), len(near)
-    v = xy.take(np.concatenate((keep, keep[:1])), axis=1)
-    ex, ey = v[:, 1:] - v[:, :-1]
-    nu = np.arctan2(-ex, ey)  # outward normal of edge k, from vertex k to k+1
-    turn = np.maximum((np.diff(nu) + np.pi) % (2 * np.pi) - np.pi, 0.0)
-    nu = nu[0] + np.concatenate(([0.0], np.cumsum(turn)))
-    nu3 = np.concatenate((nu - 2 * np.pi, nu, nu + 2 * np.pi))
-    phi = nu[0] + (grid.angles() - nu[0]) % (2 * np.pi)
-    # vertex k's normal cone is [nu_{k-1}, nu_k]; lo..hi are the vertices whose
-    # cone holds the ray within the tolerance.  Any other candidate lies at
-    # least |v| sin(2 pi / N) from the supporting vertex v, along an edge
-    # turned more than the tolerance off the ray's normal, so its value falls
-    # short by about 1e-12 |v| at N = 8192: far beyond the float error of
-    # w_i <theta_i, theta_j>, which is a few ulp of |v| at any aspect ratio
-    lo = np.searchsorted(nu3, phi - NORMAL_ANGLE_TOL, side="left")
-    hi = np.searchsorted(nu3, phi + NORMAL_ANGLE_TOL, side="right")
-    first = np.searchsorted(near, keep[lo % m])
-    count = (np.searchsorted(near, keep[hi % m]) - first) % nn + 1
+        nn = len(near)
+        first = np.searchsorted(near, keep[lo % m])
+        count = (np.searchsorted(near, keep[hi % m]) - first) % nn + 1
     whole = hi - lo + 1 >= m
     first[whole] = 0
     count[whole] = nn
-    ray = np.repeat(np.arange(n), count)
-    starts = np.concatenate(([0], np.cumsum(count)[:-1]))
-    cand = near[(np.arange(len(ray)) - np.repeat(starts - first, count)) % nn]
-    dots = (d[cand][:, None, :] @ d[ray][:, :, None])[:, 0, 0]
+    ends = np.cumsum(count)
+    starts = np.concatenate(([0], ends[:-1]))
+    cand = (np.arange(ends[-1]) - np.repeat(starts - first, count)) % nn
+    if near is not None:
+        cand = near[cand]
+    dots = (d.take(cand, axis=0)[:, None, :] @ np.repeat(d, count, axis=0)[:, :, None])[:, 0, 0]
     return np.maximum.reduceat(w[cand] * np.maximum(dots, 0.0), starts)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -82,6 +83,22 @@ def _finite_number(v) -> bool:
         return False
 
 
+def _finite_array(raw: list, leaves) -> np.ndarray | None:
+    """raw as one float array if each of its leaves is a _finite_number, else None: one type check, one conversion, one pass.
+
+    It refuses a list exactly when some leaf fails _finite_number, so a
+    caller's loop over the items then finds the first bad one to word the
+    error.
+    """
+    if not set(map(type, leaves)) <= {int, float}:
+        return None
+    try:
+        a = np.asarray(raw, dtype=float)
+    except OverflowError:  # an integer literal beyond the float range
+        return None
+    return a if np.isfinite(a).all() else None
+
+
 def _grid_from_spec(spec, dim: int, size: int | None = None) -> DirectionGrid:
     """The grid of a body file that carries `size` samples on it (None: no samples).
 
@@ -111,13 +128,17 @@ def _grid_from_spec(spec, dim: int, size: int | None = None) -> DirectionGrid:
         raise BodyFileError(f"values: expected {n} entries, got {size}")
     if spec["type"] == "uniform-angle":
         return uniform_angle_grid(n)
-    for i, v in enumerate(spec["vectors"]):
-        if not isinstance(v, list) or len(v) != dim or not all(map(_finite_number, v)):
-            raise BodyFileError(f"grid: vectors[{i}]: expected {dim} finite numbers")
-    weights = spec["weights"]
-    if not isinstance(weights, list) or not all(map(_finite_number, weights)):
+    vectors, weights = spec["vectors"], spec["weights"]
+    shaped = all(isinstance(v, list) and len(v) == dim for v in vectors)
+    dirs = _finite_array(vectors, chain.from_iterable(vectors)) if shaped else None
+    if dirs is None:
+        for i, v in enumerate(vectors):
+            if not isinstance(v, list) or len(v) != dim or not all(map(_finite_number, v)):
+                raise BodyFileError(f"grid: vectors[{i}]: expected {dim} finite numbers")
+    w = _finite_array(weights, weights) if isinstance(weights, list) else None
+    if w is None:
         raise BodyFileError("grid: 'weights' must be a list of finite numbers")
-    return DirectionGrid(dim, np.asarray(spec["vectors"], dtype=float), np.asarray(weights, dtype=float))
+    return DirectionGrid(dim, dirs, w)
 
 
 def _grid_to_spec(grid: DirectionGrid) -> dict:
@@ -156,10 +177,11 @@ def parse_body_obj(obj) -> BodyDocument:
         grid = _grid_from_spec(obj["grid"], dim, len(raw) if isinstance(raw, list) else None)
         if not isinstance(raw, list):
             raise BodyFileError(f"'{rep}' bodies need a 'values' list")
-        for i, v in enumerate(raw):
-            if not _finite_number(v) or v <= 0:
-                raise BodyFileError(f"values[{i}]: must be a positive finite number, got {v!r}")
-        values = np.asarray(raw, dtype=float)
+        values = _finite_array(raw, raw)
+        if values is None or not (values > 0).all():
+            for i, v in enumerate(raw):
+                if not _finite_number(v) or v <= 0:
+                    raise BodyFileError(f"values[{i}]: must be a positive finite number, got {v!r}")
     else:
         if "points" not in obj or not isinstance(obj["points"], list) or not obj["points"]:
             raise BodyFileError(f"'{rep}' bodies need a nonempty 'points' list")

@@ -826,20 +826,75 @@ def _dense_c(g, w):
     depends on the BLAS); for N mod 8 in {4, ..., 7} it rounds some entries
     without FMA, and the oracle is the Gram of batched products instead.
     """
+    w = np.asarray(w, dtype=float)
+    if g.size > 2048:  # no Gram: BLAS products 256 rays at a time, a multiple of 128 columns, round like the whole one
+        assert g.size % 8 < 4
+        d = g.directions
+        out = np.empty(g.size)
+        for j in range(0, g.size, 256):
+            block = d @ d[j:j + 256].T
+            block *= w[:, None]
+            block.max(axis=0, out=out[j:j + 256])
+        return np.maximum(out, 0.0)  # w > 0: the max of w x clipped is the max of w max(x, 0)
     gram = _blas_gram_plus(g.size) if g.size % 8 < 4 else _fma_gram_plus(g.size)
-    return (np.asarray(w, dtype=float)[:, None] * gram).max(axis=0)
+    return (w[:, None] * gram).max(axis=0)
 
 
 def _rotation(a):
     return np.array([[np.cos(a), np.sin(a)], [-np.sin(a), np.cos(a)]])
 
 
+def _backswing(g, w):
+    return sampleops._normal_envelope(w * g.directions.T)[2]
+
+
+def _dented(g, w, j, target):
+    """w with w[j] at the two adjacent floats between which its cloud's backswing passes target: (below, above)."""
+    def dent(v):
+        out = w.copy()
+        out[j] = v
+        return out
+
+    inside, outside = w[j], w[j] * 1e-3
+    assert _backswing(g, dent(inside)) <= target < _backswing(g, dent(outside))
+    while True:
+        mid = 0.5 * (inside + outside)
+        if mid in (inside, outside):
+            return dent(inside), dent(outside)
+        if _backswing(g, dent(mid)) <= target:
+            inside = mid
+        else:
+            outside = mid
+
+
+SUPPORT_KINDS = ["lognormal", "body-power", "polygon", "floor", "floor-run", "body/h", "body/1/h", "body/r", "body/1/r",
+                 "kgon/h", "kgon/1/h", "kgon/r", "kgon/1/r", "square/h", "square/1/h", "square/r", "square/1/r",
+                 "needle/h", "needle/1/h", "noise/r", "dent/below", "dent/above", "closing"]
+
+
 def _support_test_cloud(kind, n, rs):
-    """One seeded cloud for C on the uniform n-grid: bodies, polygons, the square and floored runs."""
+    """One seeded cloud for C on the uniform n-grid: bodies, polygons, the square, floored runs and near-convex clouds.
+
+    noise/r is a body's radial times 1 +- 1e-15; dent/below and dent/above
+    pull one point of a body's radial in until the backswing of the cloud's
+    edge normals sits just below and just above NORMAL_ANGLE_TOL / 2; in
+    closing, the only right turn of a convex cloud is at point 0.
+    """
     rng = np.random.default_rng(rs)
     g = _uniform_grid(n)
     if kind in ("lognormal", "body-power", "polygon", "floor"):
         return g, _hull_test_cloud(kind, n, rs)[1]
+    if kind == "noise/r":
+        return g, random_convex_body(g, rs).radial() * (1.0 + 1e-15 * rng.uniform(-1.0, 1.0, n))
+    if kind.startswith("dent/"):
+        below, above = _dented(g, random_convex_body(g, rs).radial(), int(rng.integers(n)),
+                               sampleops.NORMAL_ANGLE_TOL / 2)
+        return g, below if kind == "dent/below" else above
+    if kind == "closing":
+        th = g.angles()
+        w = 1.0 / np.sqrt((np.cos(th) / rng.uniform(0.5, 1.0)) ** 2 + np.sin(th) ** 2)  # ellipse radial
+        w[0] *= rng.uniform(0.3, 0.6)
+        return g, w
     if kind.startswith("needle/"):
         # a random polygon stretched to an aspect ratio of 1e3 to 1e4
         pts = rng.normal(size=(int(rng.integers(3, 30)), 2)) * [10 ** rng.uniform(3, 4), 1.0]
@@ -869,10 +924,7 @@ class TestHullIndexedSupport:
     @seed(20261018)
     @settings(max_examples=60, deadline=None)
     @given(
-        kind=st.sampled_from(["lognormal", "body-power", "polygon", "floor", "floor-run",
-                              "body/h", "body/1/h", "body/r", "body/1/r", "kgon/h", "kgon/1/h", "kgon/r",
-                              "kgon/1/r", "square/h", "square/1/h", "square/r", "square/1/r",
-                              "needle/h", "needle/1/h"]),
+        kind=st.sampled_from(SUPPORT_KINDS),
         n=st.sampled_from([8, 9, 12, 100, 720, 2048]),
         rs=st.integers(0, 10 ** 6),
     )
@@ -947,6 +999,63 @@ class TestHullIndexedSupport:
         assert len(scans) == 1
         assert np.array_equal(k.support, support_of_cloud(g, w))
         assert np.array_equal(k.radial(), hull_radial(g, w))
+
+
+class TestCandidatesFromEdgeNormals:
+    """C on uniform 2D grids takes every point as a candidate vertex unless the cloud's edge normals turn back."""
+
+    @staticmethod
+    def _count_scans(monkeypatch):
+        scans = []
+        scan = sampleops._graham_vertices
+        monkeypatch.setattr(sampleops, "_graham_vertices", lambda xy: scans.append(1) or scan(xy))
+        return scans
+
+    @pytest.mark.parametrize("n", [8, 9, 12, 100, 720, 2048, 8192])
+    def test_every_kind_equals_dense_oracle(self, n):
+        for kind in SUPPORT_KINDS:
+            for rs in range(5):
+                g, w = _support_test_cloud(kind, n, rs)
+                assert np.array_equal(support_of_cloud(g, w), _dense_c(g, w)), (kind, rs)
+
+    @pytest.mark.parametrize("n", [720, 2048, 8192])
+    def test_body_clouds_are_not_scanned(self, n, monkeypatch):
+        # a body's radial and 1/h are convex up to float noise: hundreds of
+        # right turns of about 4e-17 among collinear samples
+        g = uniform_angle_grid(n)
+        clouds = [w for s in range(3) for k in [random_convex_body(g, s)] for w in (k.radial(), 1.0 / k.support)]
+        scans = self._count_scans(monkeypatch)
+        for w in clouds:
+            assert _backswing(g, w) < 1e-11
+            support_of_cloud(g, w)
+        assert scans == []
+
+    @pytest.mark.parametrize("n", [12, 720, 2048, 8192])
+    def test_backswing_at_half_the_tolerance(self, n, monkeypatch):
+        # the normals path up to NORMAL_ANGLE_TOL / 2, the scan past it; one
+        # ulp of the dented sample moves the backswing by up to 0.2 % of it
+        half = sampleops.NORMAL_ANGLE_TOL / 2
+        pairs = [(_support_test_cloud("dent/below", n, rs), _support_test_cloud("dent/above", n, rs)[1]) for rs in range(3)]
+        scans = self._count_scans(monkeypatch)
+        for (g, below), above in pairs:
+            assert _backswing(g, below) <= half < _backswing(g, above) < _backswing(g, below) + 1e-2 * half
+            scans.clear()
+            assert np.array_equal(support_of_cloud(g, below), _dense_c(g, below))
+            assert scans == []
+            assert np.array_equal(support_of_cloud(g, above), _dense_c(g, above))
+            assert scans == [1]
+
+    @pytest.mark.parametrize("n", [8, 9, 720, 8192])
+    def test_right_turn_only_at_point_0_is_scanned(self, n, monkeypatch):
+        # the closing turn at point 0 counts: a backswing taken without it
+        # would pass this cloud without a scan and miss ray 0's maximiser
+        scans = self._count_scans(monkeypatch)
+        for rs in range(5):
+            g, w = _support_test_cloud("closing", n, rs)
+            assert np.array_equal(np.flatnonzero(sampleops._turns(w * g.directions.T, 1)[2] < 0.0), [0])
+            scans.clear()
+            assert np.array_equal(support_of_cloud(g, w), _dense_c(g, w))
+            assert scans == [1]
 
 
 def _reference_turns(pts, s):

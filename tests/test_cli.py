@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -201,6 +202,73 @@ def _body_objs(draw):
     for key in draw(st.sets(st.sampled_from(sorted(obj)), max_size=2)):
         obj[key] = draw(st.one_of(st.just(_MISSING), _BROKEN[key]))
     return {k: v for k, v in obj.items() if v is not _MISSING}
+
+
+def _finite_item(v):
+    """The parser's item rule: an int or float within the float range, booleans refused."""
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+_ITEM = st.one_of(_NUMBER, st.floats(-1e6, 1e6), st.sampled_from([0, -0.0, 2 ** 70, -(10 ** 400), 5e-324, "1.0", None, [1.0]]))
+
+
+def _with_one(items, i, item):
+    return [item if k == i else v for k, v in enumerate(items)]
+
+
+class TestOnePassItemCheck:
+    """Values, direction vectors and weights are checked a list at a time; the first bad item is worded as the item loop words it."""
+
+    @staticmethod
+    def _outcome(obj):
+        try:
+            return parse_body_obj(obj), None
+        except FlowerlabError as e:
+            return None, str(e)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(_ITEM, min_size=8, max_size=8))
+    def test_values(self, values):
+        doc, err = self._outcome(TestBodyFileHardening.radial_obj(values=values))
+        bad = [i for i, v in enumerate(values) if not _finite_item(v) or v <= 0]
+        if bad:
+            assert err == f"values[{bad[0]}]: must be a positive finite number, got {values[bad[0]]!r}"
+        else:
+            assert err is None and doc.values.tobytes() == np.asarray(values, dtype=float).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(i=st.integers(0, 5), j=st.integers(0, 2), item=_ITEM, row=st.one_of(st.none(), st.lists(_ITEM, max_size=4)),
+           weight=st.one_of(st.none(), _ITEM))
+    def test_grid_vectors_and_weights(self, i, j, item, row, weight):
+        vectors = [list(v) for v in _AXES3]
+        vectors[i][j] = item
+        if row is not None:
+            vectors[(i + 1) % 6] = row
+        weights = [1 / 6] * 6 if weight is None else _with_one([1 / 6] * 6, i, weight)
+        grid = {"type": "directions", "vectors": vectors, "weights": weights}
+        doc, err = self._outcome(TestBodyFileHardening.radial_obj(dim=3, n=6, values=[1.0] * 6, grid=grid))
+        bad = [k for k, v in enumerate(vectors) if not isinstance(v, list) or len(v) != 3 or not all(map(_finite_item, v))]
+        if bad:
+            assert err == f"grid: vectors[{bad[0]}]: expected 3 finite numbers"
+        elif not all(map(_finite_item, weights)):
+            assert err == "grid: 'weights' must be a list of finite numbers"
+        elif doc is not None:
+            assert doc.grid.directions.tobytes() == np.asarray(vectors, dtype=float).tobytes()
+            assert doc.grid.weights.tobytes() == np.asarray(weights, dtype=float).tobytes()
+        else:
+            assert not err.startswith("grid: vectors") and not err.startswith("grid: 'weights'")
+
+    def test_list_subclasses_take_the_item_loop(self):
+        class Items(list):
+            pass
+
+        grid = {"type": "directions", "vectors": [Items(v) for v in _AXES3], "weights": Items([1 / 6] * 6)}
+        doc = parse_body_obj(TestBodyFileHardening.radial_obj(dim=3, n=6, values=[1.0] * 6, grid=grid))
+        assert np.array_equal(doc.grid.directions, _AXES3)
+        assert np.array_equal(doc.grid.weights, [1 / 6] * 6)
 
 
 _COMMANDS = [
