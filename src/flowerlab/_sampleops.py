@@ -20,23 +20,16 @@ power-map iteration.  Points of an already-convex cloud pass through
 unchanged, which keeps fixed-point families (regime polygons) exact.  On
 uniform 2D grids it reads one hull pass (_hull_pass: power-of-two rescale,
 convex-position test, Graham scan, edge radial); other grids use qhull.
-The pass holds x and y as two contiguous rows; its scan pushes each convex
-run in one step and tests only the pockets point by point, with the same
-float tests throughout, so the hull is that of a point-by-point scan.
 
 On uniform 2D grids C takes each ray's candidates from a window of edge
-normals (_support_by_vertices): the running max (np.maximum.accumulate) of
-the unwrapped outward-normal angles, searched within NORMAL_ANGLE_TOL of the
-ray.  Its result is the dense max over the window, so any window that holds
-every maximiser gives the same bits.  C first takes every point of the
-rescaled cloud as a vertex (_normal_envelope): a cloud that is convex up to
-float noise, such as a body's radial with its right turns of about 4e-17
-among collinear samples, has a backswing (the most a normal falls below the
-running max) far below NORMAL_ANGLE_TOL / 2, and then every maximiser lies
-in its window, as _support_by_vertices proves.  Only a cloud that turns back
-further takes the Graham scan, and its window runs over the hull vertices
-and the near-hull points between them.  hull_radial_and_support takes both
-from the one scan.  Everywhere else C runs the cone-pruned kernel
+normals (_support_by_vertices): the cloud points between the vertices whose
+normal cones meet the ray within NORMAL_ANGLE_TOL.  Its result is the dense
+max over the window, so any window that holds every maximiser gives the same
+bits.  Every point is a vertex of a cloud that is convex up to float noise
+(_normal_envelope), such as a body's radial with its right turns of about
+4e-17 among collinear samples; only a cloud that turns back further takes
+the Graham scan for its hull vertices, and hull_radial_and_support takes
+both from the one scan.  Everywhere else C runs the cone-pruned kernel
 _support_pruned, and so does the ND hull radial (1 / C over the facets,
 grouped under the cap centres by spherecore.group_rows, as the rays are):
 
@@ -88,11 +81,8 @@ EPS_FLOOR = 1e-9
 # slack of C's candidate windows on uniform 2D grids, absorbing float ties: a
 # ray takes every vertex whose normal cone it meets within NORMAL_ANGLE_TOL
 # radians (long flat sides have many).  Half of it bounds the backswing of a
-# cloud whose every point C takes as a vertex, without a scan; in a scanned
-# cloud, a point within relative NEAR_HULL_TOL of the hull radial at its own
-# ray stays a candidate although the scan dropped it
+# cloud whose every point C takes as a vertex, without a scan
 NORMAL_ANGLE_TOL = 1e-9
-NEAR_HULL_TOL = 1e-12
 
 # widest span max(w) / min(w), as a power of two, that the 2D hull pass
 # takes: rescaled to about 2**-400 .. 2**400, its products of two coordinates
@@ -120,11 +110,10 @@ def support_of_cloud(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:
     cloud = _scaled_cloud(grid, w)
     if cloud is None:
         return _support_pruned(grid, grid.directions, w)
-    _, ws, xy = cloud
+    xy = cloud[1]
     normals = _normal_envelope(xy)
-    if normals[2] > NORMAL_ANGLE_TOL / 2:  # the cloud turns back: take the candidates from its hull
-        return _support_by_vertices(grid, w, *_hull_pass(grid, w)[1:])
-    return _support_by_vertices(grid, w, ws, xy, None, None, normals)
+    keep = _graham_vertices(xy) if normals[2] > NORMAL_ANGLE_TOL / 2 else None  # the cloud turns back: scan its hull
+    return _support_by_vertices(grid, w, xy, keep, normals if keep is None else None)
 
 
 def hull_radial_and_support(grid: DirectionGrid, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,7 +127,16 @@ def hull_radial_and_support(grid: DirectionGrid, w: np.ndarray) -> tuple[np.ndar
 
 def radial_of_halfspaces(grid: DirectionGrid, g: np.ndarray) -> np.ndarray:
     """D(g): radial samples of the half-space intersection of the bounds g."""
-    return 1.0 / support_of_cloud(grid, 1.0 / np.asarray(g, dtype=float))
+    return 1.0 / support_of_cloud(grid, reciprocal_bounds(g))
+
+
+def reciprocal_bounds(g: np.ndarray) -> np.ndarray:
+    """1 / g for C; bounds whose reciprocals leave the floats (below about 5.6e-309) raise DegenerateInputError."""
+    with np.errstate(divide="ignore", over="ignore"):
+        r = 1.0 / np.asarray(g, dtype=float)
+    if np.isinf(r).any():
+        raise DegenerateInputError(f"bounds down to {np.nanmin(np.abs(g)):.3g} have reciprocals past the floats")
+    return r
 
 
 def closure(grid: DirectionGrid, g: np.ndarray) -> np.ndarray:
@@ -192,9 +190,8 @@ def _hull_radial_qhull(grid: DirectionGrid, pts: np.ndarray) -> np.ndarray:
 
 
 def _scaled_cloud(grid: DirectionGrid, w: np.ndarray) -> tuple | None:
-    """(k, ws, xy): the cloud of w on a uniform 2D grid, rescaled to ws = w * 2**-k, with xy its (2, N) coordinates.
+    """(k, xy): the cloud of w on a uniform 2D grid, rescaled by 2**-k, with x and y as two contiguous rows.
 
-    xy holds ws_i cos(theta_i) and ws_i sin(theta_i) as two contiguous rows.
     k centres the cloud on 1 to keep its cross products in the normal floats.
     None on other grids or if w spans more than 2**MAX_SPAN_EXP.
     """
@@ -204,29 +201,22 @@ def _scaled_cloud(grid: DirectionGrid, w: np.ndarray) -> tuple | None:
     if hi - lo > MAX_SPAN_EXP:
         return None
     k = (hi + lo) // 2
-    ws = np.ldexp(w, -k)
-    xy = np.empty((2, len(w)))
-    np.multiply(ws, grid.directions[:, 0], out=xy[0])
-    np.multiply(ws, grid.directions[:, 1], out=xy[1])
-    return k, ws, xy
+    return k, np.multiply(np.ldexp(w, -k), grid.directions.T, order="C")
 
 
 def _hull_pass(grid: DirectionGrid, w: np.ndarray) -> tuple | None:
-    """(radial, ws, xy, keep, edge): the hull of the cloud (k, ws, xy) = _scaled_cloud(grid, w), scanned on ws.
+    """(radial, xy, keep): the hull radial and vertices of the cloud xy of _scaled_cloud, or None where it is.
 
-    radial is the hull radial (w itself in convex position), keep the hull
-    vertices and edge the rescaled edge radial along every ray (both None in
-    convex position).  None where _scaled_cloud is.
+    In convex position radial is w itself and keep None.
     """
     cloud = _scaled_cloud(grid, w)
     if cloud is None:
         return None
-    k, ws, xy = cloud
+    k, xy = cloud
     keep = _graham_vertices(xy)
     if keep is None:
-        return w, ws, xy, None, None
-    edge = _edge_radial(grid, xy, keep)
-    return np.maximum(np.ldexp(edge, k), w), ws, xy, keep, edge
+        return w, xy, None
+    return np.maximum(np.ldexp(_edge_radial(grid, xy, keep), k), w), xy, keep
 
 
 def _graham_vertices(xy: np.ndarray) -> np.ndarray | None:
@@ -344,21 +334,19 @@ def _normal_envelope(v: np.ndarray) -> tuple[np.ndarray, float, float]:
     return nu, total, float((nu - normal).max())
 
 
-def _support_by_vertices(grid: DirectionGrid, w: np.ndarray, ws: np.ndarray, xy: np.ndarray,
-                         keep: np.ndarray | None, edge: np.ndarray | None,
+def _support_by_vertices(grid: DirectionGrid, w: np.ndarray, xy: np.ndarray, keep: np.ndarray | None,
                          normals: tuple | None = None) -> np.ndarray:
     """C(w) on a uniform 2D grid from candidate windows: the dense max, bit for bit, over an FMA-rounded Gram.
 
-    The vertices are the hull's (keep, from the hull pass) or, with keep
-    None, every point of the cloud; normals is their _normal_envelope if the
-    caller has it.  Each ray phi's window is the vertices lo .. hi whose
-    envelope cone [nu_{k-1}, nu_k] meets [phi - NORMAL_ANGLE_TOL, phi +
-    NORMAL_ANGLE_TOL], found by searchsorted over the envelope repeated
-    once either side (shifted by the total turning).  The max of w_i
-    <theta_i, theta_j>_+ then runs over the window; with keep, also over
-    the near-hull points between its ends.  The dot products are batched
-    1x2 @ 2x1 matmuls, which round with FMA like the BLAS Gram entries;
-    elementwise products would not.
+    The vertices are the hull's (keep) or, with keep None, every point of
+    the cloud xy; normals is their _normal_envelope if the caller has it.
+    Each ray phi's window is the vertices lo .. hi whose envelope cone
+    [nu_{k-1}, nu_k] meets [phi - NORMAL_ANGLE_TOL, phi + NORMAL_ANGLE_TOL],
+    found by searchsorted over the envelope repeated once either side
+    (shifted by the total turning); its candidates are the cloud points from
+    vertex lo to vertex hi.  The dot products are batched 1x2 @ 2x1 matmuls,
+    which round with FMA like the BLAS Gram entries; elementwise products
+    would not.
 
     Why the window holds every maximiser: a point k* that maximises
     <p, theta(phi)> has both its edges turned away from the ray, so its
@@ -370,10 +358,14 @@ def _support_by_vertices(grid: DirectionGrid, w: np.ndarray, ws: np.ndarray, xy:
     float ties: any point outside the window lies at least |v| sin(2 pi /
     N) from the supporting vertex v, along an edge turned more than tol / 2
     off the ray's normal, so its value falls short by about 1e-12 |v| at
-    N = 8192, far beyond the float error of w_i <theta_i, theta_j>, which
-    is a few ulp of |v| at any aspect ratio.  So C takes every point of a
-    cloud whose backswing is at most tol / 2 as a vertex and scans only the
-    clouds that turn back further.
+    N = 8192, far beyond the float error of w_i <theta_i, theta_j>, a few
+    ulp of |v| at any aspect ratio.  So C scans only the clouds whose
+    backswing passes tol / 2.  A point between hull vertices v_i and
+    v_{i+1} lies in conv{0, v_i, v_{i+1}}: only rounding lifts it to their
+    value, and by that margin only on a ray within tol / 2 of the edge's
+    normal, whose window holds v_i, v_{i+1} and every point between.  The
+    rays lie 2 pi / N apart, far wider than a window, so at most one ray
+    per hull edge passes a vertex, and the candidates total about 2 N.
     """
     d = grid.directions
     n = len(w)
@@ -386,24 +378,17 @@ def _support_by_vertices(grid: DirectionGrid, w: np.ndarray, ws: np.ndarray, xy:
     lo = np.searchsorted(nu3, phi - NORMAL_ANGLE_TOL, side="left")
     hi = np.searchsorted(nu3, phi + NORMAL_ANGLE_TOL, side="right")
     if keep is None:  # every point is a vertex
-        near, nn = None, n
         first = lo % n
         count = hi - lo + 1
     else:
-        is_near = ws >= edge * (1.0 - NEAR_HULL_TOL)
-        is_near[keep] = True
-        near = np.flatnonzero(is_near)
-        nn = len(near)
-        first = np.searchsorted(near, keep[lo % m])
-        count = (np.searchsorted(near, keep[hi % m]) - first) % nn + 1
+        first = keep[lo % m]
+        count = (keep[hi % m] - first) % n + 1
     whole = hi - lo + 1 >= m
     first[whole] = 0
-    count[whole] = nn
+    count[whole] = n
     ends = np.cumsum(count)
     starts = np.concatenate(([0], ends[:-1]))
-    cand = (np.arange(ends[-1]) - np.repeat(starts - first, count)) % nn
-    if near is not None:
-        cand = near[cand]
+    cand = (np.arange(ends[-1]) - np.repeat(starts - first, count)) % n
     dots = (d.take(cand, axis=0)[:, None, :] @ np.repeat(d, count, axis=0)[:, :, None])[:, 0, 0]
     return np.maximum.reduceat(w[cand] * np.maximum(dots, 0.0), starts)
 

@@ -33,6 +33,7 @@ from ._sampleops import (
     hull_radial,
     hull_radial_and_support,
     radial_of_halfspaces,
+    reciprocal_bounds,
     support_of_cloud,
 )
 from .errors import (
@@ -227,7 +228,7 @@ def polar(k: ConvexBody) -> ConvexBody:
     """Polar dual C(1/h); the C/D identity D(g) = 1/C(1/g) makes every output of C pass C(D(h)) == h."""
     if not k.certified:
         raise CertificationRequiredError("polar needs a certified convex body")
-    return ConvexBody(k.grid, support_of_cloud(k.grid, 1.0 / k.support), certified=True)
+    return ConvexBody(k.grid, support_of_cloud(k.grid, reciprocal_bounds(k.support)), certified=True)
 
 
 def _ball_mean(grid: DirectionGrid, values: np.ndarray) -> float:

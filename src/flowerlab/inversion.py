@@ -236,13 +236,18 @@ class TruncatedOutCone:
         return pts[~np.isnan(pts[:, 0])]
 
     def _boundary_draws(self, rng: np.random.Generator, nsamp: int) -> tuple[np.ndarray, ...]:
-        verts = self.base.vertices
-        wts = rng.dirichlet(np.ones(min(len(verts), self.dim + 2)), size=nsamp)
-        return wts, rng.random((nsamp, len(verts)))
+        """Dirichlet weights, and the vertices of each sample's k least uniform keys, drawn DENSE_BLOCK at a time."""
+        n = len(self.base.vertices)
+        k = min(n, self.dim + 2)
+        wts = rng.dirichlet(np.ones(k), size=nsamp)
+        cols = np.empty((nsamp, k), dtype=np.intp)
+        step = max(1, DENSE_BLOCK // n)
+        for i in range(0, nsamp, step):  # the keys of one nsamp x n draw, block by block from the same stream
+            cols[i:i + step] = np.argsort(rng.random((min(step, nsamp - i), n)), axis=1)[:, :k]
+        return wts, cols
 
-    def _boundary_points(self, wts: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    def _boundary_points(self, wts: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The points of boundary_sample's draws; a direction whose ray misses the base gives a NaN row."""
-        cols = np.argsort(keys, axis=1)[:, :wts.shape[1]]
         pts = np.einsum("nk,nkd->nd", wts, self.base.vertices[cols])
         thetas = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         lo, _ = self.base.ray_intervals(thetas)
@@ -318,11 +323,11 @@ def _pair_points(shape: Shape, pairs: list[list[np.ndarray]]) -> np.ndarray:
 def _pair_floats(shape: Shape) -> int:
     """Floats one sampled pair holds at most in one array of the chunked arc test.
 
-    Its arc points against every facet (ray_intervals), its draws over every
-    vertex, or its arc points' coordinates.
+    Its arc points against every facet (ray_intervals) or its arc points'
+    coordinates.
     """
     poly = shape.base if isinstance(shape, TruncatedOutCone) else shape
-    width = len(poly._hull.equations) + len(poly.vertices) if isinstance(poly, OffOriginPolytope) else 0
+    width = len(poly._hull.equations) if isinstance(poly, OffOriginPolytope) else 0
     return ARC_POINTS_PER_PAIR * (width + shape.dim)
 
 

@@ -62,7 +62,10 @@ class DirectionGrid:
             raise InvalidGridError(f"grid dimension must be >= 2, got {self.dim}")
         if self.directions.shape != (len(self.weights), self.dim):
             raise InvalidGridError("directions/weights shape mismatch")
-        norms = np.linalg.norm(self.directions, axis=1)
+        if not (np.isfinite(self.directions).all() and np.isfinite(self.weights).all()):
+            raise InvalidGridError("directions and weights must be finite")
+        with np.errstate(over="ignore"):  # a norm past the floats is inf, and so no unit norm
+            norms = np.linalg.norm(self.directions, axis=1)
         if np.abs(norms - 1.0).max() > UNIT_NORM_TOL:
             raise InvalidGridError("directions must be unit vectors")
         if (self.weights < 0).any():

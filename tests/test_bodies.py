@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -918,6 +919,27 @@ def _support_test_cloud(kind, n, rs):
     return g, 1.0 / w if sample.startswith("1/") else w
 
 
+class TestBoundsPastTheFloats:
+    """D and polar take 1 / g: bounds whose reciprocals leave the floats are refused, with no warning."""
+
+    @pytest.mark.parametrize("grid", [uniform_angle_grid(720), sampled_sphere_grid(3, 512, seed=2)])
+    def test_tiny_bounds_are_refused(self, grid):
+        h = 1e-310 * unit_ball(grid).support
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError, match="bounds down to 1e-310 have reciprocals past the floats"):
+                radial_of_halfspaces(grid, h)
+            with pytest.raises(DegenerateInputError, match="bounds down to 1e-310"):
+                polar(ConvexBody(grid, h, certified=True))
+
+    def test_bounds_just_inside_the_floats_pass(self):
+        g = uniform_angle_grid(720)
+        h = np.full(720, 2.0 ** -1022)  # the least normal float; its reciprocal is 2**1022
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.allclose(radial_of_halfspaces(g, h), h, rtol=1e-12, atol=0.0)
+
+
 class TestHullIndexedSupport:
     """C on uniform 2D grids indexes the hull; the dense Gram max is its oracle."""
 
@@ -1058,6 +1080,30 @@ class TestCandidatesFromEdgeNormals:
             assert scans == [1]
 
 
+    @pytest.mark.parametrize("kind", ["lognormal", "closing", "dent/above", "kgon/1/r"])
+    def test_turned_back_cloud_scans_once_and_builds_no_edge_radial(self, kind, monkeypatch):
+        # C reads the scan's vertices only: no second rescale, no edge radial
+        g, w = _support_test_cloud(kind, 720, 3)
+        assert _backswing(g, w) > sampleops.NORMAL_ANGLE_TOL / 2
+        scans, edges = self._count_scans(monkeypatch), []
+        monkeypatch.setattr(sampleops, "_edge_radial", lambda *a: edges.append(1))
+        assert np.array_equal(support_of_cloud(g, w), _dense_c(g, w))
+        assert scans == [1] and edges == []
+
+    def test_memory_stays_linear_at_8192(self):
+        # the windows hold about 2 N candidates at most: a few rows of N floats
+        peak = 0
+        for kind in SUPPORT_KINDS:
+            g, w = _support_test_cloud(kind, 8192, 1)
+            tracemalloc.start()
+            try:
+                support_of_cloud(g, w)
+                peak = max(peak, tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+
 def _reference_turns(pts, s):
     """The turn test on (N, 2) points through np.roll copies, as the scalar scan read it."""
     a = np.roll(pts, s, axis=0)
@@ -1150,7 +1196,7 @@ class TestHullPassAgainstScalarScan:
 
     @staticmethod
     def _same_as_scalar_scan(g, w, check_c=True):
-        radial, ws, xy, keep, edge = sampleops._hull_pass(g, w)
+        radial, xy, keep = sampleops._hull_pass(g, w)
         ref_radial, ref_keep, ref_edge = _reference_hull_pass(g, w)
         assert np.array_equal(radial, ref_radial)
         assert np.array_equal(hull_radial(g, w), ref_radial)
@@ -1158,9 +1204,9 @@ class TestHullPassAgainstScalarScan:
             assert keep is None and radial is w
         else:
             assert np.array_equal(keep, ref_keep)
-            assert np.array_equal(edge, ref_edge)
+            assert np.array_equal(sampleops._edge_radial(g, xy, keep), ref_edge)
         if check_c:
-            assert np.array_equal(sampleops._support_by_vertices(g, w, ws, xy, keep, edge), _dense_c(g, w))
+            assert np.array_equal(sampleops._support_by_vertices(g, w, xy, keep), _dense_c(g, w))
 
     @pytest.mark.parametrize("kind", ["lognormal", "body-power", "polygon", "floor"])
     @pytest.mark.parametrize("n", [8, 9, 720, 2048])

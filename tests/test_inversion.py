@@ -418,6 +418,20 @@ class TestIsInversionConvex:
         assert peak < 0.25 * one_temporary
 
 
+    def test_outcone_draws_hold_no_samples_by_vertices_keys(self):
+        # 4000 x 2000 keys take 61 MiB in one piece, and their argsort as much
+        # again; they are drawn DENSE_BLOCK floats at a time, from the same stream
+        cone = TruncatedOutCone(OffOriginPolytope(np.random.default_rng(3).normal(size=(2000, 2)) + [8.0, 0.0]))
+        tracemalloc.start()
+        try:
+            pts = cone.boundary_sample(np.random.default_rng(7), 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pts.tobytes() == _pair_boundary_sample(cone, np.random.default_rng(7), 4000).tobytes()
+        assert peak < 16 * 2 ** 20
+
+
 def full_scan_depth(cloud):
     """Reference: the depth scan over every point, hull vertices included, a block of rows at a time."""
     hull = ConvexHull(cloud)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,24 @@ class TestUniformAngleGrid:
     def test_antipode_pairing(self, grid720):
         anti = grid720.antipode_index()
         assert np.allclose(grid720.directions[anti], -grid720.directions, atol=1e-12)
+
+
+class TestGridValidation:
+    @pytest.mark.parametrize("where", ["direction", "weight"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_refused(self, where, bad):
+        d, w = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]), np.full(4, 0.25)
+        (d[0] if where == "direction" else w)[0] = bad
+        with pytest.raises(InvalidGridError, match="finite"):
+            DirectionGrid(2, d, w)
+
+    def test_overflowing_norm_is_refused_without_a_warning(self):
+        d = np.vstack([np.eye(3), -np.eye(3)])
+        d[0, 0] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidGridError, match="unit vectors"):
+                DirectionGrid(3, d, np.full(6, 1 / 6))
 
 
 class TestSampledSphereGrid:
