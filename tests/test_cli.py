@@ -138,6 +138,18 @@ class TestBodyFileHardening:
         assert run(["volume", p]) == 1
         assert "values[0]" in capsys.readouterr().err
 
+    def test_overflowing_direction_exits_1_without_a_warning(self, tmp_path, capsys):
+        vectors = [list(v) for v in _AXES3]
+        vectors[0] = [1e200, 0.0, 0.0]
+        grid = {"type": "directions", "vectors": vectors, "weights": [1 / 6] * 6}
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(self.radial_obj(dim=3, n=6, values=[1.0] * 6, grid=grid)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["volume", p]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "directions must be unit vectors" in captured.err
+
     def test_integer_beyond_float_range_rejected(self):
         with pytest.raises(BodyFileError, match=r"values\[2\]"):
             parse_body_obj(self.radial_obj(values=[1.0, 1.0, 10 ** 400] + [1.0] * 5))
@@ -493,6 +505,16 @@ class TestSubcommandsGolden:
             assert run(["volume", p]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "volume leaves the floats" in captured.err
+
+    @pytest.mark.parametrize("cmd", ["flower", "polar", "volume"])
+    def test_tiny_support_file_exits_1_without_a_warning(self, cmd, tmp_path, capsys, grid720):
+        p = tmp_path / "tiny.json"
+        serialize_body(document_for_convex(ConvexBody(grid720, 1e-310 * random_convex_body(grid720, 1).support)), p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([cmd, p]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "have reciprocals past the floats" in captured.err
 
     def test_dvoretzky_with_report(self, tmp_path, capsys):
         obj = {
@@ -870,32 +892,6 @@ class TestCountAndFloatArguments:
         err = capsys.readouterr().err
         assert f"expected a finite number, got '{value}'" in err
         assert "Traceback" not in err
-
-
-class TestGridFile:
-    def test_overflowing_direction_exits_1_without_a_warning(self, tmp_path, capsys):
-        vectors = [list(v) for v in _AXES3]
-        vectors[0] = [1e200, 0.0, 0.0]
-        grid = {"type": "directions", "vectors": vectors, "weights": [1 / 6] * 6}
-        p = tmp_path / "huge.json"
-        p.write_text(json.dumps(TestBodyFileHardening.radial_obj(dim=3, n=6, values=[1.0] * 6, grid=grid)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert run(["volume", p]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and "directions must be unit vectors" in captured.err
-
-
-class TestBoundsPastTheFloats:
-    @pytest.mark.parametrize("cmd", ["flower", "polar", "volume"])
-    def test_tiny_support_file_exits_1_without_a_warning(self, cmd, tmp_path, capsys, grid720):
-        p = tmp_path / "tiny.json"
-        serialize_body(document_for_convex(ConvexBody(grid720, 1e-310 * random_convex_body(grid720, 1).support)), p)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert run([cmd, p]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and "have reciprocals past the floats" in captured.err
 
 
 class TestPowerRange:
