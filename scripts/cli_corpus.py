@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from flowerlab import ConvexBody, StarBody, alexandrov, cli, convexify_support, flower_of, polytope_body, random_convex_body
-from flowerlab import sampled_sphere_grid, square_body, uniform_angle_grid
+from flowerlab import DirectionGrid, sampled_sphere_grid, square_body, uniform_angle_grid
 from flowerlab.bodies import regular_polygon_vertices
 from flowerlab.bodyfile import BodyDocument, document_for_convex, document_for_star, serialize_body
 
@@ -73,6 +73,10 @@ def write_inputs(tmp):
     for name, k in (("kgon", pentagon), ("body", random_convex_body(g, 5))):
         put(f"{CAP}-{name}-s", document_for_convex(k, {"name": name}))
         put(f"{CAP}-{name}-r", document_for_star(flower_of(k)))
+    g = uniform_angle_grid(720)
+    put(TINY, document_for_star(StarBody(g, np.full(720, 1e-310))))
+    declared = DirectionGrid(2, g.directions, g.weights)
+    put(DIRS2D, document_for_convex(random_convex_body(declared, 0), {"name": DIRS2D}))
     return files
 
 
@@ -93,12 +97,14 @@ BIG4D = "k4d2048"  # a 2048-direction 4D support/radial set, run only through th
 BIG4D_CMDS = [["flower"], ["core"], ["polar"], ["power", "--lambda", "2"]]
 CAP = "cap8192"  # support/radial sets on the 8192-direction grid, run only through the subcommands below, after all else
 CAP_CMDS = [["flower"], ["polar"], ["volume"]]
+TINY = "tiny720-r"  # radial samples of 1e-310, whose reciprocals leave the floats: run only through cof, at the end
+DIRS2D = "dirs720-s"  # the 720 uniform rays declared as a directions grid: run only through the last cases
 
 
 def cases(files):
     """Every case as an argv list of text, with {tmp} still to fill in."""
     out = [[*cmd[:1], f, *cmd[1:]] for name, f in files.items()
-           if name not in (HUGE, WIDE) and not name.startswith((BIG3D, BIG4D, CAP)) for cmd in UNARY]
+           if name not in (HUGE, WIDE, TINY, DIRS2D) and not name.startswith((BIG3D, BIG4D, CAP)) for cmd in UNARY]
     for a, b in (("k720-0-s", "k720-1-s"), ("k2048-0-s", "k2048-1-s"), ("k720-0-s", "k720-0-r"), ("x720-s", "k720-0-s"),
                  ("k720-0-s", "x720-s"), ("t720-1e+06", "k720-0-s"), ("k3d-s", "k3d-s"), ("k720-0-s", "k2048-0-s")):
         out += [[cmd[0], files[a], files[b], *cmd[1:]] for cmd in PAIRED]
@@ -114,6 +120,8 @@ def cases(files):
     out += [["volume", files[HUGE]], ["volume", files[f"{BIG3D}-s"]], ["kashin", "--dim", "8", "--petals", "4", "--grid", "64"]]
     out += [[cmd[0], files[f"{BIG4D}-{rep}"], *cmd[1:]] for rep in "sr" for cmd in BIG4D_CMDS]
     out += [[*cmd, files[f"{CAP}-{name}-{rep}"]] for name in ("kgon", "body") for rep in "sr" for cmd in CAP_CMDS]
+    out += [["cof", files[TINY]], ["compose", files[DIRS2D], files[DIRS2D]],
+            ["fmap", files[DIRS2D], "--fn", "power", "--lambda", "0.5"]]
     return out
 
 

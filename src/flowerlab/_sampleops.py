@@ -403,11 +403,10 @@ def _support_pruned(grid: DirectionGrid, pts: np.ndarray, w: np.ndarray) -> np.n
     group's products: the least of their per-ray maxima is the floor L_c.
     No product of row i on a ray of cap c exceeds its bound b_i = w_i
     cosines[c, i], so a row with b_i < L_c is skipped; the others are
-    gathered.  A cap whose rows with b_i at least its own group's largest w
-    are over half of them, or whose gathered rows are, takes every row in
-    one pass with the other such caps at the end.  _block_max's bits do not
-    depend on the rows or rays it is given, so the result equals the dense
-    max bit for bit.
+    gathered.  A cap whose gathered rows are over half of the rows takes
+    every row in one pass with the other such caps at the end.  _block_max's
+    bits do not depend on the rows or rays it is given, so the result equals
+    the dense max bit for bit.
     """
     dirs = grid.directions
     if len(pts) < DENSE_BLOCK // RAY_BLOCK:
@@ -428,10 +427,6 @@ def _support_pruned(grid: DirectionGrid, pts: np.ndarray, w: np.ndarray) -> np.n
         rays = caps.order[caps.starts[c]:caps.starts[c + 1]]
         own = order[starts[c]:starts[c + 1]]
         bound = cos_c * w
-        top = w[own].max() if len(own) else 0.0
-        if np.count_nonzero(bound >= top) > half:  # L_c is at most about top: even that floor keeps most rows
-            dense.append(rays)
-            continue
         theta = dirs[rays]
         best = _block_max(pts[own], theta, w[own], buf) if len(own) else np.zeros(len(rays))
         keep = bound >= best.min()

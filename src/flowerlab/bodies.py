@@ -199,7 +199,9 @@ def core_of(f: Flower, tol: float | None = None) -> ConvexBody:
 
 def cof(a: StarBody) -> StarBody:
     """Co-image of spherical inversion: pointwise reciprocal radial."""
-    return StarBody(a.grid, 1.0 / a.radial)
+    with np.errstate(over="ignore"):  # a reciprocal past the floats is inf, which StarBody refuses
+        r = 1.0 / a.radial
+    return StarBody(a.grid, r)
 
 
 def convexify_support(s: StarBody) -> ConvexBody:

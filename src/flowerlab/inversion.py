@@ -12,12 +12,13 @@ plus a truncation scale used only for sampling, while membership tests use the
 ideal cone semantics (the in-cone of out(P) is the full cone over P).
 
 Membership is array-valued: each shape's ray_intervals takes rows of unit
-directions, arc_points takes rows of endpoint pairs, and cone_membership
-tests rows of points.  The verdict draws its pairs one by one from its one
-generator, in the order a pair-by-pair loop would, and tests a chunk of
-pairs at once: their endpoints, arcs and memberships are computed row by
-row with the arithmetic of one pair, so the verdict has the bits of the
-pair-by-pair loop.
+directions (a polytope's in blocks of DENSE_BLOCK facet products, so its
+memory stays bounded), arc_points takes rows of endpoint pairs, and
+cone_membership tests rows of points.  The verdict draws its pairs one by
+one from its one generator, in the order a pair-by-pair loop would, and
+tests a chunk of pairs at once: their endpoints, arcs and memberships are
+computed row by row with the arithmetic of one pair, so the verdict has the
+bits of the pair-by-pair loop.
 """
 from __future__ import annotations
 
@@ -40,22 +41,16 @@ ARC_POINTS_PER_PAIR = 9  # interior arc points tested per sampled pair
 DIRECT_SAMPLES = 4000  # boundary points inverted for the direct convex-position test
 
 
-def invert_point(x: np.ndarray) -> np.ndarray:
-    """Spherical inversion x -> x / |x|^2 (involution away from 0)."""
-    x = np.asarray(x, dtype=float)
-    n2 = float((x ** 2).sum())
-    if n2 == 0.0:
-        raise SingularPointError("spherical inversion is singular at the origin")
-    return x / n2
-
-
 def invert_points(pts: np.ndarray) -> np.ndarray:
-    """invert_point of each point along the last axis."""
+    """Spherical inversion x -> x / |x|^2 (involution away from 0) of each point along the last axis."""
     pts = np.asarray(pts, dtype=float)
     n2 = (pts ** 2).sum(axis=-1, keepdims=True)
     if (n2 == 0).any():
         raise SingularPointError("spherical inversion is singular at the origin")
     return pts / n2
+
+
+invert_point = invert_points  # one point is one row
 
 
 def invert_ball(center: np.ndarray, rho: float) -> tuple[np.ndarray, float]:
@@ -113,8 +108,17 @@ def arc_points(x: np.ndarray, y: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return out if x.ndim == 2 else out[0]
 
 
+class _Sampled:
+    """A shape whose boundary sample maps its _boundary_draws through its _boundary_points."""
+
+    def boundary_sample(self, rng: np.random.Generator, nsamp: int) -> np.ndarray:
+        """nsamp boundary points, less the NaN rows: out-cone directions whose rays miss the base."""
+        pts = self._boundary_points(*self._boundary_draws(rng, nsamp))
+        return pts[~np.isnan(pts[:, 0])]
+
+
 @dataclass(eq=False)
-class OffOriginPolytope:
+class OffOriginPolytope(_Sampled):
     """Bounded convex polytope with 0 strictly outside, given by vertices.
 
     Construction certifies the separation: some hull facet has the origin on
@@ -144,20 +148,26 @@ class OffOriginPolytope:
         return self.vertices.shape[1]
 
     def ray_intervals(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """{t > 0 : t theta in K} as [lo, hi] for each row theta; a missed ray gets [inf, -inf]."""
-        eq = self._hull.equations
-        # stacked per-ray products round like one matrix-vector product per ray
-        a = (eq[None, :, :-1] @ thetas[:, :, None])[..., 0]
-        b = eq[:, -1]
-        parallel = np.abs(a) < 1e-14
-        t = -b / np.where(parallel, 1.0, a)
-        lo = np.where(a <= -1e-14, t, 0.0).max(axis=1)
-        hi = np.where(a >= 1e-14, t, np.inf).min(axis=1)
-        miss = (parallel & (b > 1e-12)).any(axis=1) | (lo > hi * (1 + 1e-12) + 1e-15)
-        return np.where(miss, np.inf, lo), np.where(miss, -np.inf, hi)
+        """{t > 0 : t theta in K} as [lo, hi] for each row theta; a missed ray gets [inf, -inf].
 
-    def boundary_sample(self, rng: np.random.Generator, nsamp: int) -> np.ndarray:
-        return self._boundary_points(*self._boundary_draws(rng, nsamp))
+        The rays are taken DENSE_BLOCK // facets at a time, so memory stays
+        O(rays + DENSE_BLOCK).
+        """
+        eq = self._hull.equations
+        b = eq[:, -1]
+        lo, hi = np.empty(len(thetas)), np.empty(len(thetas))
+        step = max(1, DENSE_BLOCK // len(eq))
+        for i in range(0, len(thetas), step):
+            # stacked per-ray products round like one matrix-vector product per ray
+            a = (eq[None, :, :-1] @ thetas[i:i + step, :, None])[..., 0]
+            parallel = np.abs(a) < 1e-14
+            t = -b / np.where(parallel, 1.0, a)
+            near = np.where(a <= -1e-14, t, 0.0).max(axis=1)
+            far = np.where(a >= 1e-14, t, np.inf).min(axis=1)
+            miss = (parallel & (b > 1e-12)).any(axis=1) | (near > far * (1 + 1e-12) + 1e-15)
+            lo[i:i + step] = np.where(miss, np.inf, near)
+            hi[i:i + step] = np.where(miss, -np.inf, far)
+        return lo, hi
 
     def _boundary_draws(self, rng: np.random.Generator, nsamp: int) -> tuple[np.ndarray, ...]:
         return rng.integers(0, len(self._hull.simplices), size=nsamp), rng.dirichlet(np.ones(self.dim), size=nsamp)
@@ -167,7 +177,7 @@ class OffOriginPolytope:
 
 
 @dataclass(eq=False)
-class OffOriginBall:
+class OffOriginBall(_Sampled):
     """Ball B(center, radius) with 0 strictly outside."""
 
     center: np.ndarray
@@ -193,9 +203,6 @@ class OffOriginBall:
         root = np.sqrt(np.where(miss, 0.0, disc))
         return np.where(miss, np.inf, ct - root), np.where(miss, -np.inf, ct + root)
 
-    def boundary_sample(self, rng: np.random.Generator, nsamp: int) -> np.ndarray:
-        return self._boundary_points(*self._boundary_draws(rng, nsamp))
-
     def _boundary_draws(self, rng: np.random.Generator, nsamp: int) -> tuple[np.ndarray, ...]:
         return (rng.normal(size=(nsamp, self.dim)),)
 
@@ -205,7 +212,7 @@ class OffOriginBall:
 
 
 @dataclass(eq=False)
-class TruncatedOutCone:
+class TruncatedOutCone(_Sampled):
     """The convex out-cone of a base polytope, truncated at scale for sampling.
 
     The truncation is representational only: membership and the arc criterion
@@ -230,11 +237,6 @@ class TruncatedOutCone:
         lo, _ = self.base.ray_intervals(thetas)
         return lo, np.where(lo < np.inf, np.inf, -np.inf)
 
-    def boundary_sample(self, rng: np.random.Generator, nsamp: int) -> np.ndarray:
-        """Entry-surface points r_min(theta) * theta over random cone directions."""
-        pts = self._boundary_points(*self._boundary_draws(rng, nsamp))
-        return pts[~np.isnan(pts[:, 0])]
-
     def _boundary_draws(self, rng: np.random.Generator, nsamp: int) -> tuple[np.ndarray, ...]:
         """Dirichlet weights, and the vertices of each sample's k least uniform keys, drawn DENSE_BLOCK at a time."""
         n = len(self.base.vertices)
@@ -247,7 +249,7 @@ class TruncatedOutCone:
         return wts, cols
 
     def _boundary_points(self, wts: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The points of boundary_sample's draws; a direction whose ray misses the base gives a NaN row."""
+        """Entry-surface points r_min(theta) * theta of the drawn cone directions; a missed base gives a NaN row."""
         pts = np.einsum("nk,nkd->nd", wts, self.base.vertices[cols])
         thetas = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         lo, _ = self.base.ray_intervals(thetas)
@@ -320,17 +322,6 @@ def _pair_points(shape: Shape, pairs: list[list[np.ndarray]]) -> np.ndarray:
     return (bp * lam[:, None]).reshape(-1, 2, shape.dim)
 
 
-def _pair_floats(shape: Shape) -> int:
-    """Floats one sampled pair holds at most in one array of the chunked arc test.
-
-    Its arc points against every facet (ray_intervals) or its arc points'
-    coordinates.
-    """
-    poly = shape.base if isinstance(shape, TruncatedOutCone) else shape
-    width = len(poly._hull.equations) if isinstance(poly, OffOriginPolytope) else 0
-    return ARC_POINTS_PER_PAIR * (width + shape.dim)
-
-
 def _direct_image_cloud(shape: Shape, rng: np.random.Generator, nsamp: int) -> np.ndarray:
     pts = shape.boundary_sample(rng, nsamp)
     img = invert_points(pts)
@@ -370,11 +361,12 @@ def is_inversion_convex(
     points for in-cone membership; the first violating (x, y, t) is returned
     as the witness, and pairs whose arc passes through infinity are skipped.
     Pairs are drawn one by one and tested in chunks of 1, 2, 4, ... pairs,
-    each at most DENSE_BLOCK floats wide (_pair_floats); after a witness the
-    generator is wound back to just past its pair, so the verdict equals a
-    pair-by-pair loop's bit for bit.  The direct method inverts
-    DIRECT_SAMPLES boundary points and measures the convex-position depth of
-    the image cloud.  Disagreement raises MethodDisagreementError.
+    whose arc points hold at most DENSE_BLOCK floats (ray_intervals bounds
+    its own facet products); after a witness the generator is wound back to
+    just past its pair, so the verdict equals a pair-by-pair loop's bit for
+    bit.  The direct method inverts DIRECT_SAMPLES boundary points and
+    measures the convex-position depth of the image cloud.  Disagreement
+    raises MethodDisagreementError.
     """
     if samples < 100:
         raise ParameterError("need at least 100 sample pairs")
@@ -384,7 +376,7 @@ def is_inversion_convex(
         raise ParameterError("tol must be non-negative")
     rng = np.random.default_rng(seed)
     ts = np.linspace(0.0, 1.0, ARC_POINTS_PER_PAIR + 2)[1:-1]
-    cap = max(1, DENSE_BLOCK // _pair_floats(shape))
+    cap = max(1, DENSE_BLOCK // (ARC_POINTS_PER_PAIR * shape.dim))
     witness, done, size = None, 0, 1
     while witness is None and done < samples:
         size = min(size, cap, samples - done)

@@ -50,10 +50,10 @@ class DirectionGrid:
     dim: int
     directions: np.ndarray  # (N, dim), unit rows
     weights: np.ndarray  # (N,), nonnegative, sums to 1
-    uniform_n: int | None = None  # set for 2D uniform angle grids
-    _gram_plus: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _angles: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _caps: "Caps | None" = field(default=None, repr=False, compare=False)
+    uniform_n: int | None = field(default=None, init=False)  # set by uniform_angle_grid
+    _gram_plus: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _angles: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _caps: "Caps | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.directions = _read_only(np.atleast_2d(self.directions))
@@ -273,7 +273,9 @@ def uniform_angle_grid(n: int) -> DirectionGrid:
         raise InvalidGridError(f"uniform angle grid needs n >= 8, got {n}")
     th = 2 * np.pi * np.arange(n) / n
     dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
-    return DirectionGrid(2, dirs, np.full(n, 1.0 / n), uniform_n=n)
+    grid = DirectionGrid(2, dirs, np.full(n, 1.0 / n))
+    grid.uniform_n = n
+    return grid
 
 
 def sampled_sphere_grid(dim: int, n: int, seed: int, symmetric: bool = False) -> DirectionGrid:

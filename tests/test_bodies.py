@@ -183,6 +183,12 @@ class TestCof:
             back = cof(cof(a))
             assert np.abs(back.radial / a.radial - 1.0).max() < 1e-14
 
+    def test_reciprocal_past_the_floats_is_refused_without_a_warning(self, grid720):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError, match="radial values must be finite"):
+                cof(StarBody(grid720, np.full(720, 1e-310)))
+
     def test_cof_of_flower_is_polar_radial(self, grid720):
         k = random_convex_body(grid720, 3)
         t = cof(flower_of(k))
@@ -288,6 +294,19 @@ class TestConvexify:
         h = convexify_support(StarBody(grid720, r)).support
         oracle = np.maximum(1.0, 2.0 * np.maximum(grid720.directions[:, 0], 0.0))
         assert np.abs(h - oracle).max() < 2e-4
+
+    def test_directions_grid_matches_the_uniform_grid(self, grid720):
+        # the same 720 rays declared as directions take hull_radial and C apart
+        # instead of the uniform grid's one pass: the same support, and the radial within 4e-14
+        declared = DirectionGrid(2, grid720.directions, grid720.weights)
+        th = grid720.angles()
+        for r in (np.exp(0.3 * np.sin(th) + 0.1 * np.cos(2 * th)), np.exp(0.3 * np.sin(3 * th)),
+                  random_convex_body(grid720, 0).radial()):
+            assert sampleops._hull_pass(declared, r) is None
+            k, ref = convexify_support(StarBody(declared, r)), convexify_support(StarBody(grid720, r))
+            assert k.grid is declared
+            assert k.support.tobytes() == ref.support.tobytes()
+            assert np.abs(k.radial() - ref.radial()).max() < 4e-14
 
 
 class TestHalfspaceBody:
@@ -606,6 +625,16 @@ class TestReflection:
         b = reflect_star_2d(a)
         assert np.array_equal(b.radial, a.radial[(-np.arange(720)) % 720])
         assert np.array_equal(reflect_star_2d(b).radial, a.radial)
+
+    def test_reflect_on_directions_grid_interpolates_the_permutation(self, grid720):
+        from flowerlab.bodies import reflect_star_2d
+
+        th = grid720.angles()
+        r = np.exp(0.3 * np.sin(th) + 0.1 * np.cos(2 * th))
+        declared = DirectionGrid(2, grid720.directions, grid720.weights)  # the same rays, not declared uniform
+        b = reflect_star_2d(StarBody(declared, r))
+        assert b.grid is declared
+        assert np.abs(b.radial - r[(-np.arange(720)) % 720]).max() < 1e-14
 
 
 class TestMinkowskiErrors:

@@ -135,6 +135,17 @@ class TestPower:
         res = power(k, 2.0)
         assert np.abs(res.body.support - k.support).max() < 1e-12
 
+    def test_partition_above_one_approaches_the_power_map(self, grid720):
+        # lambda > 1 applies s_i = t_i / t_{i-1} from s_1 on; 64 steps lie within 8.8e-7 of the power map
+        k = random_convex_body(grid720, 1)
+        body = power_partition(k, 2.0, Partition.geometric(1.0, 2.0, 64))
+        assert sup_log_distance(body.radial(), power(k, 2.0).body.radial()) < 1e-6
+
+    def test_partition_above_one_must_span_one_to_lambda(self, grid720):
+        k = random_convex_body(grid720, 1)
+        with pytest.raises(ParameterError, match=r"span \[1, lambda\]"):
+            power_partition(k, 2.0, Partition.geometric(1.0, 3.0, 8))
+
     def test_refinement_monotonicity(self, grid720):
         # nested geometric partitions: doubling m only grows the body
         k = random_convex_body(grid720, 5, amp=0.6)

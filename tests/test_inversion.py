@@ -257,6 +257,33 @@ class TestRayIntervals:
         np.testing.assert_array_equal(hi.view(np.int64), ref_hi.view(np.int64))
         assert (lo == np.inf).any() and (lo < np.inf).any()
 
+    @pytest.mark.parametrize("dim, seed", [(2, 0), (3, 1)])
+    def test_rays_in_blocks_equal_per_facet_loop(self, dim, seed, monkeypatch):
+        # 64 products a block: a few rays at a time, the last block short
+        poly = _seeded_polytope(dim, seed)
+        thetas = _test_rays(poly, np.random.default_rng(seed))
+        monkeypatch.setattr(inversion, "DENSE_BLOCK", 64)
+        step = 64 // len(poly._hull.equations)
+        assert 1 < step and len(thetas) % step and len(thetas) > 4 * step
+        lo, hi = poly.ray_intervals(thetas)
+        ref_lo, ref_hi = np.array([per_facet_ray_interval(poly, th) for th in thetas]).T
+        np.testing.assert_array_equal(lo.view(np.int64), ref_lo.view(np.int64))
+        np.testing.assert_array_equal(hi.view(np.int64), ref_hi.view(np.int64))
+
+    def test_rays_against_many_facets_hold_a_block_at_a_time(self):
+        # 4000 rays against 2048 facets take 62.5 MiB an array in one piece
+        th = 2 * np.pi * np.arange(2048) / 2048
+        cone = TruncatedOutCone(OffOriginPolytope(np.stack([np.cos(th), np.sin(th)], axis=1) + [6.0, 0.0]))
+        assert len(cone.base._hull.equations) == 2048
+        tracemalloc.start()
+        try:
+            pts = cone.boundary_sample(np.random.default_rng(7), 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pts) == 4000 and np.isfinite(pts).all()
+        assert peak < 32 * 2 ** 20
+
     @pytest.mark.parametrize("which", ["in", "out"])
     def test_membership_rows_equal_single_points(self, which):
         rng = np.random.default_rng(7)
@@ -514,7 +541,7 @@ def _pair_boundary_sample(shape, rng, nsamp):
 def _pair_arc(x, y, ts):
     if np.array_equal(x, y):
         return np.tile(x, (len(ts), 1))
-    fx, fy = invert_point(x), invert_point(y)
+    fx, fy = x / float((x ** 2).sum()), y / float((y ** 2).sum())
     cosang = float(fx @ fy) / (np.linalg.norm(fx) * np.linalg.norm(fy))
     if cosang < -1.0 + 1e-14:
         raise ArcThroughInfinityError("opposite rays")

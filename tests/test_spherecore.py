@@ -63,6 +63,13 @@ class TestGridValidation:
         with pytest.raises(InvalidGridError, match="finite"):
             DirectionGrid(2, d, w)
 
+    def test_uniform_flag_is_not_a_constructor_option(self):
+        # only uniform_angle_grid declares a grid uniform: the uniform-angle kernels assume it
+        g = uniform_angle_grid(8)
+        with pytest.raises(TypeError):
+            DirectionGrid(2, g.directions, g.weights, uniform_n=8)
+        assert g.uniform_n == 8 and DirectionGrid(2, g.directions, g.weights).uniform_n is None
+
     def test_overflowing_norm_is_refused_without_a_warning(self):
         d = np.vstack([np.eye(3), -np.eye(3)])
         d[0, 0] = 1e200
