@@ -16,10 +16,12 @@ C(w) <= g holds iff w <= D(g), hence C(D(C(w))) == C(w) exactly: outputs of C
 pass the support-consistency certificate at float precision.
 
 hull_radial is the inner companion: radial samples of conv(cloud), used by the
-power-map iteration.  Points of an already-convex cloud pass through
-unchanged, which keeps fixed-point families (regime polygons) exact.  On
+power-map iteration.  A cloud in convex position passes through unchanged on
+every grid, which keeps fixed-point families (regime polygons) exact.  On
 uniform 2D grids it reads one hull pass (_hull_pass: power-of-two rescale,
-convex-position test, Graham scan, edge radial); other grids use qhull.
+convex-position test, Graham scan, edge radial).  Other grids use qhull: the
+rays whose points it lists as hull vertices take w, and only the other rays
+take the facet support.
 
 On uniform 2D grids C takes each ray's candidates from a window of edge
 normals (_support_by_vertices): the cloud points between the vertices whose
@@ -170,7 +172,7 @@ def convex_hull(points: np.ndarray, what: str) -> ConvexHull:
         raise DegenerateInputError(f"{what}: {' '.join(str(e).split('While executing')[0].split())}") from e
 
 
-def _hull_radial_qhull(grid: DirectionGrid, pts: np.ndarray) -> np.ndarray:
+def _hull_radial_qhull(grid: DirectionGrid, pts: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     """Radial of conv(pts) along the grid rays: D over the hull facets <a_k, x> <= -b_k, as 1 / C(-1/b).
 
     The facet normals are grouped under the cap centres, as the rays are, so
@@ -179,6 +181,10 @@ def _hull_radial_qhull(grid: DirectionGrid, pts: np.ndarray) -> np.ndarray:
     scaled by 2**-k to a largest coordinate in [0.5, 1) first: b scales by
     2**-k and a does not, so the radial scales back exactly.  Other clouds
     reach qhull as they are, since qhull itself is not exact under scaling.
+
+    With w (pts the cloud w_i theta_i) the result is hull_radial's: rays
+    whose points are hull vertices take w, w itself if every point is one,
+    and only the other rays take the facet support, at least w.
     """
     k = int(np.frexp(np.abs(pts).max())[1])
     k = k if abs(k) > QHULL_MAX_EXP else 0
@@ -186,7 +192,14 @@ def _hull_radial_qhull(grid: DirectionGrid, pts: np.ndarray) -> np.ndarray:
     a, b = hull.equations[:, :-1], hull.equations[:, -1]
     if not (b < 0.0).all():
         raise DegenerateInputError("the hull of the cloud does not hold the origin strictly inside")
-    return np.ldexp(1.0 / _support_pruned(grid, a, -1.0 / b), k)
+    if w is None:
+        return np.ldexp(1.0 / _support_pruned(grid, a, -1.0 / b), k)
+    if len(hull.vertices) == len(w):
+        return w
+    rays = np.setdiff1d(np.arange(len(w)), hull.vertices, assume_unique=True)
+    out = w.copy()
+    out[rays] = np.maximum(np.ldexp(1.0 / _support_pruned(grid, a, -1.0 / b, rays), k), w[rays])
+    return out
 
 
 def _scaled_cloud(grid: DirectionGrid, w: np.ndarray) -> tuple | None:
@@ -393,55 +406,66 @@ def _support_by_vertices(grid: DirectionGrid, w: np.ndarray, xy: np.ndarray, kee
     return np.maximum.reduceat(w[cand] * np.maximum(dots, 0.0), starts)
 
 
-def _support_pruned(grid: DirectionGrid, pts: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _support_pruned(grid: DirectionGrid, pts: np.ndarray, w: np.ndarray, rays: np.ndarray | None = None) -> np.ndarray:
     """max_i w_i <p_i, theta_j>_+ over the point rows p_i for each grid ray theta_j, skipping rows far from each cap.
 
-    Below DENSE_BLOCK / RAY_BLOCK rows the whole product is small: the dense
-    max.  Other rows are grouped under the cap centres; for C (pts is the
-    grid's own rays) the groups and cosines are the caps' own, and facets
-    take theirs DENSE_BLOCK at a time.  Ray cap c first takes its own
-    group's products: the least of their per-ray maxima is the floor L_c.
-    No product of row i on a ray of cap c exceeds its bound b_i = w_i
+    With rays (ray indices), only those rays, in that order; caps
+    that hold none of them are skipped, cone bounds and all.  Below
+    DENSE_BLOCK / RAY_BLOCK rows the whole product is small: the dense max.
+    Other rows are grouped under the cap centres; for C (pts is the grid's
+    own rays) the groups and cosines are the caps' own, and facets take
+    theirs DENSE_BLOCK at a time.  Ray cap c first takes its own group's
+    products: the least of their per-ray maxima is the floor L_c.  No
+    product of row i on a ray of cap c exceeds its bound b_i = w_i
     cosines[c, i], so a row with b_i < L_c is skipped; the others are
     gathered.  A cap whose gathered rows are over half of the rows takes
     every row in one pass with the other such caps at the end.  _block_max's
     bits do not depend on the rows or rays it is given, so the result equals
-    the dense max bit for bit.
+    the dense max bit for bit, on any subset of rays: a subset's floor is
+    no lower, and still below each of its rays' answers.
     """
     dirs = grid.directions
     if len(pts) < DENSE_BLOCK // RAY_BLOCK:
-        return _block_max(pts, dirs, w)
+        return _block_max(pts, dirs if rays is None else dirs[rays], w)
     caps = grid.caps()
+    visit = np.arange(len(caps.radius))
+    if rays is not None:
+        want = np.zeros(len(dirs), dtype=bool)
+        want[rays] = True
+        visit = np.flatnonzero(np.logical_or.reduceat(want[caps.order], caps.starts[:-1]))
     if pts is dirs:
-        order, starts, cosines = caps.order, caps.starts, caps.cosines
+        order, starts = caps.order, caps.starts
+        cosines = (caps.cosines[c] for c in visit)
     else:
         step = max(1, DENSE_BLOCK // len(pts))
         order, starts = group_rows(pts, caps.centres)
-        cosines = (row for c in range(0, len(caps.radius), step)
-                   for row in cap_cosines(caps.centres[c:c + step], caps.radius[c:c + step], pts))
+        cosines = (row for i in range(0, len(visit), step)
+                   for row in cap_cosines(caps.centres[visit[i:i + step]], caps.radius[visit[i:i + step]], pts))
     half = len(pts) // 2
     buf = np.empty(max(DENSE_BLOCK, 4 * len(pts)))
     out = np.empty(len(dirs))
     dense = []  # rays of the caps that take every row, taken together at the end
-    for c, cos_c in enumerate(cosines):
-        rays = caps.order[caps.starts[c]:caps.starts[c + 1]]
+    for c, cos_c in zip(visit, cosines):
+        cap = caps.order[caps.starts[c]:caps.starts[c + 1]]
+        if rays is not None:
+            cap = cap[want[cap]]
         own = order[starts[c]:starts[c + 1]]
         bound = cos_c * w
-        theta = dirs[rays]
-        best = _block_max(pts[own], theta, w[own], buf) if len(own) else np.zeros(len(rays))
+        theta = dirs[cap]
+        best = _block_max(pts[own], theta, w[own], buf) if len(own) else np.zeros(len(cap))
         keep = bound >= best.min()
         keep[own] = False
         rows = np.flatnonzero(keep)
         if len(rows) > half:
-            dense.append(rays)
+            dense.append(cap)
             continue
         if len(rows):
             best = np.maximum(best, _block_max(pts[rows], theta, w[rows], buf))
-        out[rays] = best
+        out[cap] = best
     if dense:
-        rays = np.concatenate(dense)
-        out[rays] = _block_max(pts, dirs[rays], w, buf)
-    return out
+        cap = np.concatenate(dense)
+        out[cap] = _block_max(pts, dirs[cap], w, buf)
+    return out if rays is None else out[rays]
 
 
 def _pair(a: np.ndarray) -> np.ndarray:
@@ -526,12 +550,16 @@ def _ball_union_radial(centers: np.ndarray, radii: np.ndarray, dirs: np.ndarray)
 def hull_radial(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:
     """Radial samples of conv({w_i theta_i}) along the grid rays.
 
-    Exact pass-through for convex-position clouds.  The hull contains every
-    cloud point, so the result never dips below w.
+    Exact pass-through for convex-position clouds: w itself.  The hull
+    contains every cloud point, so the result never dips below w.  Off the
+    uniform 2D grids a ray whose point qhull lists as a hull vertex takes w,
+    so the vertex test is qhull's, made at its own precision: a point within
+    float noise of a facet may count either way, and either answer is
+    within float noise of the exact radial.
     """
     w = np.asarray(w, dtype=float)
     if grid.dim != 2 or grid.uniform_n is None:
-        return np.maximum(_hull_radial_qhull(grid, w[:, None] * grid.directions), w)
+        return _hull_radial_qhull(grid, w[:, None] * grid.directions, w)
     hull = _hull_pass(grid, w)
     if hull is None:
         raise DegenerateInputError(f"cloud values span more than 2**{MAX_SPAN_EXP}; the hull kernel would leave the floats")

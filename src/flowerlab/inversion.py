@@ -11,6 +11,17 @@ out-cones.  Out-cones are unbounded; they are represented by a base polytope
 plus a truncation scale used only for sampling, while membership tests use the
 ideal cone semantics (the in-cone of out(P) is the full cone over P).
 
+For these three kinds the answer is known in closed form, which the tests
+use as an oracle.  phi maps a hyperplane <a, x> = b with b != 0 to a sphere
+through 0, and one through 0 to itself; so a half-space that excludes 0 maps
+to a ball, convex, and one that holds 0 to that ball's exterior, concave.
+A bounded polytope with 0 outside has a far facet, one whose half-space
+<a_k, x> <= b_k holds 0 (b_k > 0): its normals span positively, so not
+every b_k is <= 0.  That facet's image is a concave patch of the boundary,
+so phi(P) is never convex.  An out-cone has only side facets (through 0)
+and near facets (half-spaces that exclude 0), so its image is convex, and a
+ball that excludes 0 maps to a ball.
+
 Membership is array-valued: each shape's ray_intervals takes rows of unit
 directions (a polytope's in blocks of DENSE_BLOCK facet products, so its
 memory stays bounded), arc_points takes rows of endpoint pairs, and

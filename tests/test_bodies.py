@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 import flowerlab._sampleops as sampleops
+import flowerlab.calculus as calculus
 from flowerlab._sampleops import (
     DENSE_BLOCK,
     EPS_FLOOR,
@@ -832,6 +833,60 @@ class TestNDHullRadial:
             power(unit_ball(g), 2.0)
 
 
+# the most that the facet support, run on every ray, lifted w on a ray whose
+# point qhull lists as a hull vertex, over the corpus of TestVertexPassThrough
+VERTEX_RAY_ULPS = 2
+
+
+class TestVertexPassThrough:
+    """Off the uniform 2D grids, rays whose points are hull vertices take w; the facet support runs on the rest."""
+
+    @pytest.mark.parametrize("dim, n", [(3, 512), (3, 2048), (4, 1024)])
+    def test_differs_from_facets_on_every_ray_only_on_vertex_rays(self, dim, n):
+        """Hull bodies raised to 0.5 (every point a vertex) and 2 (few), and an ellipsoid (all) with a tenth of it dented (most)."""
+        g = sampled_sphere_grid(dim, n, seed=n + dim)
+        rng = np.random.default_rng(n * dim)
+        clouds = []
+        for _ in range(2):
+            r = convexify_support(StarBody(g, np.exp(rng.normal(0.0, 0.3, n)))).radial()
+            clouds += [r ** 0.5, r ** 2.0]
+        ellipsoid = 1.0 / np.linalg.norm(g.directions / np.linspace(1.0, 2.0, dim), axis=1)
+        dent = ellipsoid.copy()
+        dent[rng.choice(n, n // 10, replace=False)] *= 0.95
+        clouds += [dent, ellipsoid]
+        kinds = set()
+        for w in clouds:
+            out = hull_radial(g, w)
+            hull = ConvexHull(w[:, None] * g.directions)
+            a, b = hull.equations[:, :-1], hull.equations[:, -1]
+            every_ray = np.maximum(1.0 / _block_max(a, g.directions, -1.0 / b), w)
+            vertex = np.zeros(n, dtype=bool)
+            vertex[hull.vertices] = True
+            assert np.array_equal(out[~vertex], every_ray[~vertex])
+            assert np.array_equal(out[vertex], w[vertex])
+            assert _ulps(every_ray[vertex], w[vertex]) <= VERTEX_RAY_ULPS
+            if vertex.all():
+                assert out is w
+            kinds.add("all" if vertex.all() else "most" if vertex.mean() > 0.5 else "few")
+        assert kinds == {"all", "most", "few"}
+
+    def test_power_passes_every_vertex_cloud_through(self, monkeypatch):
+        """A 3D power map at lambda = 0.5 on a hull body: its hull calls return their cloud itself."""
+        g = sampled_sphere_grid(3, 2048, seed=7)
+        k = convexify_support(StarBody(g, np.exp(np.random.default_rng(7).normal(0.0, 0.3, 2048))))
+        same = []
+        real = sampleops.hull_radial
+
+        def spy(grid, w):
+            out = real(grid, w)
+            same.append(out is w)
+            return out
+
+        monkeypatch.setattr(calculus, "hull_radial", spy)
+        power(k, 0.5, tol=1e-4)
+        assert same and any(same)
+
+
 @functools.lru_cache(maxsize=None)
 def _fma_gram_plus(n):
     """The clipped Gram of the uniform n-grid from batched 1x2 @ 2x1 products, which round like C's."""
@@ -1436,6 +1491,38 @@ class TestPrunedSupport:
         hull = ConvexHull(pts)
         a, b = hull.equations[:, :-1], hull.equations[:, -1]
         assert _ulps(_hull_radial_qhull(g, pts), 1.0 / _pair_max(a, g.directions, -1.0 / b)) == 0
+
+    @pytest.mark.parametrize("rows", ["facets", "rays"])
+    def test_ray_subset_equals_dense_and_skips_other_caps(self, rows, monkeypatch):
+        """Half of one cap's rays and a few loose ones: the dense bits, and no product or cone bound on another cap."""
+        g = sampled_sphere_grid(3, 2048, seed=6)
+        d, caps = g.directions, g.caps()
+        rng = np.random.default_rng(6)
+        if rows == "facets":  # the ellipsoid's hull: about 4100 facets
+            hull = ConvexHull(d / np.linalg.norm(d / np.array([1.0, 1.5, 2.0]), axis=1, keepdims=True))
+            pts, w = hull.equations[:, :-1], -1.0 / hull.equations[:, -1]
+        else:
+            pts, w = d, np.exp(rng.normal(0.0, 0.3, 2048))
+        rays = np.unique(np.concatenate((caps.order[caps.starts[1]:caps.starts[2]:2], rng.choice(2048, 5))))
+        label = np.repeat(np.arange(len(caps.radius)), np.diff(caps.starts))[np.argsort(caps.order)]
+        dense = _pair_max(pts, d[rays], w)
+        seen, centres = [], [0]
+        real_max, real_cos = sampleops._block_max, sampleops.cap_cosines
+
+        def max_spy(p, theta, *args):
+            seen.append(theta)
+            return real_max(p, theta, *args)
+
+        def cos_spy(c, r, p):
+            centres[0] += len(c)
+            return real_cos(c, r, p)
+
+        monkeypatch.setattr(sampleops, "_block_max", max_spy)
+        monkeypatch.setattr(sampleops, "cap_cosines", cos_spy)
+        assert _ulps(_support_pruned(g, pts, w, rays), dense) == 0
+        wanted = {row.tobytes() for row in d[rays]}
+        assert seen and all(row.tobytes() in wanted for theta in seen for row in theta)
+        assert centres[0] == (len(np.unique(label[rays])) if rows == "facets" else 0)
 
     def test_one_ray_caps_and_one_row_groups(self, monkeypatch):
         """Caps of one ray and groups of one row give the dense bits, and no product has a side of 1."""

@@ -722,3 +722,51 @@ def test_qhull_failure_reads_as_one_repeatable_line():
         messages.add(str(e.value))
     (message,) = messages
     assert message.startswith("degenerate vertex set: QH") and "\n" not in message
+
+
+def _oracle_corpus():
+    """(name, shape, convex) per the shape kind: seeded bases drawn as the workload's, and near-degenerate shapes."""
+    rng = np.random.default_rng(27)
+    cases = []
+    for dim in (2, 3):
+        for seed in range(30):
+            poly = _seeded_polytope(dim, 2700 + 10 * dim + seed)
+            centre = poly.vertices.mean(axis=0)
+            ball = OffOriginBall(centre, 0.9 * rng.random() * np.linalg.norm(centre))
+            cases += [(f"polytope-{dim}d-{seed}", poly, False),
+                      (f"outcone-{dim}d-{seed}", TruncatedOutCone(poly, 6.0), True),
+                      (f"ball-{dim}d-{seed}", ball, True)]
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    cube = np.array(np.meshgrid(*[[0.0, 1.0]] * 3)).reshape(3, -1).T
+    thin = np.array(np.meshgrid([-1.0, 1.0], [-1.0, 1.0], [0.999, 1.001])).reshape(3, -1).T
+    return cases + [
+        ("thin-slab-2d", OffOriginPolytope([[-1.0, 0.999], [1.0, 0.999], [1.0, 1.001], [-1.0, 1.001]]), False),
+        ("thin-slab-3d", OffOriginPolytope(thin), False),
+        ("far-square", OffOriginPolytope(square + [30.0, 0.0]), False),
+        ("far-cube", OffOriginPolytope(cube + [30.0, 0.0, 0.0]), False),
+        ("far-outcone", TruncatedOutCone(OffOriginPolytope(square + [30.0, 0.0]), 6.0), True),
+        ("facet-nearly-through-0", OffOriginPolytope([[1.0, 1e-3], [2.0, 1e-3], [1.5, 1.0]]), False),
+        ("ball-nearly-touching-0", OffOriginBall([2.0, 0.0], 2.0 * (1.0 - 1e-6)), True),
+        ("ball-3d-nearly-touching-0", OffOriginBall([0.0, 0.0, 1.0], 1.0 - 1e-6), True),
+        ("far-ball", OffOriginBall([100.0, 0.0, 0.0], 0.5), True),
+    ]
+
+
+class TestClosedFormVerdict:
+    """The verdict at the default tol against the shape kind's answer (see the module docstring).
+
+    A bounded polytope with 0 outside has a far facet, so its image is never
+    convex; the images of an out-cone and of a ball that excludes 0 are.
+    """
+
+    def test_verdict_is_the_kinds_answer(self):
+        """189 verdicts: 30 bases in each of 2D and 3D, each as a polytope, an out-cone and beside a ball, and 9 more."""
+        wrong = [name for seed, (name, shape, convex) in enumerate(_oracle_corpus())
+                 if is_inversion_convex(shape, seed=seed).convex != convex]
+        assert wrong == []
+
+    @pytest.mark.xfail(strict=True, raises=MethodDisagreementError,
+                       reason="the direct test's depth is absolute: a far square's image is too small for it")
+    def test_far_polytope_at_the_default_tol(self):
+        square = OffOriginPolytope(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]) + [300.0, 0.0])
+        assert not is_inversion_convex(square, seed=1).convex
