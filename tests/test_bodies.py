@@ -870,8 +870,8 @@ class TestVertexPassThrough:
             kinds.add("all" if vertex.all() else "most" if vertex.mean() > 0.5 else "few")
         assert kinds == {"all", "most", "few"}
 
-    def test_power_passes_every_vertex_cloud_through(self, monkeypatch):
-        """A 3D power map at lambda = 0.5 on a hull body: its hull calls return their cloud itself."""
+    def test_power_gets_all_vertex_clouds_back(self, monkeypatch):
+        """A 3D power map at lambda = 0.5 on a hull body: some of its hull calls return their cloud itself."""
         g = sampled_sphere_grid(3, 2048, seed=7)
         k = convexify_support(StarBody(g, np.exp(np.random.default_rng(7).normal(0.0, 0.3, 2048))))
         same = []
