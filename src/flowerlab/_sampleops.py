@@ -44,9 +44,10 @@ grouped under the cap centres by spherecore.group_rows, as the rays are):
   and the centre - the cap's radius)), from spherecore.cap_cosines (for C
   a field of the caps, built with them).  A row whose bound stays below
   the floor is skipped; the rest are gathered.
-* A cap that would gather more than half the rows takes them all without
-  gathering: the dense max, where the floor is low.  Point sets too small
-  for caps to pay take the dense max whole, and build no caps.
+* A cap that would gather more than half the rows takes the dense max over
+  them all where it stands, without gathering: its floor is low.  Point
+  sets too small for caps to pay take the dense max whole, and build no
+  caps.
 
 The dense kernels cut their products by one rule (RAY_BLOCK), so every
 entry rounds alike at any shape, and hold DENSE_BLOCK products at a time
@@ -419,10 +420,10 @@ def _support_pruned(grid: DirectionGrid, pts: np.ndarray, w: np.ndarray, rays: n
     product of row i on a ray of cap c exceeds its bound b_i = w_i
     cosines[c, i], so a row with b_i < L_c is skipped; the others are
     gathered.  A cap whose gathered rows are over half of the rows takes
-    every row in one pass with the other such caps at the end.  _block_max's
-    bits do not depend on the rows or rays it is given, so the result equals
-    the dense max bit for bit, on any subset of rays: a subset's floor is
-    no lower, and still below each of its rays' answers.
+    the dense max over every row where it stands.  _block_max's bits do not
+    depend on the rows or rays it is given, so the result equals the dense
+    max bit for bit, on any subset of rays: a subset's floor is no lower,
+    and still below each of its rays' answers.
     """
     dirs = grid.directions
     if len(pts) < DENSE_BLOCK // RAY_BLOCK:
@@ -442,9 +443,7 @@ def _support_pruned(grid: DirectionGrid, pts: np.ndarray, w: np.ndarray, rays: n
         cosines = (row for i in range(0, len(visit), step)
                    for row in cap_cosines(caps.centres[visit[i:i + step]], caps.radius[visit[i:i + step]], pts))
     half = len(pts) // 2
-    buf = np.empty(max(DENSE_BLOCK, 4 * len(pts)))
     out = np.empty(len(dirs))
-    dense = []  # rays of the caps that take every row, taken together at the end
     for c, cos_c in zip(visit, cosines):
         cap = caps.order[caps.starts[c]:caps.starts[c + 1]]
         if rays is not None:
@@ -452,19 +451,15 @@ def _support_pruned(grid: DirectionGrid, pts: np.ndarray, w: np.ndarray, rays: n
         own = order[starts[c]:starts[c + 1]]
         bound = cos_c * w
         theta = dirs[cap]
-        best = _block_max(pts[own], theta, w[own], buf) if len(own) else np.zeros(len(cap))
+        best = _block_max(pts[own], theta, w[own]) if len(own) else np.zeros(len(cap))
         keep = bound >= best.min()
         keep[own] = False
         rows = np.flatnonzero(keep)
         if len(rows) > half:
-            dense.append(cap)
-            continue
-        if len(rows):
-            best = np.maximum(best, _block_max(pts[rows], theta, w[rows], buf))
+            best = _block_max(pts, theta, w)
+        elif len(rows):
+            best = np.maximum(best, _block_max(pts[rows], theta, w[rows]))
         out[cap] = best
-    if dense:
-        cap = np.concatenate(dense)
-        out[cap] = _block_max(pts, dirs[cap], w, buf)
     return out if rays is None else out[rays]
 
 
@@ -489,16 +484,15 @@ def _ray_cuts(m: int, n: int) -> list[int]:
     return [*range(0, head, wide), *(head + i * (n - head) // parts for i in range(parts)), n]
 
 
-def _block_max(pts: np.ndarray, dirs: np.ndarray, w: np.ndarray | None = None, buf: np.ndarray | None = None) -> np.ndarray:
+def _block_max(pts: np.ndarray, dirs: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     """max_i w_i <p_i, theta_j>_+ over the point rows p_i for each ray row theta_j (w = 1 if None): the one dense max.
 
     The rays go in the blocks of _ray_cuts, a lone row or ray is repeated
     and rays that share memory with the rows (C's own rays) are copied, so
-    every product rounds as in a 2 x 2 product, whatever the call's shape.
-    The products go into buf if given (max(DENSE_BLOCK, 4 len(pts)) floats),
-    so the pruned kernel allocates its block once.  Each ray's max is
-    clipped at 0 once, not each product: as w > 0, the max of w_i x_ij
-    clipped equals the max of w_i max(x_ij, 0).
+    every product rounds as in a 2 x 2 product, whatever the call's shape;
+    one block of at most max(DENSE_BLOCK, 4 len(pts)) products is held at a
+    time.  Each ray's max is clipped at 0 once, not each product: as w > 0,
+    the max of w_i x_ij clipped equals the max of w_i max(x_ij, 0).
     """
     n = len(dirs)
     if np.may_share_memory(pts, dirs):
@@ -507,11 +501,11 @@ def _block_max(pts: np.ndarray, dirs: np.ndarray, w: np.ndarray | None = None, b
     w = None if w is None else _pair(w)[:, None]
     out = np.empty(len(dirs))
     for j, k in pairwise(_ray_cuts(len(pts), len(dirs))):
-        block = None if buf is None else buf[:len(pts) * (k - j)].reshape(len(pts), k - j)
-        block = np.matmul(pts, dirs[j:k].T, out=block)
+        block = np.matmul(pts, dirs[j:k].T)
         if w is not None:
             block *= w
         block.max(axis=0, out=out[j:k])
+        del block  # before the next block is made
     np.maximum(out, 0.0, out=out)
     return out[:n]
 

@@ -135,6 +135,8 @@ class Flower(StarBody):
             self.petals = _read_only(np.atleast_2d(self.petals))
             if self.petals.shape[1] != self.grid.dim:
                 raise ParameterError("petal points have wrong dimension")
+            if not np.isfinite(self.petals).all():
+                raise DegenerateInputError("petal points must be finite")
 
 
 class CertificateReport(NamedTuple):

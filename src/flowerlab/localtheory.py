@@ -92,15 +92,23 @@ def default_subgrid(k: int, size: int = 720, seed: int = 0) -> DirectionGrid:
     return sampled_sphere_grid(k, n + (n % 2), seed, symmetric=True)
 
 
+def _frame_directions(f: Flower, e: SubspaceBasis, directions_k: np.ndarray) -> np.ndarray:
+    """directions_k as rows of e.k frame coordinates; ParameterError unless E lies in the flower's space."""
+    if e.ambient_dim != f.grid.dim:
+        raise ParameterError(f"subspace lives in dimension {e.ambient_dim}, the flower in dimension {f.grid.dim}")
+    dk = np.atleast_2d(np.asarray(directions_k, dtype=float))
+    if dk.shape[1] != e.k:
+        raise ParameterError(f"directions have {dk.shape[1]} coordinates, the subspace has dimension {e.k}")
+    return dk
+
+
 def projected_radial(f: Flower, e: SubspaceBasis, directions_k: np.ndarray) -> np.ndarray:
     """Radial samples of P_E F at unit directions given in frame coordinates.
 
     Each petal B_x projects to the ball with center P_E x / 2 and radius
     |x| / 2 inside E; the projected flower is the union of those balls.
     """
-    if e.ambient_dim != f.grid.dim:
-        raise ParameterError("subspace lives in a different ambient dimension")
-    dk = np.atleast_2d(np.asarray(directions_k, dtype=float))
+    dk = _frame_directions(f, e, directions_k)
     pts = canonical_petals(f)
     cents = (pts @ e.frame.T) / 2.0  # (M, k)
     rho = _row_norms(pts) / 2.0  # (M,)
@@ -123,7 +131,7 @@ def section_radial(f: Flower, e: SubspaceBasis, directions_k: np.ndarray) -> np.
     any direction for a petal list; for a certified flower without one, within
     a few ulp of its samples at its grid nodes.
     """
-    dk = np.atleast_2d(np.asarray(directions_k, dtype=float))
+    dk = _frame_directions(f, e, directions_k)
     return np.maximum(_block_max(canonical_petals(f), dk @ e.frame), EPS_FLOOR)
 
 
@@ -277,6 +285,8 @@ def kashin_petals(n: int, seed: int, num_petals: int | None = None, grid: Direct
         raise ParameterError("need at least one petal")
     if grid is None:
         grid = default_subgrid(n, size=720 if n == 2 else 2048, seed=child_seed(seed, 2 ** 20))
+    elif grid.dim != n:
+        raise ParameterError(f"grid has dimension {grid.dim}, the petals dimension {n}")
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(m, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

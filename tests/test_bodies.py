@@ -60,7 +60,7 @@ from flowerlab.errors import (
     NotAFlowerError,
     ParameterError,
 )
-from flowerlab.spherecore import Caps, DirectionGrid, cap_cosines, sampled_sphere_grid, uniform_angle_grid
+from flowerlab.spherecore import Caps, DirectionGrid, cap_cosines, group_rows, sampled_sphere_grid, uniform_angle_grid
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -121,6 +121,15 @@ class TestFlowerFromPetals:
     def test_all_zero_rejected(self, grid720):
         with pytest.raises(DegenerateInputError):
             flower_from_petals([np.zeros(2)], grid720)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_petal_refused(self, grid720, bad):
+        """A NaN petal used to pass, and dvoretzky_search then gave distance inf and no subspace, global_average nan."""
+        f = flower_from_petals([E1, -E1, E2], grid720)
+        petals = f.petals.copy()
+        petals[2, 0] = bad
+        with pytest.raises(DegenerateInputError, match="petal points must be finite"):
+            Flower(grid720, f.radial, petals)
 
 
 class TestFlowerCore:
@@ -1524,6 +1533,28 @@ class TestPrunedSupport:
         assert seen and all(row.tobytes() in wanted for theta in seen for row in theta)
         assert centres[0] == (len(np.unique(label[rays])) if rows == "facets" else 0)
 
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_dense_route_takes_one_cap_per_call(self, dim, monkeypatch):
+        """A cap that gathers over half the rows takes every row for its own rays alone: the spike sends 7 caps in 3D."""
+        g = sampled_sphere_grid(dim, 2048, seed=2048 + dim)
+        d, caps = g.directions, g.caps()
+        label = np.repeat(np.arange(len(caps.radius)), np.diff(caps.starts))[np.argsort(caps.order)]
+        ray = {row.tobytes(): j for j, row in enumerate(d)}
+        clouds = _pruned_test_clouds(g, np.random.default_rng(2048 + dim))
+        dense = [_pair_max(d, d, w) for w in clouds]
+        seen = []
+        real = sampleops._block_max
+
+        def spy(p, theta, *args):
+            seen.append((len(p), {label[ray[row.tobytes()]] for row in theta}))
+            return real(p, theta, *args)
+
+        monkeypatch.setattr(sampleops, "_block_max", spy)
+        for w, ref in zip(clouds, dense):
+            assert _ulps(_support_pruned(g, d, w), ref) == 0
+        assert any(rows == len(d) for rows, _ in seen)
+        assert all(len(held) == 1 for _, held in seen)
+
     def test_one_ray_caps_and_one_row_groups(self, monkeypatch):
         """Caps of one ray and groups of one row give the dense bits, and no product has a side of 1."""
         g = sampled_sphere_grid(3, 2048, seed=5)
@@ -1554,6 +1585,41 @@ class TestPrunedSupport:
         assert _ulps(_support_pruned(g, pts, w), dense) == 0
         assert g._caps is not None
         assert _ulps(_block_max(pts, g.directions, w), dense) == 0
+
+    def test_dense_route_holds_one_block(self, monkeypatch):
+        """The 140 000 rows above, the first cap's group floored so that cap takes every row: one block at a time.
+
+        The budget is one block of max(DENSE_BLOCK, 4 rows) products plus
+        five vectors of one float or index per row (the groups' order, a
+        cap's cosines and bounds, its gather mask and indices): 9.9 MiB,
+        where the kernel peaks near 8.5 MiB.  A second block, held while
+        the next is made or as a shared buffer, would pass it.
+        """
+        g = sampled_sphere_grid(3, 64, seed=9)
+        rng = np.random.default_rng(9)
+        pts = rng.normal(size=(140_000, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        w = np.exp(rng.normal(0.0, 0.3, len(pts)))
+        order, starts = group_rows(pts, g.caps().centres)
+        w[order[:starts[1]]] = EPS_FLOOR
+        dense = _block_max(pts, g.directions, w)
+        rows = []
+        real = sampleops._block_max
+
+        def spy(p, theta, *args):
+            rows.append(len(p))
+            return real(p, theta, *args)
+
+        monkeypatch.setattr(sampleops, "_block_max", spy)
+        tracemalloc.start()
+        try:
+            out = _support_pruned(g, pts, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _ulps(out, dense) == 0
+        assert len(pts) in rows
+        assert peak < 8 * max(DENSE_BLOCK, 4 * len(pts)) + 5 * 8 * len(pts)
 
     def test_small_grid_builds_no_caps(self):
         """Below DENSE_BLOCK / RAY_BLOCK points C and the facet support take the dense max, which reads no caps."""

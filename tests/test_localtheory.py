@@ -16,7 +16,7 @@ from flowerlab.bodies import (
     square_body,
     unit_ball,
 )
-from flowerlab.errors import SymmetryError, UnsupportedDimensionError
+from flowerlab.errors import ParameterError, SymmetryError, UnsupportedDimensionError
 from flowerlab.localtheory import (
     ExperimentReport,
     canonical_petals,
@@ -519,6 +519,35 @@ class TestKashin:
             if r2n <= rn:
                 wins += 1
         assert wins > 20
+
+
+class TestDimensionMismatch:
+    """A grid, subspace or direction rows of the wrong dimension is a ParameterError naming both, not a matmul error."""
+
+    @staticmethod
+    def _f4():
+        return random_symmetric_flower(sampled_sphere_grid(4, 64, seed=0, symmetric=True), 1, num_pairs=8)
+
+    @pytest.mark.parametrize("call", [
+        lambda f, e: project_flower(f, e, grid=uniform_angle_grid(64)),
+        lambda f, e: section_flower(f, e, grid=uniform_angle_grid(64)),
+        lambda f, e: dvoretzky_search(f, 3, 2, 0, subgrid=uniform_angle_grid(64)),
+        lambda f, e: projected_radial(f, e, uniform_angle_grid(64).directions),
+        lambda f, e: section_radial(f, e, uniform_angle_grid(64).directions),
+    ], ids=["project_flower", "section_flower", "dvoretzky_search", "projected_radial", "section_radial"])
+    def test_direction_rows_of_another_width(self, call):
+        with pytest.raises(ParameterError, match="directions have 2 coordinates, the subspace has dimension 3"):
+            call(self._f4(), random_subspace(4, 3, seed=3))
+
+    @pytest.mark.parametrize("radial", [projected_radial, section_radial])
+    def test_subspace_of_another_ambient_dimension(self, radial):
+        e = random_subspace(5, 3, seed=3)
+        with pytest.raises(ParameterError, match="subspace lives in dimension 5, the flower in dimension 4"):
+            radial(self._f4(), e, sampled_sphere_grid(3, 64, seed=1).directions)
+
+    def test_kashin_grid_of_another_dimension(self):
+        with pytest.raises(ParameterError, match="grid has dimension 2, the petals dimension 4"):
+            kashin_petals(4, 0, grid=uniform_angle_grid(720))
 
 
 def test_experiment_report_roundtrip(tmp_path):
