@@ -49,29 +49,33 @@ grouped under the cap centres by spherecore.group_rows, as the rays are):
   sets too small for caps to pay take the dense max whole, and build no
   caps.
 
-The dense kernels cut their products by one rule (RAY_BLOCK), so every
-entry rounds alike at any shape, and hold DENSE_BLOCK products at a time
-where the rows allow it, so they need O(N + M) memory:
+Every max over products, the ball union's too, runs through one dense
+kernel, _block_max.  It cuts its products by one rule (RAY_BLOCK), so every
+entry rounds alike at any shape, and holds DENSE_BLOCK products at a time
+where the rows allow it, so it needs O(N + M) memory.  It gives:
 
-* _block_max, max_i w_i <p_i, theta_j>_+: every max of the pruned kernel,
-  which so equals the dense max bit for bit, and, with w = 1, the support
-  of conv(points + {0}), the radial of their petal flower
+* max_i w_i <p_i, theta_j>_+: every max of the pruned kernel, which so
+  equals the dense max bit for bit, and, with w = 1, the support of
+  conv(points + {0}), the radial of their petal flower
   (flower_from_petals, polytope_body, section_radial, global_average).
 * _ball_union_radial, the radial of a union of balls that hold the origin
-  (projected_radial, minkowski_sum_2d).  It and _row_norms, which gives
-  those callers their petal lengths, rescale by a power of two, so petals
-  whose squares would overflow stay exact.
+  (projected_radial, minkowski_sum_2d), by a fold into the balls' reach.
+  It and _row_norms, which gives those callers their petal lengths,
+  rescale by a power of two, so petals whose squares would overflow stay
+  exact.
+
+Row blocks come from spherecore.row_blocks; scipy loads on the first hull.
 """
 from __future__ import annotations
 
 import bisect
+from collections.abc import Callable
 from itertools import pairwise
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegenerateInputError
-from .spherecore import DENSE_BLOCK, DirectionGrid, cap_cosines, group_rows
+from .spherecore import DENSE_BLOCK, DirectionGrid, cap_cosines, group_rows, row_blocks
 
 # the Graham kernel below is plain numpy/Python; the flag stays because the
 # benchmark harness reads it to label the 2D hull kernel
@@ -165,8 +169,9 @@ def _turns(xy: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ring[:, :n], ring[:, 2 * s:], d[0, :n] * d[1, s:] - d[1, :n] * d[0, s:]
 
 
-def convex_hull(points: np.ndarray, what: str) -> ConvexHull:
-    """The package's one qhull call; a failure raises DegenerateInputError("what: qhull's reason"), no run id."""
+def convex_hull(points: np.ndarray, what: str):
+    """The package's one qhull call, loading scipy on the first; failures raise DegenerateInputError("what: qhull's reason"), no run id."""
+    from scipy.spatial import ConvexHull, QhullError
     try:
         return ConvexHull(points)
     except QhullError as e:
@@ -438,10 +443,9 @@ def _support_pruned(grid: DirectionGrid, pts: np.ndarray, w: np.ndarray, rays: n
         order, starts = caps.order, caps.starts
         cosines = (caps.cosines[c] for c in visit)
     else:
-        step = max(1, DENSE_BLOCK // len(pts))
         order, starts = group_rows(pts, caps.centres)
-        cosines = (row for i in range(0, len(visit), step)
-                   for row in cap_cosines(caps.centres[visit[i:i + step]], caps.radius[visit[i:i + step]], pts))
+        cosines = (row for b in row_blocks(len(visit), len(pts))
+                   for row in cap_cosines(caps.centres[visit[b]], caps.radius[visit[b]], pts))
     half = len(pts) // 2
     out = np.empty(len(dirs))
     for c, cos_c in zip(visit, cosines):
@@ -449,10 +453,9 @@ def _support_pruned(grid: DirectionGrid, pts: np.ndarray, w: np.ndarray, rays: n
         if rays is not None:
             cap = cap[want[cap]]
         own = order[starts[c]:starts[c + 1]]
-        bound = cos_c * w
         theta = dirs[cap]
         best = _block_max(pts[own], theta, w[own]) if len(own) else np.zeros(len(cap))
-        keep = bound >= best.min()
+        keep = cos_c * w >= best.min()
         keep[own] = False
         rows = np.flatnonzero(keep)
         if len(rows) > half:
@@ -484,7 +487,7 @@ def _ray_cuts(m: int, n: int) -> list[int]:
     return [*range(0, head, wide), *(head + i * (n - head) // parts for i in range(parts)), n]
 
 
-def _block_max(pts: np.ndarray, dirs: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+def _block_max(pts: np.ndarray, dirs: np.ndarray, w: np.ndarray | None = None, fold: Callable | None = None) -> np.ndarray:
     """max_i w_i <p_i, theta_j>_+ over the point rows p_i for each ray row theta_j (w = 1 if None): the one dense max.
 
     The rays go in the blocks of _ray_cuts, a lone row or ray is repeated
@@ -492,7 +495,8 @@ def _block_max(pts: np.ndarray, dirs: np.ndarray, w: np.ndarray | None = None) -
     every product rounds as in a 2 x 2 product, whatever the call's shape;
     one block of at most max(DENSE_BLOCK, 4 len(pts)) products is held at a
     time.  Each ray's max is clipped at 0 once, not each product: as w > 0,
-    the max of w_i x_ij clipped equals the max of w_i max(x_ij, 0).
+    the max of w_i x_ij clipped equals the max of w_i max(x_ij, 0).  fold
+    maps each block, after w, to the values the max takes: the balls' reach.
     """
     n = len(dirs)
     if np.may_share_memory(pts, dirs):
@@ -504,6 +508,8 @@ def _block_max(pts: np.ndarray, dirs: np.ndarray, w: np.ndarray | None = None) -
         block = np.matmul(pts, dirs[j:k].T)
         if w is not None:
             block *= w
+        if fold is not None:
+            block = fold(block)
         block.max(axis=0, out=out[j:k])
         del block  # before the next block is made
     np.maximum(out, 0.0, out=out)
@@ -521,24 +527,20 @@ def _ball_union_radial(centers: np.ndarray, radii: np.ndarray, dirs: np.ndarray)
 
     The balls are scaled by 2**-s, with s centring the radii on 1 as in
     _hull_pass, so the squares stay in the floats at any scale; the scaling
-    is exact, so in-range results are unchanged bit for bit.  Its products
-    are cut and padded as _block_max's, so its bits are shape-free too; each
-    block's square root is taken in place, in one temporary.
+    is exact, so in-range results are unchanged bit for bit.  _block_max
+    takes the products, so the bits are shape-free too, and its fold the
+    reach of each block in place, in one temporary; each ball holds 0, so
+    its clip at 0 moves a reach only by rounding, below the callers' floor.
     """
     s = (int(np.frexp(radii.max())[1]) + int(np.frexp(radii.min())[1])) // 2
-    n = len(dirs)
-    centers, radii, dirs = _pair(np.ldexp(centers, -s)), _pair(np.ldexp(radii, -s)), _pair(dirs)
-    base = radii ** 2 - (centers ** 2).sum(axis=1)
-    out = np.empty(len(dirs))
-    for j, k in pairwise(_ray_cuts(len(centers), len(dirs))):
-        ip = centers @ dirs[j:k].T
-        reach = np.multiply(ip, ip)
-        reach += base[:, None]
-        np.maximum(reach, 0.0, out=reach)
-        np.sqrt(reach, out=reach)
-        reach += ip
-        reach.max(axis=0, out=out[j:k])
-    return np.ldexp(out[:n], s)
+    centers = np.ldexp(centers, -s)
+    base = (np.ldexp(radii, -s) ** 2 - (centers ** 2).sum(axis=1))[:, None]  # broadcasts over _pair's repeated lone row
+
+    def reach(ip: np.ndarray) -> np.ndarray:
+        r = np.multiply(ip, ip)
+        r += base
+        return np.add(np.sqrt(np.maximum(r, 0.0, out=r), out=r), ip, out=r)
+    return np.ldexp(_block_max(centers, dirs, fold=reach), s)
 
 
 def hull_radial(grid: DirectionGrid, w: np.ndarray) -> np.ndarray:

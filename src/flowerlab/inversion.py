@@ -45,7 +45,7 @@ from .errors import (
     ParameterError,
     SingularPointError,
 )
-from .spherecore import DENSE_BLOCK, _read_only
+from .spherecore import _read_only, row_blocks
 
 CONVEX_POSITION_TOL = 1e-7
 ARC_POINTS_PER_PAIR = 9  # interior arc points tested per sampled pair
@@ -167,17 +167,16 @@ class OffOriginPolytope(_Sampled):
         eq = self._hull.equations
         b = eq[:, -1]
         lo, hi = np.empty(len(thetas)), np.empty(len(thetas))
-        step = max(1, DENSE_BLOCK // len(eq))
-        for i in range(0, len(thetas), step):
+        for i in row_blocks(len(thetas), len(eq)):
             # stacked per-ray products round like one matrix-vector product per ray
-            a = (eq[None, :, :-1] @ thetas[i:i + step, :, None])[..., 0]
+            a = (eq[None, :, :-1] @ thetas[i, :, None])[..., 0]
             parallel = np.abs(a) < 1e-14
             t = -b / np.where(parallel, 1.0, a)
             near = np.where(a <= -1e-14, t, 0.0).max(axis=1)
             far = np.where(a >= 1e-14, t, np.inf).min(axis=1)
             miss = (parallel & (b > 1e-12)).any(axis=1) | (near > far * (1 + 1e-12) + 1e-15)
-            lo[i:i + step] = np.where(miss, np.inf, near)
-            hi[i:i + step] = np.where(miss, -np.inf, far)
+            lo[i] = np.where(miss, np.inf, near)
+            hi[i] = np.where(miss, -np.inf, far)
         return lo, hi
 
     def _boundary_draws(self, rng: np.random.Generator, nsamp: int) -> tuple[np.ndarray, ...]:
@@ -254,9 +253,8 @@ class TruncatedOutCone(_Sampled):
         k = min(n, self.dim + 2)
         wts = rng.dirichlet(np.ones(k), size=nsamp)
         cols = np.empty((nsamp, k), dtype=np.intp)
-        step = max(1, DENSE_BLOCK // n)
-        for i in range(0, nsamp, step):  # the keys of one nsamp x n draw, block by block from the same stream
-            cols[i:i + step] = np.argsort(rng.random((min(step, nsamp - i), n)), axis=1)[:, :k]
+        for b in row_blocks(nsamp, n):  # the keys of one nsamp x n draw, block by block from the same stream
+            cols[b] = np.argsort(rng.random((b.stop - b.start, n)), axis=1)[:, :k]
         return wts, cols
 
     def _boundary_points(self, wts: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -352,9 +350,8 @@ def _convex_position_depth(cloud: np.ndarray) -> float:
     rows = np.delete(cloud, hull.vertices, axis=0)
     a, b = hull.equations[:, :-1], hull.equations[:, -1]
     nearest = np.inf
-    step = max(1, DENSE_BLOCK // len(a))
-    for i in range(0, len(rows), step):
-        dist = rows[i:i + step] @ a.T
+    for i in row_blocks(len(rows), len(a)):
+        dist = rows[i] @ a.T
         dist += b
         nearest = min(nearest, float(dist.max(axis=1).min()))
     return max(0.0, -nearest)
@@ -387,7 +384,7 @@ def is_inversion_convex(
         raise ParameterError("tol must be non-negative")
     rng = np.random.default_rng(seed)
     ts = np.linspace(0.0, 1.0, ARC_POINTS_PER_PAIR + 2)[1:-1]
-    cap = max(1, DENSE_BLOCK // (ARC_POINTS_PER_PAIR * shape.dim))
+    cap = row_blocks(samples, ARC_POINTS_PER_PAIR * shape.dim)[0].stop  # pairs per chunk, at most
     witness, done, size = None, 0, 1
     while witness is None and done < samples:
         size = min(size, cap, samples - done)

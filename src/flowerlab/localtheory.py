@@ -18,12 +18,12 @@ from ._sampleops import EPS_FLOOR, _ball_union_radial, _block_max, _row_norms, r
 from .bodies import Flower, StarBody, convex_hull_radial, flower_from_petals
 from .errors import ParameterError, SymmetryError, UnboundedBodyError, UnsupportedDimensionError
 from .spherecore import (
-    DENSE_BLOCK,
     DirectionGrid,
     SubspaceBasis,
     child_seed,
     random_rotations,
     random_subspaces,
+    row_blocks,
     sampled_sphere_grid,
     uniform_angle_grid,
 )
@@ -185,10 +185,9 @@ def random_symmetric_flower(
 
 
 def _seed_stacks(seed: int, trials: int, floats: int):
-    """child_seed(seed, i) for i < trials, in lists of at most DENSE_BLOCK // floats: one stack of frames of that many floats each."""
-    step = max(1, DENSE_BLOCK // floats)
-    for start in range(0, trials, step):
-        yield [child_seed(seed, i) for i in range(start, min(start + step, trials))]
+    """child_seed(seed, i) for i < trials, in the row_blocks of trials by floats: one stack of frames of that many floats each."""
+    for b in row_blocks(trials, floats):
+        yield [child_seed(seed, i) for i in range(trials)[b]]
 
 
 @dataclass(eq=False)

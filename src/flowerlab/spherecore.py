@@ -36,6 +36,12 @@ DENSE_BLOCK = 2 ** 18
 PRUNE_SLACK = 1e-9
 
 
+def row_blocks(n: int, width: int) -> list[slice]:
+    """Slices of n rows, max(1, DENSE_BLOCK // width) a block: the one block rule of every row-blocked loop."""
+    step = max(1, DENSE_BLOCK // width)
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     """Read-only float copy of caller data; arrays the package builds itself are frozen in place instead."""
     a = np.array(a, dtype=float, order="C", copy=True)
@@ -65,8 +71,8 @@ class DirectionGrid:
         if not (np.isfinite(self.directions).all() and np.isfinite(self.weights).all()):
             raise InvalidGridError("directions and weights must be finite")
         with np.errstate(over="ignore"):  # a norm past the floats is inf, and so no unit norm
-            norms = np.linalg.norm(self.directions, axis=1)
-        if np.abs(norms - 1.0).max() > UNIT_NORM_TOL:
+            off = [np.abs(np.linalg.norm(self.directions[b], axis=1) - 1.0).max() for b in row_blocks(self.size, self.dim)]
+        if max(off, default=0.0) > UNIT_NORM_TOL:
             raise InvalidGridError("directions must be unit vectors")
         if (self.weights < 0).any():
             raise InvalidGridError("weights must be nonnegative")
@@ -141,9 +147,8 @@ def angle_between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def nearest_centre(rows: np.ndarray, centres: np.ndarray) -> np.ndarray:
     """Index of the centre with the largest inner product, per row, DENSE_BLOCK products at a time."""
     out = np.empty(len(rows), dtype=np.intp)
-    step = max(1, DENSE_BLOCK // len(centres))
-    for i in range(0, len(rows), step):
-        out[i:i + step] = (rows[i:i + step] @ centres.T).argmax(axis=1)
+    for b in row_blocks(len(rows), len(centres)):
+        out[b] = (rows[b] @ centres.T).argmax(axis=1)
     return out
 
 
@@ -176,17 +181,14 @@ def cap_cosines(centres: np.ndarray, radius: np.ndarray, rows: np.ndarray) -> np
     """
     out = np.empty((len(centres), len(rows)))
     cos_r, sin_r = np.cos(radius)[:, None], np.sin(radius)[:, None]
-    step = max(1, DENSE_BLOCK // len(rows))
-    for c in range(0, len(centres), step):
-        x = np.matmul(centres[c:c + step], rows.T, out=out[c:c + step])
+    for b in row_blocks(len(centres), len(rows)):
+        x = np.matmul(centres[b], rows.T, out=out[b])
         x += 2 * UNIT_NORM_TOL
-        inside = x >= cos_r[c:c + step]
+        inside = x >= cos_r[b]
         root = np.multiply(x, x)
-        np.subtract(1.0, root, out=root)
-        np.maximum(root, 0.0, out=root)
-        np.sqrt(root, out=root)
-        root *= sin_r[c:c + step]
-        x *= cos_r[c:c + step]
+        np.sqrt(np.maximum(np.subtract(1.0, root, out=root), 0.0, out=root), out=root)
+        root *= sin_r[b]
+        x *= cos_r[b]
         x += root
         x[inside] = 1.0
     out += PRUNE_SLACK

@@ -10,6 +10,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from flowerlab.errors import FlowerlabError  # noqa: E402
 from flowerlab.spherecore import uniform_angle_grid  # noqa: E402
 
 
@@ -31,3 +32,15 @@ def grid256():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def assert_refusal():
+    """assert_refusal(call, error, message): call() raises exactly the FlowerlabError subclass error, with that message."""
+
+    def check(call, error, message):
+        with pytest.raises(FlowerlabError) as e:
+            call()
+        assert (type(e.value), str(e.value)) == (error, message)
+
+    return check

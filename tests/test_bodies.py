@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
@@ -45,7 +46,9 @@ from flowerlab.bodies import (
     radial_of_halfspace_body,
     radial_sum,
     random_convex_body,
+    reflect_star_2d,
     regular_polygon_vertices,
+    rotate_star_2d,
     scale_star,
     square_body,
     sup_log_distance,
@@ -59,6 +62,7 @@ from flowerlab.errors import (
     GridMismatchError,
     NotAFlowerError,
     ParameterError,
+    UnsupportedDimensionError,
 )
 from flowerlab.spherecore import Caps, DirectionGrid, cap_cosines, group_rows, sampled_sphere_grid, uniform_angle_grid
 
@@ -1663,7 +1667,7 @@ class TestQhullScale:
         g = sampled_sphere_grid(3, 512, seed=1)
         pts = 2.0 ** 40 * np.exp(np.random.default_rng(1).normal(0.0, 0.3, 512))[:, None] * g.directions
         seen = []
-        monkeypatch.setattr(sampleops, "ConvexHull", lambda p: seen.append(p) or ConvexHull(p))
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", lambda p: seen.append(p) or ConvexHull(p))
         _hull_radial_qhull(g, pts)
         assert seen[0] is pts
 
@@ -1721,6 +1725,25 @@ class TestPetalKernels:
             assert _ulps(_block_max(pts, dirs), _dense_rotated_point_max(pts, dirs)) == 0
             assert _ulps(_ball_union_radial(pts, rho, dirs), _dense_projected_ball_union(pts, rho, dirs)) == 0
 
+    def test_ball_union_holds_a_block_and_its_reach(self):
+        """140 000 balls on 64 rays: each block of products and its reach, no third block.
+
+        The budget is two blocks of max(DENSE_BLOCK, 4 rows) floats plus
+        dim + 3 floats per row (the scaled centres, radii and their squares,
+        and base): 15.0 MiB, where the kernel peaks near 12.9 MiB.  A reach
+        taken in more than one temporary, or the next block made while the
+        last is held, would pass it.
+        """
+        dirs, pts, rho = _kernel_case(np.random.default_rng(11), 3, 140_000, 64)
+        tracemalloc.start()
+        try:
+            out = _ball_union_radial(pts, rho, dirs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (64,) and (out > 0.0).all()
+        assert peak < 2 * 8 * max(DENSE_BLOCK, 4 * len(pts)) + (3 + 3) * 8 * len(pts)
+
     @pytest.mark.parametrize("dim, n", [(2, 720), (2, 4100), (3, 2052), (8, 2048)])
     def test_polytope_support_is_petal_flower_radial(self, dim, n):
         """r_F = h_K bit for bit: the flower of the petals A and the support of conv(A + {0})."""
@@ -1752,3 +1775,38 @@ class TestPetalKernels:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+
+def _grid2():
+    return uniform_angle_grid(16)
+
+
+def _grid3():
+    return sampled_sphere_grid(3, 64, seed=0)
+
+
+# refusals that no other test reaches: (call, error, message)
+BODIES_REFUSALS = [
+    pytest.param(lambda: flower_from_petals(np.ones((2, 3)), _grid2()), ParameterError,
+                 "petal points have wrong dimension", id="flower_from_petals-dim"),
+    pytest.param(lambda: Flower(_grid2(), np.ones(16), petals=np.ones((2, 3))), ParameterError,
+                 "petal points have wrong dimension", id="Flower-petal-dim"),
+    pytest.param(lambda: polar(ConvexBody(_grid2(), np.ones(16))), CertificationRequiredError,
+                 "polar needs a certified convex body", id="polar-uncertified"),
+    pytest.param(lambda: minkowski_sum_2d(*[flower_from_petals(np.eye(3), _grid3())] * 2), UnsupportedDimensionError,
+                 "minkowski_sum_2d needs dim 2", id="minkowski_sum_2d-3d"),
+    pytest.param(lambda: random_convex_body(_grid3(), seed=0), UnsupportedDimensionError,
+                 "random_convex_body generates 2D bodies", id="random_convex_body-3d"),
+    pytest.param(lambda: rotate_star_2d(StarBody(_grid3(), np.ones(64)), 0.1), UnsupportedDimensionError,
+                 "rotate_star_2d needs a 2D grid", id="rotate_star_2d-3d"),
+    pytest.param(lambda: reflect_star_2d(StarBody(_grid3(), np.ones(64))), UnsupportedDimensionError,
+                 "reflect_star_2d needs a 2D grid", id="reflect_star_2d-3d"),
+    pytest.param(lambda: unit_ball(_grid2(), 0.0), ParameterError, "radius must be positive", id="unit_ball-radius"),
+    pytest.param(lambda: scale_star(StarBody(_grid2(), np.ones(16)), 0.0), ParameterError,
+                 "scale factor must be positive", id="scale_star-factor"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", BODIES_REFUSALS)
+def test_refusal(assert_refusal, call, error, message):
+    assert_refusal(call, error, message)

@@ -37,6 +37,7 @@ from flowerlab.calculus import (
     radial_product,
 )
 from flowerlab.errors import ConvergenceError, DegenerateInputError, ParameterError
+from flowerlab.spherecore import uniform_angle_grid
 
 
 class TestPartition:
@@ -433,3 +434,22 @@ def test_uncertified_body_rejected_by_maps(grid720):
         for t, b in ((k, ball), (ball, k)):
             with pytest.raises(CertificationRequiredError):
                 op(t, b)
+
+
+# refusals that no other test reaches: (call, error, message)
+CALCULUS_REFUSALS = [
+    pytest.param(lambda: power(unit_ball(uniform_angle_grid(16)), 0.5, tol=0.0), ParameterError,
+                 "tolerance must be positive", id="power-tol"),
+    pytest.param(lambda: check_composition_bm(*[unit_ball(uniform_angle_grid(16))] * 3, mode="sum"), ParameterError,
+                 "mode must be 'compose' or 'rcompose'", id="bm-mode"),
+    pytest.param(lambda: Partition(np.array([1.0])), ParameterError,
+                 "a partition needs at least two endpoints", id="partition-one-endpoint"),
+    pytest.param(lambda: RadialMap.scale(0.0), ParameterError, "scale factor must be positive", id="scale-factor"),
+    pytest.param(lambda: power_partition(unit_ball(uniform_angle_grid(16)), 0.5, Partition(np.array([0.25, 1.0]))),
+                 ParameterError, "partition must span [lambda, 1]", id="partition-span"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", CALCULUS_REFUSALS)
+def test_refusal(assert_refusal, call, error, message):
+    assert_refusal(call, error, message)

@@ -3,6 +3,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -991,3 +995,56 @@ class TestRemainingSubcommands:
         assert run(["global-avg", p, "--n-rot", "8", "--seed", "2"]) == 0
         assert capsys.readouterr().out == a
         assert float(a.strip()) >= 1.0
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy loads on the first hull; importing the front end builds none
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, flowerlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def _radial_obj(**grid):
+    return {"dim": 2, "representation": "radial", "grid": grid, "values": [1.0]}
+
+
+# body-file refusals that no other test reaches: (call, error, message)
+BODYFILE_REFUSALS = [
+    pytest.param(lambda: parse_body_obj([1]), BodyFileError, "body file must contain a JSON object", id="not-an-object"),
+    pytest.param(lambda: parse_body_obj({"dim": 2, "representation": "radial", "values": [1.0]}), BodyFileError,
+                 "'radial' bodies need a grid", id="radial-no-grid"),
+    pytest.param(lambda: parse_body_obj({"dim": 2, "representation": "radial", "grid": {"type": "uniform-angle", "n": 16}}),
+                 BodyFileError, "'radial' bodies need a 'values' list", id="radial-no-values"),
+    pytest.param(lambda: parse_body_obj(_radial_obj(type="directions", weights=[1.0])), BodyFileError,
+                 "grid: directions grid needs 'vectors'", id="grid-no-vectors"),
+    pytest.param(lambda: parse_body_obj(_radial_obj(type="directions", vectors=[[1.0, 0.0]])), BodyFileError,
+                 "grid: directions grid needs 'weights'", id="grid-no-weights"),
+    pytest.param(lambda: parse_body_obj(_radial_obj(type="directions", vectors={}, weights=[1.0])), BodyFileError,
+                 "grid: 'vectors' must be a list", id="grid-vectors-not-a-list"),
+    pytest.param(lambda: parse_body_obj({"dim": 2, "representation": "petals", "points": [[1.0, 0.0]]}), BodyFileError,
+                 "'petals' bodies need a grid", id="petals-no-grid"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", BODYFILE_REFUSALS)
+def test_body_file_refusal(assert_refusal, call, error, message):
+    assert_refusal(call, error, message)
+
+
+def test_unreadable_body_file_refused(assert_refusal, tmp_path):
+    path = tmp_path / "missing.json"
+    assert_refusal(lambda: parse_body(path), BodyFileError, f"{path}: [Errno 2] No such file or directory: '{path}'")
+
+
+def test_non_numeric_lambda_is_a_usage_error(square_file, capsys):
+    with pytest.raises(SystemExit) as e:
+        run(["power", square_file, "--lambda", "half"])
+    assert e.value.code == 2
+    assert "argument --lambda: expected a finite number, got 'half'" in capsys.readouterr().err
+
+
+def test_fmap_scale_without_factor_exits_1(square_file, capsys):
+    assert run(["fmap", square_file, "--fn", "scale"]) == 1
+    assert capsys.readouterr().err == "error: fmap --fn scale needs --factor\n"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 import flowerlab.inversion as inversion
+import flowerlab.spherecore as spherecore
 from flowerlab.errors import (
     ArcThroughInfinityError,
     DegenerateInputError,
@@ -262,7 +263,7 @@ class TestRayIntervals:
         # 64 products a block: a few rays at a time, the last block short
         poly = _seeded_polytope(dim, seed)
         thetas = _test_rays(poly, np.random.default_rng(seed))
-        monkeypatch.setattr(inversion, "DENSE_BLOCK", 64)
+        monkeypatch.setattr(spherecore, "DENSE_BLOCK", 64)
         step = 64 // len(poly._hull.equations)
         assert 1 < step and len(thetas) % step and len(thetas) > 4 * step
         lo, hi = poly.ray_intervals(thetas)
@@ -770,3 +771,20 @@ class TestClosedFormVerdict:
     def test_far_polytope_at_the_default_tol(self):
         square = OffOriginPolytope(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]) + [300.0, 0.0])
         assert not is_inversion_convex(square, seed=1).convex
+
+
+# refusals that no other test reaches: (call, error, message)
+INVERSION_REFUSALS = [
+    pytest.param(lambda: invert_ball(np.array([3.0, 0.0]), 0.0), ParameterError, "ball radius must be positive",
+                 id="invert_ball-radius"),
+    pytest.param(lambda: OffOriginBall(np.array([0.5, 0.0]), 1.0), DegenerateInputError,
+                 "origin is not strictly outside the ball", id="ball-holds-origin"),
+    pytest.param(lambda: TruncatedOutCone(OffOriginPolytope(np.array([[2.0, -1.0], [3.0, -1.0], [3.0, 1.0], [2.0, 1.0]])),
+                                          scale=1.0),
+                 ParameterError, "truncation scale must exceed 1", id="out-cone-scale"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", INVERSION_REFUSALS)
+def test_refusal(assert_refusal, call, error, message):
+    assert_refusal(call, error, message)

@@ -4,7 +4,7 @@ from itertools import pairwise
 import numpy as np
 import pytest
 
-import flowerlab.localtheory as localtheory
+import flowerlab.spherecore as spherecore
 from flowerlab._sampleops import EPS_FLOOR, _ball_union_radial, _block_max, _pair, _ray_cuts, _row_norms, support_of_cloud
 from flowerlab.bodies import (
     Flower,
@@ -16,7 +16,7 @@ from flowerlab.bodies import (
     square_body,
     unit_ball,
 )
-from flowerlab.errors import ParameterError, SymmetryError, UnsupportedDimensionError
+from flowerlab.errors import ParameterError, SymmetryError, UnboundedBodyError, UnsupportedDimensionError
 from flowerlab.localtheory import (
     ExperimentReport,
     canonical_petals,
@@ -330,7 +330,7 @@ class TestStackedTrials:
     @pytest.fixture(params=["default", "small"])
     def stacks(self, request, monkeypatch):
         if request.param == "small":
-            monkeypatch.setattr(localtheory, "DENSE_BLOCK", 1)
+            monkeypatch.setattr(spherecore, "DENSE_BLOCK", 1)
         return request.param
 
     @pytest.fixture(scope="class")
@@ -557,3 +557,32 @@ def test_experiment_report_roundtrip(tmp_path):
     p = tmp_path / "r.csv"
     rep.write_csv(p)
     assert p.read_text() == "trial,value\n0,1.5\n1,2.5\n"
+
+
+def _cross_flower():
+    return flower_from_petals(np.vstack([np.eye(3), -np.eye(3)]), sampled_sphere_grid(3, 64, seed=0))
+
+
+# refusals that no other test reaches: (call, error, message)
+LOCALTHEORY_REFUSALS = [
+    pytest.param(lambda: distance_to_ball(StarBody(uniform_angle_grid(16), np.full(16, 1e-10))), UnboundedBodyError,
+                 "degenerate body: distance to the ball is unbounded", id="distance-unbounded"),
+    pytest.param(lambda: section_flower(_cross_flower(), random_subspace(3, 1, seed=0)), UnsupportedDimensionError,
+                 "section_flower needs k >= 2", id="section_flower-k1"),
+    pytest.param(lambda: dvoretzky_search(_cross_flower(), 2, trials=0, seed=0), ParameterError,
+                 "need at least one trial", id="dvoretzky-no-trial"),
+    pytest.param(lambda: dvoretzky_search(_cross_flower(), 4, trials=1, seed=0), ParameterError, "k out of range",
+                 id="dvoretzky-k"),
+    pytest.param(lambda: global_average(_cross_flower(), 0, seed=0), ParameterError, "need at least one rotation",
+                 id="global_average-no-rotation"),
+    pytest.param(lambda: kashin_petals(1, 0), ParameterError, "need dimension n >= 2", id="kashin-dim"),
+    pytest.param(lambda: kashin_petals(3, 0, num_petals=0), ParameterError, "need at least one petal",
+                 id="kashin-no-petal"),
+    pytest.param(lambda: ExperimentReport(("a", "b")).add(1), ParameterError, "row length does not match header",
+                 id="report-row"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", LOCALTHEORY_REFUSALS)
+def test_refusal(assert_refusal, call, error, message):
+    assert_refusal(call, error, message)

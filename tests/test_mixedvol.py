@@ -11,6 +11,7 @@ from flowerlab.bodies import (
 )
 from flowerlab.errors import DegenerateInputError, ParameterError
 from flowerlab.mixedvol import FlowerCombination, combine, expansion_check, flower_mixed_volume
+from flowerlab.spherecore import uniform_angle_grid
 
 
 class TestCombine:
@@ -115,3 +116,18 @@ class TestExpansionCheck:
         v22 = flower_mixed_volume(k2, k2)
         poly = lam1 ** 2 * v11 + 2 * lam1 * lam2 * v12 + lam2 ** 2 * v22
         assert volume(g) == pytest.approx(poly, rel=1e-12)
+
+
+# refusals that no other test reaches: (call, error, message)
+MIXEDVOL_REFUSALS = [
+    pytest.param(lambda: flower_mixed_volume(), ParameterError, "mixed volume needs bodies", id="no-bodies"),
+    pytest.param(lambda: FlowerCombination([], np.array([])), ParameterError, "combination needs at least one body",
+                 id="empty-combination"),
+    pytest.param(lambda: FlowerCombination([unit_ball(uniform_angle_grid(16))], np.array([1.0, 2.0])), ParameterError,
+                 "one coefficient per body required", id="coefficient-count"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", MIXEDVOL_REFUSALS)
+def test_refusal(assert_refusal, call, error, message):
+    assert_refusal(call, error, message)

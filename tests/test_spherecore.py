@@ -13,6 +13,7 @@ from flowerlab.errors import GridMismatchError, InvalidGridError, ParameterError
 from flowerlab.inversion import OffOriginBall, OffOriginPolytope
 from flowerlab.mixedvol import FlowerCombination
 from flowerlab.spherecore import (
+    DENSE_BLOCK,
     UNIT_NORM_TOL,
     DirectionGrid,
     Rotation,
@@ -26,6 +27,7 @@ from flowerlab.spherecore import (
     random_rotations,
     random_subspace,
     random_subspaces,
+    row_blocks,
     sampled_sphere_grid,
     uniform_angle_grid,
 )
@@ -77,6 +79,33 @@ class TestGridValidation:
             warnings.simplefilter("error")
             with pytest.raises(InvalidGridError, match="unit vectors"):
                 DirectionGrid(3, d, np.full(6, 1 / 6))
+
+    def test_unit_norm_check_holds_no_grid_sized_temporary(self):
+        # the norms of all rows at once held a temporary as large as the grid
+        d = np.random.default_rng(3).normal(size=(8192, 256))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        tracemalloc.start()
+        try:
+            DirectionGrid(256, d, np.full(8192, 1 / 8192))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d.nbytes + 2 * 8 * DENSE_BLOCK
+
+    def test_unit_norm_checked_in_every_block(self):
+        d = np.random.default_rng(4).normal(size=(3 * DENSE_BLOCK // 64, 64))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        d[-1] *= 1.0 + 1e-9
+        with pytest.raises(InvalidGridError, match="unit vectors"):
+            DirectionGrid(64, d, np.full(len(d), 1 / len(d)))
+
+
+@pytest.mark.parametrize("n, width", [(0, 5), (1, 5), (10, DENSE_BLOCK), (10, 2 * DENSE_BLOCK), (1000, DENSE_BLOCK // 7)])
+def test_row_blocks_cover_the_rows_in_order(n, width):
+    blocks = row_blocks(n, width)
+    step = max(1, DENSE_BLOCK // width)
+    assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+    assert all(b.stop - b.start == step for b in blocks[:-1]) and all(0 < b.stop - b.start <= step for b in blocks)
 
 
 class TestSampledSphereGrid:
@@ -417,3 +446,29 @@ class TestConeBound:
         a = ConvexHull(d / np.linalg.norm(d / np.linspace(1.0, 2.0, dim), axis=1)[:, None]).equations[:, :-1]
         cosines = cap_cosines(caps.centres, caps.radius, a)
         _assert_cone_bound(caps.order, caps.starts, grid.directions, a, self._weights(len(a), 11), cosines)
+
+
+# refusals that no other test reaches: (call, error, message)
+SPHERECORE_REFUSALS = [
+    pytest.param(lambda: sampled_sphere_grid(2, 64, seed=0), InvalidGridError,
+                 "sampled grids are for dim >= 3; use uniform_angle_grid in 2D", id="sampled-2d"),
+    pytest.param(lambda: sampled_sphere_grid(3, 65, seed=0, symmetric=True), InvalidGridError,
+                 "symmetric grid needs even n", id="symmetric-odd"),
+    pytest.param(lambda: random_rotations(1, [0]), ParameterError, "rotation needs dim >= 2", id="rotations-dim"),
+    pytest.param(lambda: DirectionGrid(1, np.ones((2, 1)), np.full(2, 0.5)), InvalidGridError,
+                 "grid dimension must be >= 2, got 1", id="grid-dim"),
+    pytest.param(lambda: DirectionGrid(2, np.eye(2), np.full(3, 1 / 3)), InvalidGridError,
+                 "directions/weights shape mismatch", id="grid-shape"),
+    pytest.param(lambda: sampled_sphere_grid(3, 64, seed=0).angles(), InvalidGridError,
+                 "angles only defined for 2D grids", id="angles-3d"),
+    pytest.param(lambda: Rotation(np.ones((2, 3))), ParameterError, "rotation matrix must be square",
+                 id="rotation-square"),
+    pytest.param(lambda: SubspaceBasis(3, 4, np.eye(3)), ParameterError, "k=4 out of range for ambient dim 3",
+                 id="subspace-k"),
+    pytest.param(lambda: SubspaceBasis(3, 2, np.eye(3)), ParameterError, "frame shape mismatch", id="subspace-shape"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", SPHERECORE_REFUSALS)
+def test_refusal(assert_refusal, call, error, message):
+    assert_refusal(call, error, message)
