@@ -77,6 +77,17 @@ def write_inputs(tmp):
     put(TINY, document_for_star(StarBody(g, np.full(720, 1e-310))))
     declared = DirectionGrid(2, g.directions, g.weights)
     put(DIRS2D, document_for_convex(random_convex_body(declared, 0), {"name": DIRS2D}))
+    # sums and products past the floats: petals of length 1e308, and supports of 1e200 and 1e-200 on the +-e_i
+    # directions in 3D and on 16 uniform angles in 2D
+    g = uniform_angle_grid(16)
+    put(f"{OVER}-p16", BodyDocument(2, "petals", g, points=np.array([[1e308, 0.0], [-1e308, 0.0]])))
+    cube = DirectionGrid(3, np.vstack([np.eye(3), -np.eye(3)]), np.full(6, 1 / 6))
+    for value in (1e200, 1e-200):
+        put(f"{OVER}-e3-{value:g}", document_for_convex(ConvexBody(cube, np.full(6, value))))
+    put(f"{OVER}-s16-1e+200", document_for_convex(ConvexBody(g, np.full(16, 1e200))))
+    for n in (8, 9):  # the smallest grids the 2D hull scan sees
+        for seed in (0, 1):
+            put(f"{SMALL}{n}-{seed}", document_for_convex(random_convex_body(uniform_angle_grid(n), seed)))
     return files
 
 
@@ -99,12 +110,14 @@ CAP = "cap8192"  # support/radial sets on the 8192-direction grid, run only thro
 CAP_CMDS = [["flower"], ["polar"], ["volume"]]
 TINY = "tiny720-r"  # radial samples of 1e-310, whose reciprocals leave the floats: run only through cof, at the end
 DIRS2D = "dirs720-s"  # the 720 uniform rays declared as a directions grid: run only through the last cases
+OVER = "over"  # files whose sums or products leave the floats: run only through the cases after DIRS2D's
+SMALL = "small"  # random bodies on uniform grids of 8 and 9 angles: run only through power and compose, at the end
 
 
 def cases(files):
     """Every case as an argv list of text, with {tmp} still to fill in."""
-    out = [[*cmd[:1], f, *cmd[1:]] for name, f in files.items()
-           if name not in (HUGE, WIDE, TINY, DIRS2D) and not name.startswith((BIG3D, BIG4D, CAP)) for cmd in UNARY]
+    out = [[*cmd[:1], f, *cmd[1:]] for name, f in files.items() if name not in (HUGE, WIDE, TINY, DIRS2D)
+           and not name.startswith((BIG3D, BIG4D, CAP, OVER, SMALL)) for cmd in UNARY]
     for a, b in (("k720-0-s", "k720-1-s"), ("k2048-0-s", "k2048-1-s"), ("k720-0-s", "k720-0-r"), ("x720-s", "k720-0-s"),
                  ("k720-0-s", "x720-s"), ("t720-1e+06", "k720-0-s"), ("k3d-s", "k3d-s"), ("k720-0-s", "k2048-0-s")):
         out += [[cmd[0], files[a], files[b], *cmd[1:]] for cmd in PAIRED]
@@ -122,6 +135,12 @@ def cases(files):
     out += [[*cmd, files[f"{CAP}-{name}-{rep}"]] for name in ("kgon", "body") for rep in "sr" for cmd in CAP_CMDS]
     out += [["cof", files[TINY]], ["compose", files[DIRS2D], files[DIRS2D]],
             ["fmap", files[DIRS2D], "--fn", "power", "--lambda", "0.5"]]
+    e3, s16 = [files[f"{OVER}-e3-{value:g}"] for value in (1e200, 1e-200)], files[f"{OVER}-s16-1e+200"]
+    out += [["global-avg", files[f"{OVER}-p16"], "--n-rot", "2"], *(["mixedvol", f, f, f] for f in e3),
+            *(["volume", f] for f in e3), ["mixedvol", s16, s16], ["volume", s16]]
+    for n in (8, 9):
+        k0, k1 = files[f"{SMALL}{n}-0"], files[f"{SMALL}{n}-1"]
+        out += [["power", k0, "--lambda", "0.5"], ["power", k0, "--lambda", "3"], ["compose", k0, k1]]
     return out
 
 

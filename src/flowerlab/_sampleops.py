@@ -156,17 +156,16 @@ def certificate_violation(grid: DirectionGrid, g: np.ndarray) -> float:
     return float(np.abs(np.asarray(g, dtype=float) - closure(grid, g)).max())
 
 
-def _turns(xy: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """a_i = p_{i-s}, b_i = p_{i+s} of an angularly sorted 2D cloud, and turn_i >= 0 iff a_i, p_i, b_i turn left.
+def _turns(xy: np.ndarray) -> np.ndarray:
+    """turn_i >= 0 iff p_{i-1}, p_i, p_{i+1} of an angularly sorted 2D cloud (x and y as two rows) turn left.
 
-    xy holds x and y as two rows; a and b are views into one padded copy of
-    the ring, and turn_i = (p_i - a_i) x (b_i - p_i) reads both differences
-    off one subtraction over it.
+    turn_i = (p_i - p_{i-1}) x (p_{i+1} - p_i) reads both differences off one
+    subtraction over the ring padded by one point either side.
     """
     n = xy.shape[1]
-    ring = np.concatenate((xy[:, n - s:], xy, xy[:, :s]), axis=1)
-    d = ring[:, s:] - ring[:, :-s]  # d_i = p_i - p_{i-s}, then b_i - p_i = d_{i+s}
-    return ring[:, :n], ring[:, 2 * s:], d[0, :n] * d[1, s:] - d[1, :n] * d[0, s:]
+    ring = np.concatenate((xy[:, n - 1:], xy, xy[:, :1]), axis=1)
+    d = ring[:, 1:] - ring[:, :-1]  # d_i = p_i - p_{i-1}, then p_{i+1} - p_i = d_{i+1}
+    return d[0, :n] * d[1, 1:] - d[1, :n] * d[0, 1:]
 
 
 def convex_hull(points: np.ndarray, what: str):
@@ -242,37 +241,32 @@ def _graham_vertices(xy: np.ndarray) -> np.ndarray | None:
     """Indices, in angular (CCW) order, of the hull vertices of an angularly sorted 2D cloud; None in convex position.
 
     xy holds the x and y coordinates as two rows.  The origin must be
-    interior.  Convex position is all left turns at s = 1 (_turns).
-    Otherwise a point lying strictly inside conv{0, p_{i-s}, p_{i+s}}
-    is never a hull vertex (the test is valid whenever the bracketing pair
-    spans less than pi, which cross(a, b) > 0 certifies); one vectorized pass
-    with s in {1, 2} drops most interior points before the scan.  The scan
-    starts from the farthest point, which is always a vertex, and pops only
-    on a strict right turn, so collinear boundary points stay.
+    interior.  Convex position is all left turns (_turns).  Otherwise the
+    candidates are the points that do not turn right: a point that does lies
+    strictly inside conv{0, p_{i-1}, p_{i+1}}, so it is never a hull vertex,
+    as its neighbours span less than pi (the scan sees only uniform_angle_grid
+    clouds, n >= 8, whose neighbours lie 4 pi / n <= pi / 2 apart).  The scan
+    starts from the farthest candidate, which is always a vertex, and pops
+    only on a strict right turn, so collinear boundary points stay; once
+    round, its stack is the hull.
 
     While the stack's top two entries are consecutive candidates, the scan's
-    next test is the candidates' own s = 1 turn, computed once in numpy with
-    the same float expression; so a convex run is pushed in one step up to
-    the next right turn, and only the pockets behind it are scanned one
-    point at a time, until the top two are consecutive again.
+    next test is the candidates' own turn, computed once in numpy with the
+    same float expression; so a convex run is pushed in one step up to the
+    next right turn, and only the pockets behind it are scanned one point at
+    a time, until the top two are consecutive again.
     """
-    bad = np.zeros(xy.shape[1], dtype=bool)
-    for s in (1, 2):
-        a, b, turn = _turns(xy, s)
-        if s == 1 and (turn >= 0.0).all():
-            return None
-        span_ok = a[0] * b[1] - a[1] * b[0] > 0.0
-        bad |= span_ok & (turn < 0.0)
-    cand = np.flatnonzero(~bad)
+    left = _turns(xy) >= 0.0
+    if left.all():
+        return None
+    cand = np.flatnonzero(left)
     m = len(cand)
-    x, y = xy
-    qx, qy = x[cand], y[cand]
-    s0 = int(np.argmax(qx * qx + qy * qy))
-    q = xy.take(np.concatenate((cand[s0:], cand[:s0 + 1])), axis=1)  # position t is candidate (s0 + t) % m
-    right = [*np.flatnonzero(_turns(q[:, :m], 1)[2] < 0.0).tolist(), m]
+    q = xy.take(cand, axis=1)
+    s0 = int(np.argmax(q[0] * q[0] + q[1] * q[1]))
+    q = np.concatenate((q[:, s0:], q[:, :s0 + 1]), axis=1)  # position t is candidate (s0 + t) % m
+    right = [*np.flatnonzero(_turns(q[:, :m]) < 0.0).tolist(), m]
     xs, ys = q.tolist()
     stack = [0]
-    gone = []  # the popped positions; the stack keeps the rest
     t = 1  # once around, back to s0 at position m; the stack's top is always t - 1
     while t <= m:
         if len(stack) >= 2 and stack[-2] == t - 2:
@@ -282,22 +276,20 @@ def _graham_vertices(xy: np.ndarray) -> np.ndarray | None:
             t = r + 1
             if t > m:
                 break
-            gone.append(stack.pop())  # the turn at r is right
+            stack.pop()  # the turn at r is right
         bx, by = xs[t], ys[t]
         px, py = xs[stack[-1]], ys[stack[-1]]
         while len(stack) >= 2:
             j = stack[-2]
             ax, ay = xs[j], ys[j]
             if (px - ax) * (by - py) - (py - ay) * (bx - px) < 0.0:
-                gone.append(stack.pop())
+                stack.pop()
                 px, py = ax, ay
             else:
                 break
         stack.append(t)
         t += 1
-    kept = np.ones(m, dtype=bool)
-    kept[(np.array(gone, dtype=np.intp) + s0) % m] = False
-    return cand[kept]
+    return cand[np.sort((np.array(stack[:-1]) + s0) % m)]  # the top is position m, s0 again
 
 
 def _edge_radial(grid: DirectionGrid, xy: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -358,7 +350,8 @@ def _support_by_vertices(grid: DirectionGrid, w: np.ndarray, xy: np.ndarray, kee
     """C(w) on a uniform 2D grid from candidate windows: the dense max, bit for bit, over an FMA-rounded Gram.
 
     The vertices are the hull's (keep) or, with keep None, every point of
-    the cloud xy; normals is their _normal_envelope if the caller has it.
+    the cloud xy (keep = arange(n)); normals is their _normal_envelope if
+    the caller has it.
     Each ray phi's window is the vertices lo .. hi whose envelope cone
     [nu_{k-1}, nu_k] meets [phi - NORMAL_ANGLE_TOL, phi + NORMAL_ANGLE_TOL],
     found by searchsorted over the envelope repeated once either side
@@ -388,20 +381,15 @@ def _support_by_vertices(grid: DirectionGrid, w: np.ndarray, xy: np.ndarray, kee
     """
     d = grid.directions
     n = len(w)
-    if normals is None:
-        normals = _normal_envelope(xy if keep is None else xy.take(keep, axis=1))
-    nu, total, _ = normals
+    keep = np.arange(n) if keep is None else keep
+    nu, total, _ = _normal_envelope(xy.take(keep, axis=1)) if normals is None else normals
     m = len(nu)
     nu3 = np.concatenate((nu - total, nu, nu + total))
     phi = nu[0] + (grid.angles() - nu[0]) % (2 * np.pi)
     lo = np.searchsorted(nu3, phi - NORMAL_ANGLE_TOL, side="left")
     hi = np.searchsorted(nu3, phi + NORMAL_ANGLE_TOL, side="right")
-    if keep is None:  # every point is a vertex
-        first = lo % n
-        count = hi - lo + 1
-    else:
-        first = keep[lo % m]
-        count = (keep[hi % m] - first) % n + 1
+    first = keep[lo % m]
+    count = (keep[hi % m] - first) % n + 1
     whole = hi - lo + 1 >= m
     first[whole] = 0
     count[whole] = n

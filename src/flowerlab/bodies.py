@@ -235,10 +235,16 @@ def polar(k: ConvexBody) -> ConvexBody:
     return ConvexBody(k.grid, support_of_cloud(k.grid, reciprocal_bounds(k.support)), certified=True)
 
 
-def _ball_mean(grid: DirectionGrid, values: np.ndarray) -> float:
-    """kappa_n (the volume of the unit ball) times the spherical average of values."""
+def _ball_mean(grid: DirectionGrid, values: np.ndarray, e: int, what: str) -> float:
+    """kappa_n (the unit ball's volume) times the spherical average of values, times 2**e; refused past the floats."""
     n = grid.dim
-    return math.pi ** (n / 2) / math.gamma(n / 2 + 1) * quadrature_mean(grid, values)
+    try:
+        v = math.ldexp(math.pi ** (n / 2) / math.gamma(n / 2 + 1) * quadrature_mean(grid, values), e)
+    except OverflowError:
+        v = math.inf
+    if not 0.0 < v < math.inf:
+        raise DegenerateInputError(f"the {what} leaves the floats (about 2**{e})")
+    return v
 
 
 def volume(a: StarBody | ConvexBody) -> float:
@@ -251,13 +257,7 @@ def volume(a: StarBody | ConvexBody) -> float:
     r = a.radial() if isinstance(a, ConvexBody) else a.radial
     n = a.grid.dim
     k = int(np.frexp(r.max())[1])
-    try:
-        v = math.ldexp(_ball_mean(a.grid, np.ldexp(r, -k) ** n), n * k)
-    except OverflowError:
-        v = math.inf
-    if not 0.0 < v < math.inf:
-        raise DegenerateInputError(f"the volume leaves the floats (about 2**{n * k})")
-    return v
+    return _ball_mean(a.grid, np.ldexp(r, -k) ** n, n * k, "volume")
 
 
 def radial_sum(f1: Flower, f2: Flower) -> Flower:

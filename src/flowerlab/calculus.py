@@ -34,8 +34,8 @@ class Partition:
         self.endpoints = t = _read_only(self.endpoints)
         if t.ndim != 1 or len(t) < 2:
             raise ParameterError("a partition needs at least two endpoints")
-        if (t <= 0).any() or (np.diff(t) <= 0).any():
-            raise ParameterError("endpoints must be positive and strictly increasing")
+        if not (np.isfinite(t).all() and (t > 0).all() and (np.diff(t) > 0).all()):  # nan fails every test
+            raise ParameterError("endpoints must be finite, positive and strictly increasing")
 
     @property
     def steps(self) -> int:
@@ -44,6 +44,8 @@ class Partition:
     @classmethod
     def geometric(cls, lo: float, hi: float, m: int) -> "Partition":
         """m equal log-steps between lo and hi."""
+        if not (0 < lo < np.inf and 0 < hi < np.inf):
+            raise ParameterError("a geometric partition needs finite positive ends")
         return cls(np.exp(np.linspace(np.log(lo), np.log(hi), m + 1)))
 
 
@@ -59,19 +61,19 @@ class RadialMap:
 
     def check_zero_fixed(self, grid: DirectionGrid):
         out = np.asarray(self.evaluator(grid.directions, np.zeros(grid.size)), dtype=float)
-        if out.shape != (grid.size,) or np.abs(out).max() > 1e-12:
+        if out.shape != (grid.size,) or not np.abs(out).max() <= 1e-12:
             raise ParameterError("radial map must satisfy f(theta, 0) = 0")
 
     @classmethod
     def power(cls, lam: float) -> "RadialMap":
-        if lam <= 0:
-            raise ParameterError("power exponent must be positive")
+        if not 0 < lam < np.inf:
+            raise ParameterError("power exponent must be positive" if lam <= 0 else "power exponent must be finite")
         return cls(lambda dirs, r: r ** lam)
 
     @classmethod
     def scale(cls, factor: float) -> "RadialMap":
-        if factor <= 0:
-            raise ParameterError("scale factor must be positive")
+        if not 0 < factor < np.inf:
+            raise ParameterError("scale factor must be positive" if factor <= 0 else "scale factor must be finite")
         return cls(lambda dirs, r: factor * r)
 
 
@@ -130,10 +132,10 @@ def power(k: ConvexBody, lam: float, tol: float = POWER_TOL) -> PowerResult:
     samples, doubling m until the sup-log-radial increment between successive
     refinements drops below tol, or refusing once m reaches POWER_M_CAP.
     """
-    if lam < 0:
-        raise ParameterError("power exponent must be nonnegative")
-    if tol <= 0:
-        raise ParameterError("tolerance must be positive")
+    if not 0 <= lam < np.inf:  # nan fails it too
+        raise ParameterError("power exponent must be nonnegative" if lam < 0 else "power exponent must be finite")
+    if not 0 < tol < np.inf:
+        raise ParameterError("tolerance must be positive" if tol <= 0 else "tolerance must be finite")
     if not k.certified:
         raise CertificationRequiredError("power needs a certified convex body")
     grid = k.grid
@@ -166,6 +168,8 @@ def power_partition(k: ConvexBody, lam: float, partition: Partition) -> ConvexBo
     """
     if not k.certified:
         raise CertificationRequiredError("power_partition needs a certified convex body")
+    if not np.isfinite(lam):
+        raise ParameterError("power exponent must be finite")
     t = partition.endpoints
     if lam < 1.0:
         if not (np.isclose(t[0], lam) and np.isclose(t[-1], 1.0)):

@@ -263,9 +263,10 @@ def global_average(f: Flower, n_rotations: int, seed: int) -> float:
         raise ParameterError("need at least one rotation")
     grid, pts = f.grid, canonical_petals(f)
     acc = np.zeros(grid.size)
-    for seeds in _seed_stacks(seed, n_rotations, grid.dim ** 2):
-        for u in random_rotations(grid.dim, seeds):
-            acc += _block_max(pts @ u.T, grid.directions)
+    with np.errstate(over="ignore"):  # a sum past the floats is inf, the documented answer
+        for seeds in _seed_stacks(seed, n_rotations, grid.dim ** 2):
+            for u in random_rotations(grid.dim, seeds):
+                acc += _block_max(pts @ u.T, grid.directions)
     acc /= n_rotations
     lo, hi = float(acc.min()), float(acc.max())
     return float("inf") if lo <= 0.0 else hi / lo  # a Python float ratio past the floats is inf, with no warning

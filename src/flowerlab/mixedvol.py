@@ -46,7 +46,7 @@ def combine(c: FlowerCombination) -> Flower:
 
 
 def flower_mixed_volume(*bodies: ConvexBody) -> float:
-    """V_flower(K_1, ..., K_n) = kappa_n * mean over the sphere of prod h_{K_i}."""
+    """V_flower(K_1, ..., K_n) = kappa_n * mean over the sphere of prod h_{K_i}, scaled and refused as in volume."""
     if not bodies:
         raise ParameterError("mixed volume needs bodies")
     grid = bodies[0].grid
@@ -55,10 +55,12 @@ def flower_mixed_volume(*bodies: ConvexBody) -> float:
         raise ParameterError(f"mixed volume needs exactly {n} bodies in dimension {n}, got {len(bodies)}")
     for b in bodies[1:]:
         _check_same_grid(grid, b.grid)
-    prod = np.ones(grid.size)
+    prod, e = np.ones(grid.size), 0
     for b in bodies:
-        prod = prod * b.support
-    return _ball_mean(grid, prod)
+        k = int(np.frexp(b.support.max())[1])
+        prod = prod * np.ldexp(b.support, -k)
+        e += k
+    return _ball_mean(grid, prod, e, "flower mixed volume")
 
 
 @dataclass(eq=False)

@@ -705,8 +705,8 @@ class TestExplicitDirectionsGrid:
 
 
 def is_convex_position(pts):
-    """True if the angularly sorted (N, 2) cloud is in convex position: all left turns at s = 1."""
-    return bool((sampleops._turns(pts.T, 1)[2] >= 0.0).all())
+    """True if the angularly sorted (N, 2) cloud is in convex position: all left turns (_turns)."""
+    return bool((sampleops._turns(pts.T) >= 0.0).all())
 
 
 @functools.cache
@@ -1171,7 +1171,7 @@ class TestCandidatesFromEdgeNormals:
         scans = self._count_scans(monkeypatch)
         for rs in range(5):
             g, w = _support_test_cloud("closing", n, rs)
-            assert np.array_equal(np.flatnonzero(sampleops._turns(w * g.directions.T, 1)[2] < 0.0), [0])
+            assert np.array_equal(np.flatnonzero(sampleops._turns(w * g.directions.T) < 0.0), [0])
             scans.clear()
             assert np.array_equal(support_of_cloud(g, w), _dense_c(g, w))
             assert scans == [1]
@@ -1318,7 +1318,7 @@ class TestHullPassAgainstScalarScan:
         g = uniform_angle_grid(n)
         for s in range(4):
             w = random_convex_body(g, s).radial()
-            assert (sampleops._turns(w * g.directions.T, 1)[2] < 0.0).sum() > 100
+            assert (sampleops._turns(w * g.directions.T) < 0.0).sum() > 100
             self._same_as_scalar_scan(g, w)
 
     def test_anchor_power_iterates(self):
@@ -1339,10 +1339,34 @@ class TestHullPassAgainstScalarScan:
     def test_closing_point_popped_past_the_start(self, n, spike, dent, near):
         g, w = _wrap_cloud(n, spike, dent, near)
         xy = w * g.directions.T
-        assert sampleops._turns(xy, 1)[2][n - 1] >= 0.0 and sampleops._turns(xy, 2)[2][n - 1] >= 0.0
+        assert sampleops._turns(xy)[n - 1] >= 0.0 and _reference_turns(xy.T, 2)[2][n - 1] >= 0.0
         keep = sampleops._graham_vertices(xy)
         assert keep[0] == 0 and n - 1 not in keep
         self._same_as_scalar_scan(g, w)
+
+    @pytest.mark.parametrize("n", [8, 9, 720, 8192])
+    def test_neighbours_of_every_point_span_less_than_pi(self, n):
+        # the one turn pass drops every right turn: valid as cross(p_{i-1},
+        # p_{i+1}) > 0, 4 pi / n apart, even on clouds rescaled from 2**+-400
+        g = uniform_angle_grid(n)
+        w = np.ldexp(1.0, np.where(np.arange(n) % 2 == 0, 400, -400))
+        _, xy = sampleops._scaled_cloud(g, w)
+        a, b = np.roll(xy, 1, axis=1), np.roll(xy, -1, axis=1)
+        cross = a[0] * b[1] - a[1] * b[0]
+        assert (cross > 0.0).all()
+        scale = np.hypot(*a) * np.hypot(*b)
+        assert (cross / scale).min() > 0.99 * np.sin(4 * np.pi / n)
+
+    def test_a_scan_takes_two_turn_passes_and_convex_position_one(self, monkeypatch):
+        passes = []
+        turns = sampleops._turns
+        monkeypatch.setattr(sampleops, "_turns", lambda xy: passes.append(1) or turns(xy))
+        g, w = _hull_test_cloud("lognormal", 720, 0)
+        assert sampleops._graham_vertices(w * g.directions.T) is not None
+        assert len(passes) == 2
+        passes.clear()
+        assert sampleops._graham_vertices(g.directions.T.copy()) is None
+        assert len(passes) == 1
 
     def test_degenerate_edge_takes_the_vertex_distance(self):
         # one vertex: every ray's edge has length 0, so every denominator is 0

@@ -449,7 +449,37 @@ CALCULUS_REFUSALS = [
                  ParameterError, "partition must span [lambda, 1]", id="partition-span"),
 ]
 
+# nan and inf parameters, which plain comparisons let through, are refused before any hull pass
+NONFINITE_REFUSALS = [
+    pytest.param(lambda: power(random_convex_body(uniform_angle_grid(720), 0), 0.5, tol=np.nan), ParameterError,
+                 "tolerance must be finite", id="power-tol-nan"),
+    pytest.param(lambda: power(unit_ball(uniform_angle_grid(16)), np.nan), ParameterError,
+                 "power exponent must be finite", id="power-lambda-nan"),
+    pytest.param(lambda: power(unit_ball(uniform_angle_grid(16)), np.inf), ParameterError,
+                 "power exponent must be finite", id="power-lambda-inf"),
+    pytest.param(lambda: power_partition(unit_ball(uniform_angle_grid(16)), np.nan, Partition.geometric(0.5, 1.0, 4)),
+                 ParameterError, "power exponent must be finite", id="power-partition-nan"),
+    pytest.param(lambda: Partition([np.nan, 1.0]), ParameterError,
+                 "endpoints must be finite, positive and strictly increasing", id="partition-nan"),
+    pytest.param(lambda: Partition([1.0, np.inf]), ParameterError,
+                 "endpoints must be finite, positive and strictly increasing", id="partition-inf"),
+    pytest.param(lambda: Partition.geometric(-1, 2, 4), ParameterError,
+                 "a geometric partition needs finite positive ends", id="geometric-negative"),
+    pytest.param(lambda: RadialMap.power(np.nan), ParameterError, "power exponent must be finite", id="map-power-nan"),
+    pytest.param(lambda: RadialMap.scale(np.inf), ParameterError, "scale factor must be finite", id="map-scale-inf"),
+    pytest.param(lambda: RadialMap(lambda dirs, r: r * np.nan).check_zero_fixed(uniform_angle_grid(16)), ParameterError,
+                 "radial map must satisfy f(theta, 0) = 0", id="map-nan-at-zero"),
+]
+
 
 @pytest.mark.parametrize("call, error, message", CALCULUS_REFUSALS)
 def test_refusal(assert_refusal, call, error, message):
     assert_refusal(call, error, message)
+
+
+@pytest.mark.parametrize("call, error, message", NONFINITE_REFUSALS)
+def test_nonfinite_parameter_refused(assert_refusal, call, error, message, monkeypatch):
+    monkeypatch.setattr(calculus, "hull_radial", lambda *a: pytest.fail("a hull pass ran"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_refusal(call, error, message)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from itertools import pairwise
 
 import numpy as np
@@ -362,6 +363,13 @@ class TestStackedTrials:
         # the corpus's wide2-p petals: lengths 1e300 and 1e-10, so one rotation's ratio is inf
         f = flower_from_petals(np.array([[1e300, 0.0], [-1e-10, 0.0]]), uniform_angle_grid(720))
         assert global_average(f, 1, seed=0) == _global_average_by_rotation(f, 1, 0) == np.inf
+
+    def test_global_average_sum_past_the_floats(self):
+        # petals of length 1e308: the sum of two rotated radials overflows to inf, the documented answer
+        f = flower_from_petals(np.array([[1e308, 0.0], [-1e308, 0.0]]), uniform_angle_grid(16))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert global_average(f, 2, seed=0) == np.inf
 
     @pytest.mark.parametrize("sweep", ["global_average", "dvoretzky_search"])
     def test_memory_bounded_by_stack_not_by_trials(self, sweep):

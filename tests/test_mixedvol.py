@@ -1,8 +1,14 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from flowerlab.bodies import (
     ConvexBody,
+    StarBody,
+    _ball_mean,
+    convexify_support,
     flower_of,
     polytope_body,
     random_convex_body,
@@ -11,7 +17,7 @@ from flowerlab.bodies import (
 )
 from flowerlab.errors import DegenerateInputError, ParameterError
 from flowerlab.mixedvol import FlowerCombination, combine, expansion_check, flower_mixed_volume
-from flowerlab.spherecore import uniform_angle_grid
+from flowerlab.spherecore import DirectionGrid, sampled_sphere_grid, uniform_angle_grid
 
 
 class TestCombine:
@@ -76,6 +82,27 @@ class TestFlowerMixedVolume:
         k2 = random_convex_body(grid720, 9)
         bigger = ConvexBody(grid720, k1.support * 1.1, certified=True)
         assert flower_mixed_volume(bigger, k2) >= flower_mixed_volume(k1, k2)
+
+    @pytest.mark.parametrize("value", [1e200, 1e-200])
+    def test_past_the_floats_is_refused_without_a_warning(self, assert_refusal, value):
+        # three supports of 1e200 (1e-200) on the +-e_i grid: the plain product overflows to inf (underflows to 0)
+        cube = ConvexBody(DirectionGrid(3, np.vstack([np.eye(3), -np.eye(3)]), np.full(6, 1 / 6)), np.full(6, value))
+        exp = 3 * int(np.frexp(value)[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_refusal(lambda: flower_mixed_volume(cube, cube, cube), DegenerateInputError,
+                           f"the flower mixed volume leaves the floats (about 2**{exp})")
+
+    @pytest.mark.parametrize("n, dim", [(2048, 2), (512, 3)])
+    def test_in_range_equals_the_plain_formula(self, n, dim):
+        # duality-2d's expansion op reads these values
+        grid = uniform_angle_grid(n) if dim == 2 else sampled_sphere_grid(3, n, seed=0)
+        radial = lambda s: 1.0 + 0.1 * s + grid.directions[:, 0] ** 2  # noqa: E731
+        bodies = [random_convex_body(grid, s) if dim == 2 else convexify_support(StarBody(grid, radial(s)))
+                  for s in range(dim)]
+        for scale in (1.0, 3e-5, 7e40):
+            scaled = [ConvexBody(grid, scale * b.support) for b in bodies]
+            assert flower_mixed_volume(*scaled) == _ball_mean(grid, math.prod(b.support for b in scaled), 0, "")
 
     def test_arity_enforced(self, grid720):
         b = unit_ball(grid720)
