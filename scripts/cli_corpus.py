@@ -12,16 +12,26 @@ public API, so two checkouts can be compared line by line:
     PYTHONPATH=old/src python scripts/cli_corpus.py > old.jsonl
     PYTHONPATH=new/src python scripts/cli_corpus.py > new.jsonl
     diff old.jsonl new.jsonl
+
+The first line records the build the bytes were made with: the Python, numpy
+and scipy versions and numpy's BLAS.
+tests/data/cli_corpus.jsonl is this script's output at the last change that
+moved a line; tests/test_scripts.py compares a fresh run against it.  A change
+that moves lines regenerates it with
+
+    PYTHONPATH=src python scripts/cli_corpus.py > tests/data/cli_corpus.jsonl
 """
 import contextlib
 import hashlib
 import io
 import json
 import os
+import platform
 import tempfile
 import warnings
 
 import numpy as np
+import scipy
 
 from flowerlab import ConvexBody, StarBody, alexandrov, cli, convexify_support, flower_of, polytope_body, random_convex_body
 from flowerlab import DirectionGrid, sampled_sphere_grid, square_body, uniform_angle_grid
@@ -141,6 +151,8 @@ def cases(files):
     for n in (8, 9):
         k0, k1 = files[f"{SMALL}{n}-0"], files[f"{SMALL}{n}-1"]
         out += [["power", k0, "--lambda", "0.5"], ["power", k0, "--lambda", "3"], ["compose", k0, k1]]
+    # out-cones whose far points square past the floats
+    out += [["invert", files["tri"], "--outcone", "--trunc-scale", scale] for scale in ("1e160", "1e308")]
     return out
 
 
@@ -165,8 +177,17 @@ def run_case(argv, tmp):
             "stderr": mask(stderr.getvalue()), "warnings": [f"{w.category.__name__}: {w.message}" for w in seen]}
 
 
+def build():
+    """The record of the build that the bytes depend on: the versions and numpy's BLAS, without its local paths."""
+    config = np.show_config(mode="dicts")
+    blas = {k: v for k, v in config["Build Dependencies"]["blas"].items() if "directory" not in k}
+    return {"build": {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
+                      "blas": blas}}
+
+
 def main():
     os.environ.pop("FLOWERLAB_SEED", None)
+    print(json.dumps(build()), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for argv in cases(write_inputs(tmp)):
             print(json.dumps(run_case(argv, tmp)), flush=True)

@@ -514,13 +514,16 @@ def _ball_union_radial(centers: np.ndarray, radii: np.ndarray, dirs: np.ndarray)
     """max_i <c_i, theta_j> + sqrt(rho_i^2 - |c_i|^2 + <c_i, theta_j>^2): the union of balls B(c_i, rho_i) holding 0.
 
     The balls are scaled by 2**-s, with s centring the radii on 1 as in
-    _hull_pass, so the squares stay in the floats at any scale; the scaling
-    is exact, so in-range results are unchanged bit for bit.  _block_max
-    takes the products, so the bits are shape-free too, and its fold the
-    reach of each block in place, in one temporary; each ball holds 0, so
-    its clip at 0 moves a reach only by rounding, below the callers' floor.
+    _hull_pass but keeping the largest at or below 2**500: rho^2, |c|^2 <=
+    rho^2 and <c, theta>^2 then stay below 2**1001, so the squares stay in
+    the floats for radii spanning up to about 2**1000.  The scaling is exact,
+    so in-range results are unchanged bit for bit.  _block_max takes the
+    products, so the bits are shape-free too, and its fold the reach of each
+    block in place, in one temporary; each ball holds 0, so its clip at 0
+    moves a reach only by rounding, below the callers' floor.
     """
-    s = (int(np.frexp(radii.max())[1]) + int(np.frexp(radii.min())[1])) // 2
+    hi = int(np.frexp(radii.max())[1])
+    s = max((hi + int(np.frexp(radii.min())[1])) // 2, hi - 500)
     centers = np.ldexp(centers, -s)
     base = (np.ldexp(radii, -s) ** 2 - (centers ** 2).sum(axis=1))[:, None]  # broadcasts over _pair's repeated lone row
 

@@ -102,6 +102,13 @@ class ConvexBody:
         self._radial: np.ndarray | None = None
 
     @classmethod
+    def checked(cls, grid: DirectionGrid, support: np.ndarray, tol: float | None = None) -> tuple[ConvexBody, float]:
+        """The body of `support`, certified iff its samples pass the certificate within tol, and their violation."""
+        body = cls(grid, support)
+        body.certified, violation = is_support_consistent(grid, body.support, tol)
+        return body, violation
+
+    @classmethod
     def hull_backed(cls, grid: DirectionGrid, radial: np.ndarray, support: np.ndarray | None = None) -> ConvexBody:
         """Certified conv({radial_i theta_i} + {0}) with support `support` (default C(radial)).
 
@@ -193,10 +200,10 @@ def flower_of(k: ConvexBody) -> Flower:
 
 def core_of(f: Flower, tol: float | None = None) -> ConvexBody:
     """Inverse of flower_of: the convex body with h = r_F (certificate enforced)."""
-    rep = is_flower(f, tol)
-    if not rep.ok:
-        raise NotAFlowerError(f"not a flower: certificate violation {rep.violation:.3e}", rep.violation)
-    return ConvexBody(f.grid, f.radial, certified=True)
+    k, violation = ConvexBody.checked(f.grid, f.radial, tol)
+    if not k.certified:
+        raise NotAFlowerError(f"not a flower: certificate violation {violation:.3e}", violation)
+    return k
 
 
 def cof(a: StarBody) -> StarBody:
@@ -306,28 +313,18 @@ def unit_ball(grid: DirectionGrid, radius: float = 1.0) -> ConvexBody:
     return ConvexBody(grid, np.full(grid.size, float(radius)), certified=True)
 
 
-def _certified_if_consistent(grid: DirectionGrid, support: np.ndarray) -> ConvexBody:
-    """Convex body of exact support samples, certified iff they pass the certificate at the default tolerance.
-
-    Exact support samples of a polytope whose vertices lie off the grid rays
-    can fail it (by up to about 1e-2 at N = 720): the grid's half-space body
-    then cuts the vertex off, so C(D(h)) falls below h near that vertex.
-    """
-    k = ConvexBody(grid, support)
-    k.certified = is_support_consistent(grid, k.support).ok
-    return k
-
-
 def polytope_body(grid: DirectionGrid, vertices: np.ndarray) -> ConvexBody:
     """Convex body conv(vertices + {0}) from its exact support samples, certified iff they pass the certificate.
 
-    Support values that vanish (0 on the boundary, e.g. segments) are floored
-    at EPS_FLOOR per the package convention.
+    Vertices off the grid rays can fail it (by up to about 1e-2 at N = 720):
+    the grid's half-space body cuts such a vertex off, so C(D(h)) falls below
+    h near it.  Support values that vanish (0 on the boundary, e.g. segments)
+    are floored at EPS_FLOOR per the package convention.
     """
     v = np.atleast_2d(np.asarray(vertices, dtype=float))
     if v.shape[1] != grid.dim or not len(v):
         raise ParameterError("vertices must be one or more points of the grid's dimension")
-    return _certified_if_consistent(grid, np.maximum(_block_max(v, grid.directions), EPS_FLOOR))
+    return ConvexBody.checked(grid, np.maximum(_block_max(v, grid.directions), EPS_FLOOR))[0]
 
 
 def regular_polygon_vertices(m: int, circumradius: float = 1.0, phase: float = 0.0) -> np.ndarray:
@@ -338,7 +335,7 @@ def regular_polygon_vertices(m: int, circumradius: float = 1.0, phase: float = 0
 def square_body(grid: DirectionGrid, half_width: float = 1.0) -> ConvexBody:
     """The square [-a, a]^2 from its exact support a(|c| + |s|), certified iff the samples pass the certificate."""
     d = grid.directions
-    return _certified_if_consistent(grid, half_width * (np.abs(d[:, 0]) + np.abs(d[:, 1])))
+    return ConvexBody.checked(grid, half_width * (np.abs(d[:, 0]) + np.abs(d[:, 1])))[0]
 
 
 def random_convex_body(grid: DirectionGrid, seed: int, amp: float = 0.35, kmax: int = 6) -> ConvexBody:

@@ -144,11 +144,7 @@ def _grid_from_spec(spec, dim: int, size: int | None = None) -> DirectionGrid:
 def _grid_to_spec(grid: DirectionGrid) -> dict:
     if grid.uniform_n is not None:
         return {"type": "uniform-angle", "n": grid.uniform_n}
-    return {
-        "type": "directions",
-        "vectors": [list(map(float, v)) for v in grid.directions],
-        "weights": [float(w) for w in grid.weights],
-    }
+    return {"type": "directions", "vectors": grid.directions.tolist(), "weights": grid.weights.tolist()}
 
 
 def parse_body_obj(obj) -> BodyDocument:
@@ -221,9 +217,9 @@ def body_to_obj(doc: BodyDocument) -> dict:
     if doc.grid is not None:
         out["grid"] = _grid_to_spec(doc.grid)
     if doc.values is not None:
-        out["values"] = [float(v) for v in doc.values]
+        out["values"] = doc.values.tolist()
     if doc.points is not None:
-        out["points"] = [list(map(float, p)) for p in doc.points]
+        out["points"] = doc.points.tolist()
     out["metadata"] = doc.metadata
     return out
 
@@ -238,8 +234,8 @@ def serialize_body(doc: BodyDocument, path=None) -> str:
 
 
 def document_for_star(s: StarBody, representation: str = "radial", metadata: dict | None = None) -> BodyDocument:
-    return BodyDocument(s.grid.dim, representation, s.grid, values=s.radial.copy(), metadata=metadata or {})
+    return BodyDocument(s.grid.dim, representation, s.grid, values=s.radial, metadata=metadata or {})
 
 
 def document_for_convex(k: ConvexBody, metadata: dict | None = None) -> BodyDocument:
-    return BodyDocument(k.grid.dim, "support", k.grid, values=k.support.copy(), metadata=metadata or {})
+    return BodyDocument(k.grid.dim, "support", k.grid, values=k.support, metadata=metadata or {})

@@ -46,6 +46,8 @@ class Partition:
         """m equal log-steps between lo and hi."""
         if not (0 < lo < np.inf and 0 < hi < np.inf):
             raise ParameterError("a geometric partition needs finite positive ends")
+        if not (isinstance(m, (int, np.integer)) and m >= 1):
+            raise ParameterError("a geometric partition needs a whole number m >= 1 of steps")
         return cls(np.exp(np.linspace(np.log(lo), np.log(hi), m + 1)))
 
 

@@ -23,7 +23,6 @@ from .bodyfile import MAX_GRID_SIZE, BodyDocument, document_for_convex, document
 from .errors import BodyFileError, CertificationRequiredError, FlowerlabError, ParameterError
 from .inversion import CONVEX_POSITION_TOL, TruncatedOutCone, is_inversion_convex
 from .localtheory import ExperimentReport
-from .spherecore import child_seed
 from .svgplot import plot_svg
 
 DEFAULT_GRID_N = 720
@@ -78,10 +77,10 @@ def _load_convex(path, doc: BodyDocument | None = None, tol: float | None = None
     doc = parse_body(path) if doc is None else doc
     if doc.representation != "support":
         raise BodyFileError(f"{path}: expected a support body, got '{doc.representation}'")
-    rep = bodies.is_support_consistent(doc.grid, doc.values, tol)
-    if not rep.ok:
-        raise CertificationRequiredError(f"{path}: support samples failed certification: violation {rep.violation:.3e}")
-    return bodies.ConvexBody(doc.grid, doc.values, certified=True)
+    k, violation = bodies.ConvexBody.checked(doc.grid, doc.values, tol)
+    if not k.certified:
+        raise CertificationRequiredError(f"{path}: support samples failed certification: violation {violation:.3e}")
+    return k
 
 
 def _load_flower(doc: BodyDocument, tol: float | None = None) -> bodies.Flower:
@@ -202,7 +201,7 @@ def cmd_dvoretzky(args):
     f = _load_flower(parse_body(args.body))
     subgrid = None
     if args.k >= 2:
-        subgrid = localtheory.default_subgrid(args.k, size=args.grid, seed=child_seed(args.seed, 2 ** 20))
+        subgrid = localtheory.sweep_grid(args.k, args.seed, args.grid)
     res = localtheory.dvoretzky_search(f, args.k, args.trials, args.seed, subgrid=subgrid, include_sections=args.sections)
     qs = res.quantiles()
     obj = {
@@ -230,7 +229,7 @@ def cmd_global_avg(args):
 
 
 def cmd_kashin(args):
-    grid = localtheory.default_subgrid(args.dim, size=args.grid, seed=child_seed(args.seed, 2 ** 20))
+    grid = localtheory.sweep_grid(args.dim, args.seed, args.grid)
     ratio = localtheory.kashin_petals(args.dim, args.seed, num_petals=args.petals, grid=grid)
     _write(f"{ratio!r}\n", args)
 

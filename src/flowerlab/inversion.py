@@ -55,9 +55,12 @@ DIRECT_SAMPLES = 4000  # boundary points inverted for the direct convex-position
 def invert_points(pts: np.ndarray) -> np.ndarray:
     """Spherical inversion x -> x / |x|^2 (involution away from 0) of each point along the last axis."""
     pts = np.asarray(pts, dtype=float)
-    n2 = (pts ** 2).sum(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # a squared norm past the floats is inf, refused below
+        n2 = (pts ** 2).sum(axis=-1, keepdims=True)
     if (n2 == 0).any():
         raise SingularPointError("spherical inversion is singular at the origin")
+    if np.isinf(n2).any():
+        raise DegenerateInputError("spherical inversion leaves the floats")
     return pts / n2
 
 

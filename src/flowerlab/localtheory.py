@@ -92,6 +92,11 @@ def default_subgrid(k: int, size: int = 720, seed: int = 0) -> DirectionGrid:
     return sampled_sphere_grid(k, n + (n % 2), seed, symmetric=True)
 
 
+def sweep_grid(k: int, seed: int, size: int = 720) -> DirectionGrid:
+    """A sweep's working grid in dimension k: default_subgrid on the seed's own child stream."""
+    return default_subgrid(k, size, child_seed(seed, 2 ** 20))
+
+
 def _frame_directions(f: Flower, e: SubspaceBasis, directions_k: np.ndarray) -> np.ndarray:
     """directions_k as rows of e.k frame coordinates; ParameterError unless E lies in the flower's space."""
     if e.ambient_dim != f.grid.dim:
@@ -226,9 +231,7 @@ def dvoretzky_search(
         raise ParameterError("k out of range")
     f = replace(f, petals=canonical_petals(f))  # built once for all trials
     if k >= 2:
-        if subgrid is None:
-            subgrid = default_subgrid(k, seed=child_seed(seed, 2 ** 20))
-        kdirs = subgrid.directions
+        kdirs = (subgrid or sweep_grid(k, seed)).directions
     else:
         kdirs = np.array([[1.0], [-1.0]])
     dim = f.grid.dim
@@ -284,7 +287,7 @@ def kashin_petals(n: int, seed: int, num_petals: int | None = None, grid: Direct
     if m < 1:
         raise ParameterError("need at least one petal")
     if grid is None:
-        grid = default_subgrid(n, size=720 if n == 2 else 2048, seed=child_seed(seed, 2 ** 20))
+        grid = sweep_grid(n, seed, 720 if n == 2 else 2048)
     elif grid.dim != n:
         raise ParameterError(f"grid has dimension {grid.dim}, the petals dimension {n}")
     rng = np.random.default_rng(seed)

@@ -510,6 +510,17 @@ class TestSums:
             rho = np.add.outer(np.linalg.norm(p1, axis=1), np.linalg.norm(p2, axis=1)).reshape(-1) / 2.0
             assert s.radial.tobytes() == np.maximum(_pair_ball_union(cx, rho, g.directions), EPS_FLOOR).tobytes()
 
+    def test_minkowski_sum_of_radii_spanning_2_to_the_1993(self):
+        # radii 5e299 and 5e-301: centring the span on 1 squared the largest past the floats
+        g = uniform_angle_grid(16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = minkowski_sum_2d(flower_from_petals([[1e300, 0], [0, 1e-300]], g), flower_from_petals([[0, -1e-300]], g))
+        # the big ball has c = (5e299, -5e-301) and rho^2 - |c|^2 = 1/2; the other lies below the floor
+        ip = g.directions @ [5e299, -5e-301]
+        np.testing.assert_allclose(s.radial, np.maximum(ip + np.hypot(np.sqrt(0.5), ip), EPS_FLOOR), rtol=1e-15)
+        assert s.radial[0] == 1e300
+
     def test_grids_differing_only_in_weights_mismatch(self):
         g = uniform_angle_grid(8)
         w = np.arange(1.0, 9.0)

@@ -447,6 +447,10 @@ CALCULUS_REFUSALS = [
     pytest.param(lambda: RadialMap.scale(0.0), ParameterError, "scale factor must be positive", id="scale-factor"),
     pytest.param(lambda: power_partition(unit_ball(uniform_angle_grid(16)), 0.5, Partition(np.array([0.25, 1.0]))),
                  ParameterError, "partition must span [lambda, 1]", id="partition-span"),
+    pytest.param(lambda: Partition.geometric(0.5, 2.0, -2), ParameterError,
+                 "a geometric partition needs a whole number m >= 1 of steps", id="geometric-negative-m"),
+    pytest.param(lambda: Partition.geometric(0.5, 2.0, 2.5), ParameterError,
+                 "a geometric partition needs a whole number m >= 1 of steps", id="geometric-fractional-m"),
 ]
 
 # nan and inf parameters, which plain comparisons let through, are refused before any hull pass

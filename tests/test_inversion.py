@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,17 @@ class TestInvertPoint:
     def test_origin_rejected(self):
         with pytest.raises(SingularPointError):
             invert_point(np.zeros(3))
+
+    @pytest.mark.parametrize("scale", [1e160, 1e308])
+    def test_squares_past_the_floats_refused_before_a_verdict(self, assert_refusal, scale):
+        # the out-cone's far points squared to inf, and the verdict read "convex" through NaN cosines
+        cone = TruncatedOutCone(OffOriginPolytope(np.array(_TRI)), scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_refusal(lambda: invert_point(np.array([scale, 0.0])), DegenerateInputError,
+                           "spherical inversion leaves the floats")
+            assert_refusal(lambda: is_inversion_convex(cone, samples=120, seed=0), DegenerateInputError,
+                           "spherical inversion leaves the floats")
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=4))

@@ -32,6 +32,7 @@ from flowerlab.localtheory import (
     section_flower,
     section_radial,
     stability_check,
+    sweep_grid,
 )
 from flowerlab.spherecore import (
     SubspaceBasis,
@@ -290,7 +291,7 @@ def _dvoretzky_by_trial(f, k, trials, seed, subgrid, include_sections):
     """(distances, section distances or None, best frame)."""
     pts = canonical_petals(f)
     if k >= 2:
-        kdirs = (subgrid or default_subgrid(k, seed=child_seed(seed, 2 ** 20))).directions
+        kdirs = (subgrid or sweep_grid(k, seed)).directions
     else:
         kdirs = np.array([[1.0], [-1.0]])
     dists, sects, best = [], [], (np.inf, None)

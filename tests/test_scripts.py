@@ -1,6 +1,7 @@
 """Smoke runs of the sweep scripts in scripts/ at small sizes, and of the benchmark tracer."""
 import csv
 import importlib.util
+import json
 import pathlib
 import sys
 
@@ -8,6 +9,14 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
+GOLDEN = ROOT / "tests" / "data" / "cli_corpus.jsonl"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name[:-3], SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize(
@@ -21,9 +30,7 @@ SCRIPTS = ROOT / "scripts"
     ],
 )
 def test_script_writes_its_csv(tmp_path, monkeypatch, script, argv, header, rows):
-    spec = importlib.util.spec_from_file_location(script[:-3], SCRIPTS / script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_script(script)
     out = tmp_path / "out.csv"
     monkeypatch.setattr(sys, "argv", [script, *argv, "--out", str(out)])
     module.main()
@@ -76,9 +83,7 @@ def test_cli_corpus_records_exit_codes_hashes_and_stderr(tmp_path):
     from flowerlab import flower_of, random_convex_body, uniform_angle_grid
     from flowerlab.bodyfile import document_for_star, serialize_body
 
-    spec = importlib.util.spec_from_file_location("cli_corpus", SCRIPTS / "cli_corpus.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_script("cli_corpus.py")
     tmp = str(tmp_path)
     files = module.write_inputs(tmp)
     k, cross = files["k720-0-s"], files["x720-s"]
@@ -96,3 +101,19 @@ def test_cli_corpus_records_exit_codes_hashes_and_stderr(tmp_path):
     assert written["exit"] == 0 and written["stdout"] == sha("")
     assert written["files"] == {"$TMP/o.json": hashlib.sha256((tmp_path / "o.json").read_bytes()).hexdigest()}
     assert missing["exit"] == 1 and missing["stderr"] == "error: fmap --fn power needs --lambda\n"
+
+
+def test_cli_corpus_matches_its_golden(tmp_path, monkeypatch):
+    # every case's exit code, output hashes, stderr and warnings, against the
+    # file the corpus printed at the last change that moved a line
+    module = load_script("cli_corpus.py")
+    build, *golden = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+    assert module.build() == build, f"the golden was made on {build['build']}, this is {module.build()['build']}"
+    monkeypatch.delenv("FLOWERLAB_SEED", raising=False)
+    tmp = str(tmp_path)
+    argvs = module.cases(module.write_inputs(tmp))
+    diffs = [] if len(argvs) == len(golden) else [f"{len(argvs)} cases, the golden has {len(golden)}"]
+    for argv, want in zip(argvs, golden):
+        got = module.run_case(argv, tmp)
+        diffs += [f"{' '.join(want['argv'])}: {key} {want[key]!r} -> {got[key]!r}" for key in want if got[key] != want[key]]
+    assert not diffs, "\n".join(diffs)
