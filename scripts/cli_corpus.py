@@ -87,14 +87,15 @@ def write_inputs(tmp):
     put(TINY, document_for_star(StarBody(g, np.full(720, 1e-310))))
     declared = DirectionGrid(2, g.directions, g.weights)
     put(DIRS2D, document_for_convex(random_convex_body(declared, 0), {"name": DIRS2D}))
-    # sums and products past the floats: petals of length 1e308, and supports of 1e200 and 1e-200 on the +-e_i
-    # directions in 3D and on 16 uniform angles in 2D
+    # sums and products past the floats: petals of length 1e308, supports of 1e200 and 1e-200 on the +-e_i
+    # directions in 3D, and of 1e200 and 1e308 on 16 uniform angles in 2D
     g = uniform_angle_grid(16)
     put(f"{OVER}-p16", BodyDocument(2, "petals", g, points=np.array([[1e308, 0.0], [-1e308, 0.0]])))
     cube = DirectionGrid(3, np.vstack([np.eye(3), -np.eye(3)]), np.full(6, 1 / 6))
     for value in (1e200, 1e-200):
         put(f"{OVER}-e3-{value:g}", document_for_convex(ConvexBody(cube, np.full(6, value))))
-    put(f"{OVER}-s16-1e+200", document_for_convex(ConvexBody(g, np.full(16, 1e200))))
+    for value in (1e200, 1e308):
+        put(f"{OVER}-s16-{value:g}", document_for_convex(ConvexBody(g, np.full(16, value))))
     for n in (8, 9):  # the smallest grids the 2D hull scan sees
         for seed in (0, 1):
             put(f"{SMALL}{n}-{seed}", document_for_convex(random_convex_body(uniform_angle_grid(n), seed)))
@@ -153,6 +154,7 @@ def cases(files):
         out += [["power", k0, "--lambda", "0.5"], ["power", k0, "--lambda", "3"], ["compose", k0, k1]]
     # out-cones whose far points square past the floats
     out += [["invert", files["tri"], "--outcone", "--trunc-scale", scale] for scale in ("1e160", "1e308")]
+    out.append(["plot", files[f"{OVER}-s16-1e+308"]])  # coordinates past the floats unless taken in viewport units
     return out
 
 

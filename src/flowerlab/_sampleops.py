@@ -146,14 +146,9 @@ def reciprocal_bounds(g: np.ndarray) -> np.ndarray:
     return r
 
 
-def closure(grid: DirectionGrid, g: np.ndarray) -> np.ndarray:
-    """C(D(g)): the largest certified support vector below g."""
-    return support_of_cloud(grid, radial_of_halfspaces(grid, g))
-
-
 def certificate_violation(grid: DirectionGrid, g: np.ndarray) -> float:
-    """Max gap g - C(D(g)); zero (to float noise) iff g is support-consistent."""
-    return float(np.abs(np.asarray(g, dtype=float) - closure(grid, g)).max())
+    """Max gap between g and C(D(g)), the largest certified support vector below g; zero (to float noise) iff g is support-consistent."""
+    return float(np.abs(np.asarray(g, dtype=float) - support_of_cloud(grid, radial_of_halfspaces(grid, g))).max())
 
 
 def _turns(xy: np.ndarray) -> np.ndarray:

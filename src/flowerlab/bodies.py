@@ -29,7 +29,6 @@ from ._sampleops import (
     _block_max,
     _row_norms,
     certificate_violation,
-    closure,
     hull_radial,
     hull_radial_and_support,
     radial_of_halfspaces,
@@ -57,12 +56,7 @@ def default_cert_tol(grid: DirectionGrid) -> float:
 def _check_same_grid(a: DirectionGrid, b: DirectionGrid):
     if a is b:
         return
-    if (
-        a.dim != b.dim
-        or a.size != b.size
-        or not np.array_equal(a.directions, b.directions)
-        or not np.array_equal(a.weights, b.weights)
-    ):
+    if not (np.array_equal(a.directions, b.directions) and np.array_equal(a.weights, b.weights)):
         raise GridMismatchError("bodies live on different grids")
 
 
@@ -109,6 +103,11 @@ class ConvexBody:
         return body, violation
 
     @classmethod
+    def of_cloud(cls, grid: DirectionGrid, w: np.ndarray) -> ConvexBody:
+        """The body with support C(w), certified by the C/D identity C(D(C(w))) == C(w)."""
+        return cls(grid, support_of_cloud(grid, w), certified=True)
+
+    @classmethod
     def hull_backed(cls, grid: DirectionGrid, radial: np.ndarray, support: np.ndarray | None = None) -> ConvexBody:
         """Certified conv({radial_i theta_i} + {0}) with support `support` (default C(radial)).
 
@@ -116,7 +115,7 @@ class ConvexBody:
         half-space radial), which keeps chained operations on hull-built
         bodies exact on samples; `radial` is frozen in place.
         """
-        body = cls(grid, support_of_cloud(grid, radial) if support is None else support, certified=True)
+        body = cls.of_cloud(grid, radial) if support is None else cls(grid, support, certified=True)
         radial.flags.writeable = False
         body._radial = radial
         return body
@@ -222,7 +221,7 @@ def convexify_support(s: StarBody) -> ConvexBody:
     """
     if s.grid.dim == 2:
         return ConvexBody.hull_backed(s.grid, *hull_radial_and_support(s.grid, s.radial))
-    return ConvexBody(s.grid, support_of_cloud(s.grid, s.radial), certified=True)
+    return ConvexBody.of_cloud(s.grid, s.radial)
 
 
 def radial_of_halfspace_body(g: np.ndarray, grid: DirectionGrid) -> StarBody:
@@ -232,14 +231,14 @@ def radial_of_halfspace_body(g: np.ndarray, grid: DirectionGrid) -> StarBody:
 
 def alexandrov(g: np.ndarray, grid: DirectionGrid) -> ConvexBody:
     """A[g]: the largest convex body with support below g (h_{A[g]} <= g pointwise)."""
-    return ConvexBody(grid, closure(grid, _positive_samples(grid, g, "bound")), certified=True)
+    return ConvexBody.of_cloud(grid, radial_of_halfspaces(grid, _positive_samples(grid, g, "bound")))
 
 
 def polar(k: ConvexBody) -> ConvexBody:
-    """Polar dual C(1/h); the C/D identity D(g) = 1/C(1/g) makes every output of C pass C(D(h)) == h."""
+    """Polar dual: the body with support C(1/h)."""
     if not k.certified:
         raise CertificationRequiredError("polar needs a certified convex body")
-    return ConvexBody(k.grid, support_of_cloud(k.grid, reciprocal_bounds(k.support)), certified=True)
+    return ConvexBody.of_cloud(k.grid, reciprocal_bounds(k.support))
 
 
 def _ball_mean(grid: DirectionGrid, values: np.ndarray, e: int, what: str) -> float:
@@ -351,7 +350,7 @@ def random_convex_body(grid: DirectionGrid, seed: int, amp: float = 0.35, kmax: 
     u = np.zeros(grid.size)
     for k in range(1, kmax + 1):
         u += rng.normal(0, amp / k) * np.cos(k * th) + rng.normal(0, amp / k) * np.sin(k * th)
-    return ConvexBody(grid, support_of_cloud(grid, np.exp(u)), certified=True)
+    return ConvexBody.of_cloud(grid, np.exp(u))
 
 
 def scale_star(a: StarBody, t: float) -> StarBody:

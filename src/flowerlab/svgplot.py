@@ -37,27 +37,20 @@ def plot_svg(bodies, labels=None) -> str:
 
     rmax = max((float(r.max()) for _, r in snaps), default=1.0)
     half = 1.1 * max(rmax, 1.0)  # include the unit circle, 10% margin
-    scale = _VIEW / (2 * half)
-
-    def to_px(x, y):
-        return (x + half) * scale, (half - y) * scale
+    mid = _VIEW / 2
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(_VIEW)}" height="{_fmt(_VIEW)}" '
         f'viewBox="0 0 {_fmt(_VIEW)} {_fmt(_VIEW)}">',
         f'<rect width="{_fmt(_VIEW)}" height="{_fmt(_VIEW)}" fill="white"/>',
+        f'<circle cx="{_fmt(mid)}" cy="{_fmt(mid)}" r="{_fmt(mid / half)}" fill="none" '
+        f'stroke="#999999" stroke-dasharray="4 3" stroke-width="1"/>',
     ]
-    cx, cy = to_px(0.0, 0.0)
-    lines.append(
-        f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(scale)}" fill="none" '
-        f'stroke="#999999" stroke-dasharray="4 3" stroke-width="1"/>'
-    )
     for i, (th, r) in enumerate(snaps):
         color = PALETTE[i % len(PALETTE)]
-        pts = []
-        for t, ri in zip(th, r):
-            px, py = to_px(ri * np.cos(t), ri * np.sin(t))
-            pts.append(f"{_fmt(px)},{_fmt(py)}")
+        # in units of half, so no sum of raw coordinates can leave the floats
+        px, py = (r * np.cos(th) / half + 1) * mid, (1 - r * np.sin(th) / half) * mid
+        pts = [f"{_fmt(x)},{_fmt(y)}" for x, y in zip(px, py)]
         pts.append(pts[0])
         lines.append(f'<polyline points="{" ".join(pts)}" fill="none" stroke="{color}" stroke-width="1.5"/>')
     for i, label in enumerate(labels):

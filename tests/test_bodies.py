@@ -21,7 +21,6 @@ from flowerlab._sampleops import (
     _hull_radial_qhull,
     _support_pruned,
     certificate_violation,
-    closure,
     hull_radial,
     radial_of_halfspaces,
     support_of_cloud,
@@ -1064,8 +1063,8 @@ class TestHullIndexedSupport:
         assert np.array_equal(support_of_cloud(g, w), c)
         d = 1.0 / _dense_c(g, 1.0 / c)
         assert np.array_equal(radial_of_halfspaces(g, c), d)
-        assert np.array_equal(closure(g, c), _dense_c(g, d))
-        assert np.array_equal(closure(g, w), _dense_c(g, 1.0 / _dense_c(g, 1.0 / w)))
+        assert np.array_equal(support_of_cloud(g, radial_of_halfspaces(g, c)), _dense_c(g, d))
+        assert np.array_equal(support_of_cloud(g, radial_of_halfspaces(g, w)), _dense_c(g, 1.0 / _dense_c(g, 1.0 / w)))
 
     @pytest.mark.parametrize("kind", ["body/h", "body/1/r", "floor", "needle/1/h", "square/r"])
     @pytest.mark.parametrize("scale", [-560, 560])

@@ -626,6 +626,18 @@ class TestPlot:
         texts = [t.text for t in ET.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}text")]
         assert texts == ["K<1 & L"]
 
+    def test_support_of_1e308_plots_finite_coordinates(self, tmp_path):
+        p, svg = tmp_path / "k.json", tmp_path / "k.svg"
+        serialize_body(document_for_convex(ConvexBody(uniform_angle_grid(16), np.full(16, 1e308))), p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["plot", p, "--out", svg]) == 0
+        root = ET.parse(svg).getroot()
+        coords = [float(c) for e in root.iter("{http://www.w3.org/2000/svg}polyline")
+                  for c in e.get("points").replace(",", " ").split()]
+        coords += [float(e.get(a)) for e in root.iter("{http://www.w3.org/2000/svg}circle") for a in ("cx", "cy", "r")]
+        assert len(coords) == 2 * 17 + 3 and all(0.0 <= c <= 640.0 for c in coords)
+
     def test_flower_encloses_core_in_plot_data(self, grid720):
         # h_K >= r_K pointwise: the flower curve encloses the body curve
         k = square_body(grid720)
